@@ -1,10 +1,10 @@
-"""In-repo symmetric eigensolvers.
+"""Symmetric eigensolvers.
 
 Dense path: Householder reduction to tridiagonal form followed by the
-implicit-shift QL iteration (eigenvalues only). Iterative path: Lanczos
-with full reorthogonalization driven by a caller-supplied matvec, with
-Sturm-sequence bisection used for cheap extreme-eigenvalue estimates of
-the growing tridiagonal matrix.
+implicit-shift QL iteration (eigenvalues only). Iterative path: restarted
+Lanczos with full reorthogonalization driven by a caller-supplied matvec;
+the extreme Ritz pair of the growing tridiagonal matrix comes from LAPACK
+(``numpy.linalg.eigh``).
 """
 
 from __future__ import annotations
@@ -121,114 +121,6 @@ def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences: eigenvalue counting and extreme-eigenvalue bisection
-
-
-def _count_below(d: np.ndarray, e: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix strictly below x."""
-    count = 0
-    q = 1.0
-    n = d.size
-    for i in range(n):
-        esq = e[i - 1] * e[i - 1] if i > 0 else 0.0
-        q = d[i] - x - (esq / q if q != 0.0 else esq / 1e-300)
-        if q < 0.0:
-            count += 1
-        elif q == 0.0:
-            q = -1e-300
-    return count
-
-
-def tridiagonal_extremes(diag: np.ndarray, off: np.ndarray, steps: int = 64) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of a symmetric tridiagonal matrix.
-
-    Bisection on the Sturm count inside the Gershgorin interval; cost
-    O(steps * n), which keeps per-iteration convergence checks cheap.
-    """
-    d = np.asarray(diag, dtype=np.float64)
-    e = np.asarray(off, dtype=np.float64)
-    n = d.size
-    if n == 0:
-        return 0.0, 0.0
-    if n == 1:
-        return float(d[0]), float(d[0])
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-
-    def kth_from_bottom(k: int) -> float:
-        # smallest value x with count_below(x) >= k, located by bisection
-        a, b = lo, hi + max(1.0, abs(hi)) * 1e-12
-        for _ in range(steps):
-            mid = 0.5 * (a + b)
-            if _count_below(d, e, mid) >= k:
-                b = mid
-            else:
-                a = mid
-        return 0.5 * (a + b)
-
-    return kth_from_bottom(1), kth_from_bottom(n)
-
-
-def _solve_shifted(d: np.ndarray, e: np.ndarray, lam: float, b: np.ndarray) -> np.ndarray:
-    """Solve (T - lam I) x = b for tridiagonal T, Gaussian elimination with
-    partial pivoting (needs one extra superdiagonal)."""
-    n = d.size
-    main = (d - lam).astype(np.float64)
-    lower = np.array(e, dtype=np.float64)
-    upper = np.array(e, dtype=np.float64)
-    upper2 = np.zeros(max(n - 2, 0))
-    rhs = np.array(b, dtype=np.float64)
-    tiny = 1e-300
-    for i in range(n - 1):
-        if abs(lower[i]) > abs(main[i]):
-            main[i], lower[i] = lower[i], main[i]
-            upper[i], main[i + 1] = main[i + 1], upper[i]
-            if i < n - 2:
-                upper2[i], upper[i + 1] = upper[i + 1], upper2[i]
-            rhs[i], rhs[i + 1] = rhs[i + 1], rhs[i]
-        piv = main[i] if main[i] != 0.0 else tiny
-        f = lower[i] / piv
-        main[i + 1] -= f * upper[i]
-        if i < n - 2:
-            upper[i + 1] -= f * upper2[i]
-        rhs[i + 1] -= f * rhs[i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        acc = rhs[i]
-        if i + 1 < n:
-            acc -= upper[i] * x[i + 1]
-        if i + 2 < n:
-            acc -= upper2[i] * x[i + 2]
-        piv = main[i] if main[i] != 0.0 else tiny
-        x[i] = acc / piv
-    return x
-
-
-def tridiagonal_eigenvector(diag: np.ndarray, off: np.ndarray, eigval: float,
-                            sweeps: int = 3) -> np.ndarray:
-    """Unit eigenvector of a symmetric tridiagonal matrix by inverse iteration."""
-    d = np.asarray(diag, dtype=np.float64)
-    e = np.asarray(off, dtype=np.float64)
-    n = d.size
-    if n == 1:
-        return np.ones(1)
-    scale = float(np.max(np.abs(d)) + np.max(np.abs(e)) if e.size else np.max(np.abs(d)))
-    shift = eigval + 64.0 * _EPS * max(scale, 1.0)
-    x = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(sweeps):
-        x = _solve_shifted(d, e, shift, x)
-        nx = math.sqrt(float(x @ x))
-        if nx == 0.0 or not math.isfinite(nx):
-            x = np.random.default_rng(0).normal(size=n)
-            nx = math.sqrt(float(x @ x))
-        x /= nx
-    return x
-
-
-# ---------------------------------------------------------------------------
 # Lanczos with full reorthogonalization
 
 
@@ -239,6 +131,27 @@ class IterativeResult:
     iterations: int
     residual: float
     converged: bool
+
+
+def _ritz_pair(alphas: np.ndarray, betas: np.ndarray, which: str) -> tuple[float, np.ndarray]:
+    """The selected extreme eigenpair of the Lanczos tridiagonal matrix.
+
+    The eigenvector's sign is fixed so that its entries sum to at most zero,
+    which keeps the Ritz vector, and every witness rounded from it, stable.
+    """
+    t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    vals, vecs = np.linalg.eigh(t)
+    top = which == "max" or (which == "abs" and abs(vals[-1]) >= abs(vals[0]))
+    i = -1 if top else 0
+    s = vecs[:, i]
+    if s.sum() > 0.0:
+        s = -s
+    return float(vals[i]), s
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    nx = math.sqrt(float(x @ x))
+    return x / nx if nx > 0 else x
 
 
 def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
@@ -252,7 +165,9 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
     start vector and to every new Krylov direction, restricting the whole
     computation to an invariant subspace of the operator.
 
-    Runs restarted Lanczos with full reorthogonalization; convergence is
+    Runs restarted Lanczos with full reorthogonalization in a preallocated
+    basis of at most ``max_basis`` vectors; every ``check_every`` steps the
+    Ritz pair of the tridiagonal comes from LAPACK, and convergence is
     declared when the implicit residual bound beta*|s_last| drops below
     tol relative to the operator scale.
     """
@@ -266,83 +181,55 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
     if project is not None:
         v = project(v)
 
+    m = min(max_basis, dim)
+    basis = np.empty((m + 1, dim))
+    alphas = np.empty(m)
+    betas = np.empty(m)
     total_iters = 0
     best = IterativeResult(0.0, v.copy(), 0, math.inf, False)
-
-    def pick(lo: float, hi: float) -> float:
-        if which == "max":
-            return hi
-        if which == "min":
-            return lo
-        return hi if abs(hi) >= abs(lo) else lo
 
     for _restart in range(max_restarts + 1):
         nv = math.sqrt(float(v @ v))
         if nv == 0.0:
             return IterativeResult(0.0, v, total_iters, 0.0, True)
-        q = v / nv
-        basis = [q]
-        alphas: list[float] = []
-        betas: list[float] = []
-        theta = 0.0
-        resid = math.inf
-        exhausted = False
-        while True:
-            if total_iters >= max_iter or len(alphas) >= min(max_basis, dim):
-                exhausted = True
-                break
-            w = matvec(basis[-1])
+        basis[0] = v / nv
+        k = 0  # Lanczos steps taken since this restart
+        while total_iters < max_iter and k < m:
+            q = basis[k]
+            w = matvec(q)
             if project is not None:
                 w = project(w)
-            a = float(basis[-1] @ w)
-            alphas.append(a)
-            w = w - a * basis[-1]
-            if len(basis) > 1:
-                w = w - betas[-1] * basis[-2]
-            bmat = np.array(basis)
-            w -= bmat.T @ (bmat @ w)
-            w -= bmat.T @ (bmat @ w)
+            a = float(q @ w)
+            alphas[k] = a
+            w = w - a * q
+            if k > 0:
+                w = w - betas[k - 1] * basis[k - 1]
+            known = basis[: k + 1]
+            w -= known.T @ (known @ w)
+            w -= known.T @ (known @ w)
             b = math.sqrt(float(w @ w))
             total_iters += 1
-            d = np.array(alphas)
-            e = np.array(betas)
+            k += 1
+            d, e = alphas[:k], betas[: k - 1]
             scale = max(1.0, float(np.max(np.abs(d))) + (float(np.max(np.abs(e))) if e.size else 0.0))
             if b <= 1e3 * _EPS * scale:
                 # Krylov space is invariant: Ritz values are exact
-                lo, hi = tridiagonal_extremes(d, e)
-                theta = pick(lo, hi)
-                s = tridiagonal_eigenvector(d, e, theta)
-                resid = 0.0
-                ritz = np.array(basis).T @ s
-                return IterativeResult(theta, ritz, total_iters, resid, True)
-            betas.append(b)
-            basis.append(w / b)
-            if len(alphas) % check_every == 0 or len(alphas) >= min(max_basis, dim):
-                lo, hi = tridiagonal_extremes(d, e)
-                theta = pick(lo, hi)
-                s = tridiagonal_eigenvector(d, e, theta)
+                theta, s = _ritz_pair(d, e, which)
+                return IterativeResult(theta, basis[:k].T @ s, total_iters, 0.0, True)
+            betas[k - 1] = b
+            basis[k] = w / b
+            if k % check_every == 0 or k >= m:
+                theta, s = _ritz_pair(d, e, which)
                 resid = b * abs(float(s[-1]))
                 if resid <= tol * scale:
-                    ritz = np.array(basis[:-1]).T @ s
-                    nr = math.sqrt(float(ritz @ ritz))
-                    if nr > 0:
-                        ritz /= nr
-                    return IterativeResult(theta, ritz, total_iters, resid, True)
+                    return IterativeResult(theta, _unit(basis[:k].T @ s), total_iters, resid, True)
         # restart from the current best Ritz vector
-        d = np.array(alphas)
-        e = np.array(betas[: max(len(alphas) - 1, 0)])
-        if d.size:
-            lo, hi = tridiagonal_extremes(d, e)
-            theta = pick(lo, hi)
-            s = tridiagonal_eigenvector(d, e, theta)
-            resid = (betas[-1] if len(betas) >= len(alphas) else 0.0) * abs(float(s[-1]))
-            ritz = np.array(basis[: len(alphas)]).T @ s
-            nr = math.sqrt(float(ritz @ ritz))
-            if nr > 0:
-                ritz /= nr
+        if k:
+            theta, s = _ritz_pair(alphas[:k], betas[: k - 1], which)
+            resid = betas[k - 1] * abs(float(s[-1]))
+            v = _unit(basis[:k].T @ s)
             if resid < best.residual:
-                best = IterativeResult(theta, ritz, total_iters, resid, False)
-            v = ritz
-        if exhausted and total_iters >= max_iter:
+                best = IterativeResult(theta, v, total_iters, resid, False)
+        if total_iters >= max_iter:
             break
     return best

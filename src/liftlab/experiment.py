@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .dyadic import band_certificate
 from .eigensolve import symmetric_eigenvalues
-from .errors import ConfigError, LiftlabError
+from .errors import ConfigError, LiftlabError, NotConvergedError
 from .graphs import BaseGraph, Lift, base_from_name, base_from_text, induced_adjacency
 from .patterns import (Pattern, ReductionReport, extract_pattern, reduce_general,
                        reduce_pattern)
@@ -168,6 +168,10 @@ def run_cell(base: BaseGraph, n: int, seed: int,
     row = ResultRow(seed=seed, h=base.h, d=base.d, n=n)
 
     rep = lambda_star(lift, tol=tolerance, rng=SeededRng(seed, 101))
+    if not rep.converged:
+        raise NotConvergedError(
+            f"lambda_star did not converge: residual {rep.residual:.3g} "
+            f"after {rep.iterations} iterations")
     if "spectrum" in stages:
         ramanujan = (rep.lambda_star / (2.0 * math.sqrt(base.d - 1))
                      if base.d >= 2 else float("nan"))

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DenseGuardError,
     DimensionMismatchError,
     DuplicateEdgeError,
@@ -163,6 +164,19 @@ def base_from_text(text: str) -> BaseGraph:
     return BaseGraph(h, tuple(edges))
 
 
+def _json_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _edge_key(key: str) -> tuple[int, int]:
+    parts = key.split("-")
+    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        raise ValueError(f"edge key {key!r} is not of the form 'u-v'")
+    return int(parts[0]), int(parts[1])
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -242,13 +256,24 @@ class Lift:
 
     @classmethod
     def from_json(cls, text: str) -> "Lift":
+        """Inverse of to_json.  Missing keys, wrongly typed values, malformed
+        "u-v" keys and documents that describe no valid lift raise ConfigError."""
         doc = json.loads(text)
-        base = BaseGraph(doc["base"]["h"], tuple(tuple(e) for e in doc["base"]["edges"]))
-        perms = {}
-        for key, arr in doc["perms"].items():
-            u, v = (int(t) for t in key.split("-"))
-            perms[(u, v)] = np.asarray(arr, dtype=np.int64)
-        return cls(base, int(doc["n"]), perms)
+        try:
+            base = BaseGraph(_json_int(doc["base"]["h"]),
+                             tuple(tuple(_json_int(t) for t in e) for e in doc["base"]["edges"]))
+            perms = {}
+            for key, arr in doc["perms"].items():
+                u, v = _edge_key(key)
+                perm = np.asarray(arr)
+                if perm.dtype.kind not in "iu":
+                    raise TypeError(f"permutation {key!r} must list integers")
+                perms[(u, v)] = perm
+            return cls(base, _json_int(doc["n"]), perms)
+        except KeyError as exc:
+            raise ConfigError(f"malformed lift JSON: missing key {exc}") from exc
+        except (TypeError, ValueError, AttributeError, LiftlabError) as exc:
+            raise ConfigError(f"malformed lift JSON: {exc}") from exc
 
     def canonical_key(self) -> tuple:
         """Hashable identity used when counting distinct lifts."""

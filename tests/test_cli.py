@@ -180,6 +180,30 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _rename_perm_key(doc):
+    doc["perms"]["0_1"] = doc["perms"].pop("0-1")
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda doc: doc.pop("perms"), id="missing-perms"),
+    pytest.param(lambda doc: doc["base"].pop("edges"), id="missing-base-edges"),
+    pytest.param(lambda doc: doc.update(n="100"), id="n-is-a-string"),
+    pytest.param(lambda doc: doc.update(perms=[]), id="perms-is-a-list"),
+    pytest.param(lambda doc: doc["perms"].update({"0-1": [0.5] * 100}), id="perm-of-floats"),
+    pytest.param(lambda doc: doc["perms"].update({"0-1": [0] * 100}), id="perm-not-a-bijection"),
+    pytest.param(_rename_perm_key, id="malformed-edge-key"),
+])
+def test_malformed_lift_json_exits_two(lift_file, tmp_path, capsys, mutate):
+    doc = json.loads(open(lift_file).read())
+    mutate(doc)
+    bad = tmp_path / "bad-lift.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["spectrum", "--lift", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed lift JSON")
+
+
 def test_numeric_guards_exit_three(tmp_path, capsys):
     big = tmp_path / "big.json"
     assert main(["gen", "--base", "k4", "--n", "600", "--seed", "1",

@@ -3,13 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftlab.eigensolve import (
-    lanczos_extreme,
-    symmetric_eigenvalues,
-    tridiagonal_eigenvalues,
-    tridiagonal_eigenvector,
-    tridiagonal_extremes,
-)
+from liftlab.eigensolve import lanczos_extreme, symmetric_eigenvalues, tridiagonal_eigenvalues
+from liftlab.graphs import complete_graph
+from liftlab.sampling import SeededRng, sample_lift
+from liftlab.spectra import lambda_star
 
 
 def random_symmetric(n, seed):
@@ -68,32 +65,6 @@ def test_tridiagonal_matches_numpy(n, seed):
     m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     ref = np.linalg.eigvalsh(m)[::-1]
     assert np.allclose(tridiagonal_eigenvalues(d, e), ref, atol=1e-10)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=10**6))
-def test_sturm_extremes_match_numpy(n, seed):
-    rng = np.random.default_rng(seed)
-    d = rng.normal(size=n)
-    e = rng.normal(size=n - 1)
-    m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    ref = np.linalg.eigvalsh(m)
-    lo, hi = tridiagonal_extremes(d, e)
-    assert lo == pytest.approx(ref[0], abs=1e-9)
-    assert hi == pytest.approx(ref[-1], abs=1e-9)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10**6))
-def test_tridiagonal_eigenvector_residual(n, seed):
-    rng = np.random.default_rng(seed)
-    d = rng.normal(size=n)
-    e = rng.normal(size=n - 1)
-    m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    lam = float(np.linalg.eigvalsh(m)[-1])
-    x = tridiagonal_eigenvector(d, e, lam)
-    assert np.linalg.norm(x) == pytest.approx(1.0)
-    assert np.linalg.norm(m @ x - lam * x) < 1e-7 * max(1.0, abs(lam))
 
 
 # --- Lanczos -----------------------------------------------------------------
@@ -175,3 +146,41 @@ def test_lanczos_zero_start_after_projection():
 
     out = lanczos_extreme(lambda x: x, 4, np.ones(4), project=project)
     assert out.converged and out.value == 0.0
+
+
+def test_lanczos_restarts_with_a_small_basis():
+    m = random_symmetric(200, 41)
+    ref = np.linalg.eigvalsh(m)
+    start = np.random.default_rng(4).normal(size=200)
+    for which, want in (("max", ref[-1]), ("min", ref[0])):
+        out = lanczos_extreme(lambda x: m @ x, 200, start, which=which, tol=1e-10,
+                              max_basis=12, max_restarts=20)
+        assert out.converged
+        assert out.iterations > 12, "the basis limit must force restarts"
+        assert out.value == pytest.approx(want, abs=1e-9)
+        assert np.linalg.norm(out.vector) == pytest.approx(1.0)
+        # the implicit residual bound matches the true residual
+        true_resid = np.linalg.norm(m @ out.vector - out.value * out.vector)
+        assert true_resid == pytest.approx(out.residual, rel=1e-2)
+
+
+def test_lanczos_ritz_vector_sign_convention():
+    # a positive matrix has a positive Perron vector; starting from all-ones,
+    # the Ritz vector is returned with its entries summing to at most zero
+    rng = np.random.default_rng(9)
+    a = rng.uniform(size=(70, 70))
+    m = (a + a.T) / 2
+    out = lanczos_extreme(lambda x: m @ x, 70, np.ones(70), which="max", tol=1e-10)
+    assert out.converged
+    assert out.vector.sum() <= 0.0
+    assert np.all(out.vector < 0.0)
+
+
+def test_lanczos_iteration_count_is_pinned():
+    # the benchmark reference records 264 iterations for this cell; the
+    # Ritz-pair method must not move the check cadence or restarts
+    lift = sample_lift(complete_graph(4), 1000, SeededRng(1))
+    rep = lambda_star(lift, rng=SeededRng(1, 101))
+    assert rep.method == "iterative"
+    assert rep.converged
+    assert rep.iterations == 264

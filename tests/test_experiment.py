@@ -2,6 +2,7 @@
 thread-count handling, and the explanation pipeline's two branches."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -208,6 +209,25 @@ def test_failed_cells_become_bare_rows(monkeypatch, tmp_path):
     bad = [r for r in result.rows if r.seed == 2][0]
     assert bad.lambda_star is None
     assert out.read_text().count("\n") == 4
+
+
+def test_unconverged_spectrum_fails_the_cell(monkeypatch):
+    real = exp.lambda_star
+
+    def stalled(lift, **kwargs):
+        rep = real(lift, **kwargs)
+        return dataclasses.replace(rep, converged=False) if lift.n == 13 else rep
+
+    monkeypatch.setattr(exp, "lambda_star", stalled)
+    cfg = ExperimentConfig(K4, (12, 13), (1,), trials=4)
+    result = run_experiment(cfg)
+    assert [r.n for r in result.rows] == [12, 13]
+    good, bare = result.rows
+    assert good.lambda_star is not None
+    assert bare == ResultRow(seed=1, h=4, d=3, n=13)
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith("n=13 seed=1: ")
+    assert "did not converge" in result.failures[0]
 
 
 def test_explain_star_branch_on_plain_lift():
