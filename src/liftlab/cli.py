@@ -45,6 +45,8 @@ def _load_lift(path: str) -> Lift:
 
 
 def cmd_gen(args) -> int:
+    if args.n < 1:
+        raise ConfigError("--n must be at least 1")
     base = _load_base(args)
     lift = sample_lift(base, args.n, SeededRng(args.seed))
     if args.plant:
@@ -215,10 +217,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (ConfigError, InvalidMarginalsError) as exc:
+    except (OSError, json.JSONDecodeError, ConfigError, InvalidMarginalsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except LiftlabError as exc:

@@ -66,10 +66,6 @@ class DyadicScale:
     def root_size(self) -> float:
         return math.sqrt(self.n * self.h)
 
-    @property
-    def band_ratio(self) -> float:
-        return math.sqrt(self.d)
-
 
 # ---------------------------------------------------------------------------
 # quadratic forms
@@ -477,7 +473,7 @@ def band_certificate(lift: Lift, trials: int = 40, tol: float = 1e-8,
                      spectral: SpectralReport | None = None) -> BandCertificateReport:
     """Run the whole chain and report the comparable-region form achieved by
     the resulting band vector against the target lambda*/96 - 5*sqrt(d)."""
-    rep = spectral if spectral is not None else lambda_star(lift, tol=tol, rng=rng)
+    rep = spectral or lambda_star(lift, tol=tol, rng=rng).require_converged()
     scale = DyadicScale.of(lift)
     target = rep.lambda_star / 96.0 - 5.0 * math.sqrt(lift.d)
     nh = lift.n * lift.h

@@ -90,4 +90,4 @@ class NotConvergedError(LiftlabError):
 
 
 class ConfigError(LiftlabError):
-    """An experiment configuration file is invalid."""
+    """A configuration, base graph or command-line value is invalid."""

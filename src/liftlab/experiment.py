@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .dyadic import band_certificate
 from .eigensolve import symmetric_eigenvalues
-from .errors import ConfigError, LiftlabError, NotConvergedError
+from .errors import ConfigError, LiftlabError
 from .graphs import BaseGraph, Lift, base_from_name, base_from_text, induced_adjacency
 from .patterns import (Pattern, ReductionReport, extract_pattern, reduce_general,
                        reduce_pattern)
@@ -117,40 +117,40 @@ class ExperimentConfig:
             raise ConfigError("trials must be positive")
 
 
-_CONFIG_KEYS = {"base", "base_file", "n", "seeds", "tolerance", "stages",
-                "out", "trials"}
+# optional config key -> (ExperimentConfig field, parser)
+_CONFIG_OPTIONS = {"tolerance": ("tolerance", float), "out": ("out_csv", str),
+                   "stages": ("stages", lambda v: tuple(str(s) for s in v)),
+                   "trials": ("trials", int)}
+_CONFIG_KEYS = {"base", "base_file", "n", "seeds", *_CONFIG_OPTIONS}
 
 
 def config_from_json(text: str) -> ExperimentConfig:
     """Parse a JSON config: {"base": "k4", "n": [100], "seeds": [1, 2], ...}.
 
     Either "base" (a family name such as k4, c9p2, petersen) or "base_file"
-    (path to an edge-list text file) selects the base graph.
+    (path to an edge-list text file) selects the base graph. A malformed
+    document raises ConfigError.
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if ("base" in doc) == ("base_file" in doc):
-        raise ConfigError("give exactly one of 'base' or 'base_file'")
-    if "base" in doc:
-        base = base_from_name(doc["base"])
-    else:
-        base = base_from_text(Path(doc["base_file"]).read_text())
-    n_raw = doc.get("n", [])
-    n_values = tuple(int(n) for n in (n_raw if isinstance(n_raw, list) else [n_raw]))
-    seeds = tuple(int(s) for s in doc.get("seeds", []))
-    kwargs = {}
-    if "tolerance" in doc:
-        kwargs["tolerance"] = float(doc["tolerance"])
-    if "stages" in doc:
-        kwargs["stages"] = tuple(str(s) for s in doc["stages"])
-    if "out" in doc:
-        kwargs["out_csv"] = str(doc["out"])
-    if "trials" in doc:
-        kwargs["trials"] = int(doc["trials"])
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(doc) - _CONFIG_KEYS
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if ("base" in doc) == ("base_file" in doc):
+            raise ConfigError("give exactly one of 'base' or 'base_file'")
+        if "base" in doc:
+            base = base_from_name(doc["base"])
+        else:
+            base = base_from_text(Path(doc["base_file"]).read_text())
+        n_raw = doc.get("n", [])
+        n_values = tuple(int(n) for n in (n_raw if isinstance(n_raw, list) else [n_raw]))
+        seeds = tuple(int(s) for s in doc.get("seeds", []))
+        kwargs = {name: parse(doc[key])
+                  for key, (name, parse) in _CONFIG_OPTIONS.items() if key in doc}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
     return ExperimentConfig(base, n_values, seeds, **kwargs)
 
 
@@ -167,11 +167,7 @@ def run_cell(base: BaseGraph, n: int, seed: int,
     lift = sample_lift(base, n, SeededRng(seed))
     row = ResultRow(seed=seed, h=base.h, d=base.d, n=n)
 
-    rep = lambda_star(lift, tol=tolerance, rng=SeededRng(seed, 101))
-    if not rep.converged:
-        raise NotConvergedError(
-            f"lambda_star did not converge: residual {rep.residual:.3g} "
-            f"after {rep.iterations} iterations")
+    rep = lambda_star(lift, tol=tolerance, rng=SeededRng(seed, 101)).require_converged()
     if "spectrum" in stages:
         ramanujan = (rep.lambda_star / (2.0 * math.sqrt(base.d - 1))
                      if base.d >= 2 else float("nan"))
@@ -311,7 +307,7 @@ def explain_pipeline(lift: Lift, level: float = EXPLAIN_LEVEL,
     where the extreme lives even when the bound is trivially met).
     """
     rng = rng if rng is not None else SeededRng(0)
-    rep = lambda_star(lift, tol=tolerance, rng=rng)
+    rep = lambda_star(lift, tol=tolerance, rng=rng).require_converged()
     d = lift.d
     threshold = EXPLAIN_SPECTRAL_FACTOR * math.sqrt(d)
     star_value = math.sqrt(d)

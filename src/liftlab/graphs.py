@@ -126,18 +126,22 @@ def petersen_graph() -> BaseGraph:
 
 
 def base_from_name(name: str) -> BaseGraph:
-    """Resolve a named family: 'k5', 'c7', 'c9p2', 'petersen'."""
-    name = name.strip().lower()
-    if name == "petersen":
-        return petersen_graph()
-    if name.startswith("k"):
-        return complete_graph(int(name[1:]))
-    if name.startswith("c"):
-        if "p" in name:
-            hh, kk = name[1:].split("p")
-            return cycle_power_graph(int(hh), int(kk))
-        return cycle_graph(int(name[1:]))
-    raise LiftlabError(f"unknown base graph name: {name!r}")
+    """Resolve a named family: 'k5', 'c7', 'c9p2', 'petersen'; any other name
+    raises ConfigError."""
+    name = str(name).strip().lower()
+    try:
+        if name == "petersen":
+            return petersen_graph()
+        if name.startswith("k"):
+            return complete_graph(int(name[1:]))
+        if name.startswith("c"):
+            if "p" in name:
+                hh, kk = name[1:].split("p")
+                return cycle_power_graph(int(hh), int(kk))
+            return cycle_graph(int(name[1:]))
+    except (ValueError, LiftlabError) as exc:
+        raise ConfigError(f"bad base graph name {name!r}: {exc}") from exc
+    raise ConfigError(f"unknown base graph name: {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +156,19 @@ def base_to_text(base: BaseGraph) -> str:
 
 def base_from_text(text: str) -> BaseGraph:
     rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not rows:
-        raise LiftlabError("empty base graph text")
-    h, m = (int(t) for t in rows[0].split())
-    if len(rows) - 1 != m:
-        raise LiftlabError(f"expected {m} edges, found {len(rows) - 1}")
-    edges = []
-    for ln in rows[1:]:
-        u, v = (int(t) for t in ln.split())
-        edges.append((u, v))
-    return BaseGraph(h, tuple(edges))
+    try:
+        if not rows:
+            raise LiftlabError("empty base graph text")
+        h, m = (int(t) for t in rows[0].split())
+        if len(rows) - 1 != m:
+            raise LiftlabError(f"expected {m} edges, found {len(rows) - 1}")
+        edges = []
+        for ln in rows[1:]:
+            u, v = (int(t) for t in ln.split())
+            edges.append((u, v))
+        return BaseGraph(h, tuple(edges))
+    except (ValueError, LiftlabError) as exc:
+        raise ConfigError(f"malformed base graph text: {exc}") from exc
 
 
 def _json_int(value) -> int:
@@ -237,12 +244,6 @@ class Lift:
             elif v == i:
                 out.append((u, int(self.inverse_perm((u, v))[j])))
         return out
-
-    def edge_pairs(self):
-        """Yield every lifted edge once as ((u, j), (v, perm[j]))."""
-        for (u, v), p in self.perms.items():
-            for j in range(self.n):
-                yield (u, j), (v, int(p[j]))
 
     # -- JSON serialization -------------------------------------------------
 

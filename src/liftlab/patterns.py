@@ -6,7 +6,8 @@ the class holds, and for each pair of classes across a base edge, how many
 matched pairs join them.  Potency measures how far those joint counts deviate
 from what uniformly random matchings would give, weighted by entry products.
 The greedy reductions trim the class graph down to a subset on which every
-class contributes enough deviation to be individually unlikely.
+class contributes enough deviation to be individually unlikely. Each public
+call builds the class graph and deviation table once and passes them along.
 """
 
 from __future__ import annotations
@@ -186,13 +187,12 @@ class ClassGraph:
         by_fibre: dict[int, list[ClassVertex]] = {}
         for v in self.vertices:
             by_fibre.setdefault(v[0], []).append(v)
-        adj: dict[ClassVertex, list[ClassVertex]] = {v: [] for v in self.vertices}
-        for (fibre, exp) in self.vertices:
-            for other in self._base.neighbours(fibre):
-                for cand in by_fibre.get(other, ()):
-                    if 4 ** abs(exp - cand[1]) < self._d:
-                        adj[(fibre, exp)].append(cand)
-        self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        exps = {exp for _, exp in self.vertices}
+        near = {e: {f for f in exps if 4 ** abs(e - f) < self._d} for e in exps}
+        self._adj = {(fibre, exp): tuple(sorted([
+            cand for other in self._base.neighbours(fibre)
+            for cand in by_fibre.get(other, ()) if cand[1] in near[exp]]))
+            for (fibre, exp) in self.vertices}
 
     def neighbours(self, v: ClassVertex) -> tuple[ClassVertex, ...]:
         return self._adj.get(v, ())
@@ -205,12 +205,7 @@ class ClassGraph:
 
     @property
     def edges(self) -> tuple[ClassEdge, ...]:
-        out = []
-        for v, nbrs in self._adj.items():
-            for w in nbrs:
-                if v < w:
-                    out.append((v, w))
-        return tuple(sorted(out))
+        return tuple(sorted((v, w) for v, nbrs in self._adj.items() for w in nbrs if v < w))
 
 
 @dataclass(frozen=True)
@@ -230,56 +225,77 @@ class EdgeDeviation:
     term: float
 
 
-def edge_deviation(pattern: Pattern, u: ClassVertex, v: ClassVertex) -> EdgeDeviation:
-    counts = pattern.profile.counts
-    a = counts.get(u, 0)
-    b = counts.get(v, 0)
-    n = pattern.scale.n
-    observed = pattern.link(u, v)
+def _deviation(edge: ClassEdge, a: int, b: int, n: int, observed: int,
+               weight: float) -> EdgeDeviation:
     if a == 0 or b == 0:
         mu, gap = 0.0, 1.0
     else:
         mu = a * b / n
         gap = observed * n / (a * b) - 1.0
     regime = "large" if gap > LARGE_DEVIATION_CUTOFF else "small"
+    return EdgeDeviation(edge, mu, gap, regime, weight * (observed - mu))
+
+
+def edge_deviation(pattern: Pattern, u: ClassVertex, v: ClassVertex) -> EdgeDeviation:
+    counts = pattern.profile.counts
     weight = pattern.profile.weight(u[1]) * pattern.profile.weight(v[1])
-    term = weight * (observed - mu)
-    return EdgeDeviation(_edge_key(u, v), mu, gap, regime, term)
+    return _deviation(_edge_key(u, v), counts.get(u, 0), counts.get(v, 0),
+                      pattern.scale.n, pattern.link(u, v), weight)
 
 
 class DeviationTable:
-    """Per-edge deviation rows over the whole class graph."""
+    """Per-edge deviation rows over the whole class graph, keyed by sorted
+    edge in ``rows`` and listed per vertex for ``incident``; ``weights``
+    holds the entry weight of every populated exponent."""
 
     def __init__(self, pattern: Pattern, graph: ClassGraph | None = None):
-        graph = graph if graph is not None else ClassGraph(pattern)
-        rows = {}
-        for pair in graph.edges:
-            rows[pair] = edge_deviation(pattern, *pair)
+        self.graph = graph if graph is not None else ClassGraph(pattern)
+        counts, links, n = pattern.profile.counts, pattern.links, pattern.scale.n
+        self.weights = weights = {exp: pattern.profile.weight(exp)
+                                  for exp in {e for _, e in counts}}
+        rows: dict[ClassEdge, EdgeDeviation] = {}
+        self._at = at = {v: [] for v in self.graph.vertices}
+        # vertices are sorted, so pairs arrive in sorted edge order and each
+        # vertex collects its lower neighbours' rows before its higher ones
+        for u in self.graph.vertices:
+            a, w = counts[u], weights[u[1]]
+            for v in self.graph.neighbours(u):
+                if u < v:
+                    row = _deviation((u, v), a, counts[v], n, links.get((u, v), 0),
+                                     w * weights[v[1]])
+                    rows[(u, v)] = row
+                    at[u].append(row)
+                    at[v].append(row)
         self.rows: Mapping[ClassEdge, EdgeDeviation] = MappingProxyType(rows)
 
     def row(self, u: ClassVertex, v: ClassVertex) -> EdgeDeviation:
         return self.rows[_edge_key(u, v)]
+
+    def incident(self, vertex: ClassVertex) -> Iterable[tuple[ClassVertex, EdgeDeviation]]:
+        """(neighbour, row) for every class-graph neighbour, in sorted order."""
+        return zip(self.graph.neighbours(vertex), self._at.get(vertex, ()))
 
     @property
     def edges(self) -> tuple[ClassEdge, ...]:
         return tuple(self.rows)
 
 
+def _peak(rows: Iterable[EdgeDeviation]) -> float:
+    terms = [row.term for row in rows]
+    return max(math.fsum(t for t in terms if t > 0), -math.fsum(t for t in terms if t < 0))
+
+
 def potency(pattern: Pattern) -> float:
     """Absolute signed sum of weight * (observed - expected) over the edges
     of the class graph."""
-    table = DeviationTable(pattern)
-    return abs(math.fsum(row.term for row in table.rows.values()))
+    return abs(math.fsum(row.term for row in DeviationTable(pattern).rows.values()))
 
 
 def peak_potency(pattern: Pattern) -> float:
     """Largest absolute signed sum achievable by any subset of class-graph
     edges: the bigger of the positive-term total and the negative-term
     total's magnitude."""
-    table = DeviationTable(pattern)
-    pos = math.fsum(r.term for r in table.rows.values() if r.term > 0)
-    neg = math.fsum(r.term for r in table.rows.values() if r.term < 0)
-    return max(pos, -neg)
+    return _peak(DeviationTable(pattern).rows.values())
 
 
 def deviation_rate(gap: float) -> float:
@@ -334,27 +350,26 @@ class AggregateTable:
 
 def aggregates(pattern: Pattern, graph: ClassGraph | None = None,
                table: DeviationTable | None = None) -> AggregateTable:
-    profile = pattern.profile
-    scale = pattern.scale
-    graph = graph if graph is not None else ClassGraph(pattern)
+    """Per-vertex aggregates over the class graph of ``table`` (built on ``graph`` if absent)."""
+    counts, scale = pattern.profile.counts, pattern.scale
     table = table if table is not None else DeviationTable(pattern, graph)
+    weights = table.weights
     fibre_mass = [0.0] * scale.h
-    for (fibre, exp), count in profile.counts.items():
-        fibre_mass[fibre] += profile.weight(exp) ** 2 * count
+    for (fibre, exp), count in counts.items():
+        fibre_mass[fibre] += weights[exp] ** 2 * count
     rows = {}
     root_d = math.sqrt(scale.d)
-    for vertex in graph.vertices:
+    for vertex in table.graph.vertices:
         fibre, exp = vertex
-        count = profile.counts[vertex]
-        weight = profile.weight(exp)
+        count = counts[vertex]
+        weight = weights[exp]
         nb_mass = math.fsum(fibre_mass[i] for i in pattern.base.neighbours(fibre))
         tilted = 0.0
         sum_large = 0.0
         sum_small = 0.0
-        for other in graph.neighbours(vertex):
-            w2 = profile.weight(other[1])
-            tilted += w2 ** 2 * profile.counts[other] * (w2 / (weight * root_d))
-            row = table.row(vertex, other)
+        for other, row in table.incident(vertex):
+            w2 = weights[other[1]]
+            tilted += w2 ** 2 * counts[other] * (w2 / (weight * root_d))
             if row.regime == "large":
                 sum_large += row.term
             else:
@@ -471,14 +486,12 @@ def _branch_conditions(row: AggregateRow, level: float, scale: DyadicScale,
               / root_d)]
 
 
-def _local_signed(graph: ClassGraph, table: DeviationTable, alive: set,
-                  vertex: ClassVertex, regimes: tuple[str, ...]) -> float:
+def _local_signed(table: DeviationTable, alive: set, vertex: ClassVertex,
+                  regimes: tuple[str, ...]) -> float:
     total = 0.0
-    for other in graph.neighbours(vertex):
-        if other in alive:
-            row = table.row(vertex, other)
-            if row.regime in regimes:
-                total += row.term
+    for other, row in table.incident(vertex):
+        if other in alive and row.regime in regimes:
+            total += row.term
     return total
 
 
@@ -489,41 +502,36 @@ def _members_potency(table: DeviationTable, alive: set,
         if row.regime in regimes and pair[0] in alive and pair[1] in alive))
 
 
-def _greedy_reduce(pattern: Pattern, level: float, branch: str) -> ReductionReport:
+def _greedy_reduce(pattern: Pattern, level: float, branch: str,
+                   table: DeviationTable | None = None) -> ReductionReport:
     if level < 20.0:
         raise ConfigError("reduction level must be at least 20")
-    graph = ClassGraph(pattern)
-    table = DeviationTable(pattern, graph)
-    agg = aggregates(pattern, graph, table)
+    table = table if table is not None else DeviationTable(pattern)
+    agg = aggregates(pattern, table=table)
     regimes = _BRANCH_REGIMES[branch]
+    everything = table.graph.vertices
     thresholds = {v: _branch_conditions(agg.row(v), level, pattern.scale, branch)
-                  for v in graph.vertices}
-    alive = set(graph.vertices)
+                  for v in everything}
+    alive = set(everything)
     removals: list[Removal] = []
-    while True:
-        victim = None
-        for vertex in sorted(alive):
-            local = abs(_local_signed(graph, table, alive, vertex, regimes))
-            for label, floor in thresholds[vertex]:
-                if local < floor:
-                    victim = Removal(vertex, label, local)
-                    break
-            if victim is not None:
+    while True:  # drop the first violator, in sorted order
+        for vertex in [v for v in everything if v in alive]:
+            local = abs(_local_signed(table, alive, vertex, regimes))
+            label = next((lab for lab, floor in thresholds[vertex] if local < floor), None)
+            if label is not None:
+                alive.remove(vertex)
+                removals.append(Removal(vertex, label, local))
                 break
-        if victim is None:
+        else:
             break
-        alive.remove(victim.vertex)
-        removals.append(victim)
-    before = _members_potency(table, set(graph.vertices), regimes)
-    after = _members_potency(table, alive, regimes)
     return ReductionReport(
         branch=branch,
-        kept=tuple(sorted(alive)),
+        kept=tuple(v for v in everything if v in alive),
         removals=tuple(removals),
         removed_potency=math.fsum(r.local_potency for r in removals),
         budget=_BUDGET_FACTOR[branch] * level * math.sqrt(pattern.scale.d),
-        potency_before=before,
-        potency_after=after,
+        potency_before=_members_potency(table, set(everything), regimes),
+        potency_after=_members_potency(table, alive, regimes),
     )
 
 
@@ -552,31 +560,33 @@ def reduce_pattern(pattern: Pattern, level: float = 20.0) -> ReductionReport:
     expected-count-weighted deviation-rate sum over kept neighbours is at
     least (level/10) * count * log(e n / count).
     """
-    graph = ClassGraph(pattern)
-    table = DeviationTable(pattern, graph)
+    table = DeviationTable(pattern)
     total = abs(math.fsum(row.term for row in table.rows.values()))
-    heavy = _members_potency(table, set(graph.vertices), ("large",))
+    heavy = _members_potency(table, set(table.graph.vertices), ("large",))
     branch = "large" if heavy >= total / 2.0 else "small"
-    report = _greedy_reduce(pattern, level, branch)
-    _check_dispatch_guarantees(pattern, level, report, total, graph, table)
+    report = _greedy_reduce(pattern, level, branch, table)
+    _check_dispatch_guarantees(pattern, level, report, total, table)
     return report
 
 
 def _check_dispatch_guarantees(pattern: Pattern, level: float,
                                report: ReductionReport, total: float,
-                               graph: ClassGraph, table: DeviationTable) -> None:
+                               table: DeviationTable) -> None:
     kept = set(report.kept)
     floor = total / 2.0 - 55.0 * level * math.sqrt(pattern.scale.d)
-    achieved = peak_potency(pattern.restricted(kept))
+    # the kept sub-pattern's class graph is the induced subgraph and its rows
+    # are these rows, so this is peak_potency(pattern.restricted(kept))
+    achieved = _peak(row for (u, v), row in table.rows.items()
+                     if u in kept and v in kept)
     if achieved < floor - 1e-9 * max(1.0, abs(floor)):
         raise LiftlabError("reduction lost more potency than its guarantee allows")
     n = pattern.scale.n
+    counts = pattern.profile.counts
     for vertex in report.kept:
-        count = pattern.profile.counts[vertex]
+        count = counts[vertex]
         lhs = math.fsum(
-            (count * pattern.profile.counts[other] / n)
-            * deviation_rate(table.row(vertex, other).relative_gap)
-            for other in graph.neighbours(vertex) if other in kept)
+            (count * counts[other] / n) * deviation_rate(row.relative_gap)
+            for other, row in table.incident(vertex) if other in kept)
         rhs = (level / 10.0) * count * math.log(math.e * n / count)
         if lhs < rhs - 1e-9 * max(1.0, rhs):
             raise LiftlabError("kept vertex fails the local-unlikeliness bound")
@@ -600,34 +610,29 @@ def dominant_neighbours(pattern: Pattern, members: Iterable[ClassVertex],
         raise VertexNotInUError(f"{vertex} is not in the member set")
     if regime not in REGIMES:
         raise ConfigError(f"regime must be one of {REGIMES}")
-    graph = ClassGraph(pattern)
-    table = DeviationTable(pattern, graph)
+    table = DeviationTable(pattern)
     count = pattern.profile.counts[vertex]
-    weight = pattern.profile.weight(vertex[1])
+    weight = table.weights[vertex[1]]
     n = pattern.scale.n
     d = pattern.scale.d
-    candidates = [other for other in graph.neighbours(vertex)
-                  if other in member_set
-                  and table.row(vertex, other).regime == regime]
+    candidates = [(other, row) for other, row in table.incident(vertex)
+                  if other in member_set and row.regime == regime]
     if not candidates:
         return frozenset()
     if regime == "large":
         cut = level * n / (2.0 * count)
-        picked = [
-            other for other in candidates
-            if table.row(vertex, other).relative_gap * weight ** 2 * d
-            / pattern.profile.weight(other[1]) ** 2 >= cut]
-        return frozenset(picked)
-    local = abs(math.fsum(table.row(vertex, o).term for o in candidates))
-    nb_mass = aggregates(pattern).row(vertex).neighbour_mass
+        return frozenset(
+            other for other, row in candidates
+            if row.relative_gap * weight ** 2 * d
+            / table.weights[other[1]] ** 2 >= cut)
+    local = abs(math.fsum(row.term for _, row in candidates))
+    nb_mass = aggregates(pattern, table=table).row(vertex).neighbour_mass
     if nb_mass == 0.0:
         return frozenset()
     cut = local / (2.0 * weight ** 2 * count * nb_mass)
-    picked = [
-        other for other in candidates
-        if abs(table.row(vertex, other).relative_gap)
-        / (weight * pattern.profile.weight(other[1]) * n) >= cut]
-    return frozenset(picked)
+    return frozenset(
+        other for other, row in candidates
+        if abs(row.relative_gap) / (weight * table.weights[other[1]] * n) >= cut)
 
 
 def measure_select(triples: Sequence[tuple[float, float, float]],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import lanczos_extreme, symmetric_eigenvalues
-from .errors import TooLargeError
+from .errors import NotConvergedError
 from .graphs import (
     Lift,
     LiftVector,
@@ -42,6 +42,13 @@ class SpectralReport:
     witness: LiftVector
     converged: bool = True
 
+    def require_converged(self) -> "SpectralReport":
+        """This report, or NotConvergedError if the solve missed its tolerance."""
+        if not self.converged:
+            raise NotConvergedError(f"lambda_star did not converge: residual {self.residual:.3g} "
+                                    f"after {self.iterations} iterations")
+        return self
+
 
 def centered_rayleigh(lift: Lift, x: LiftVector) -> float:
     """Signed Rayleigh quotient of the centered operator at x."""
@@ -59,8 +66,6 @@ def adjacency_rayleigh(lift: Lift, x: LiftVector) -> float:
 def dense_spectrum(lift: Lift, kind: str = "adjacency",
                    guard: int = DENSE_SPECTRUM_GUARD) -> np.ndarray:
     """All nh eigenvalues of the chosen operator, sorted descending."""
-    if lift.num_vertices > guard:
-        raise TooLargeError(f"{lift.num_vertices} vertices exceeds dense guard {guard}")
     return symmetric_eigenvalues(dense_operator(lift, kind, guard=guard))
 
 
@@ -85,13 +90,11 @@ def new_spectrum(lift: Lift, guard: int = DENSE_SPECTRUM_GUARD) -> np.ndarray:
     basis; on that subspace the adjacency and centered operators agree.
     Sorted descending.
     """
-    if lift.num_vertices > guard:
-        raise TooLargeError(f"{lift.num_vertices} vertices exceeds dense guard {guard}")
     n, h = lift.n, lift.h
+    mat = dense_operator(lift, "adjacency", guard=guard)
     if n == 1:
         return np.zeros(0)
     w = balanced_basis(n)
-    mat = dense_operator(lift, "adjacency", guard=guard)
     blocks = mat.reshape(h, n, h, n)
     restricted = np.einsum("ajbk,jp,kq->apbq", blocks, w, w, optimize=True)
     restricted = restricted.reshape(h * (n - 1), h * (n - 1))

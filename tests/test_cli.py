@@ -1,9 +1,12 @@
 """End-to-end command-line checks, run in-process through main()."""
 
+import dataclasses
 import json
 
 import pytest
 
+import liftlab.dyadic
+import liftlab.experiment
 from liftlab.cli import main
 from liftlab.graphs import Lift, base_from_name
 from liftlab.matching import MatchingSpec, exact_log_probability, matching_spec_to_text
@@ -212,3 +215,67 @@ def test_numeric_guards_exit_three(tmp_path, capsys):
     # nh = 2400 exceeds the dense guard
     assert main(["spectrum", "--lift", str(big), "--method", "dense"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["certify", "--trials", "4"], id="certify"),
+    pytest.param(["reduce", "--trials", "4"], id="reduce"),
+    pytest.param(["explain"], id="explain"),
+])
+def test_unconverged_spectrum_exits_three(lift_file, monkeypatch, capsys, argv):
+    real = liftlab.dyadic.lambda_star
+
+    def stalled(lift, **kwargs):
+        return dataclasses.replace(real(lift, **kwargs), converged=False)
+
+    monkeypatch.setattr(liftlab.dyadic, "lambda_star", stalled)
+    monkeypatch.setattr(liftlab.experiment, "lambda_star", stalled)
+    code, out, err = run(capsys, [argv[0], "--lift", lift_file, *argv[1:]])
+    assert code == 3
+    assert out == ""
+    assert "did not converge" in err
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"base": "kx"}, id="unknown-size"),
+    pytest.param({"base": "zz"}, id="unknown-family"),
+    pytest.param({"base": "k1"}, id="degree-zero"),
+    pytest.param({"base": 4}, id="base-not-a-string"),
+    pytest.param({"base": "k4", "n": ["a"]}, id="n-not-a-number"),
+    pytest.param({"base": "k4", "seeds": 1}, id="seeds-not-a-list"),
+    pytest.param({"base": "k4", "tolerance": "tight"}, id="tolerance-not-a-number"),
+    pytest.param({"base": "k4", "trials": None}, id="trials-null"),
+])
+def test_malformed_config_exits_two(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": [10], "seeds": [1], **config}))
+    code, out, err = run(capsys, ["experiment", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_malformed_base_file_exits_two(tmp_path, capsys):
+    base = tmp_path / "base.txt"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"base_file": str(base), "n": [10], "seeds": [1]}))
+    for text in ("", "3 x\n", "3 2\n0 1\n1 2\n", "3 1\n0 0\n"):
+        base.write_text(text)
+        assert run(capsys, ["experiment", "--config", str(path)])[0] == 2
+        assert run(capsys, ["gen", "--base-file", str(base), "--n", "4",
+                            "--out", str(tmp_path / "x.json")])[0] == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--base", "k4", "--n", "0"], id="n-zero"),
+    pytest.param(["--base", "k4", "--n", "-3"], id="n-negative"),
+    pytest.param(["--base", "k1", "--n", "5"], id="degree-zero"),
+    pytest.param(["--base", "zz", "--n", "5"], id="unknown-family"),
+])
+def test_gen_usage_errors_exit_two(tmp_path, capsys, argv):
+    out_path = tmp_path / "x.json"
+    code, out, err = run(capsys, ["gen", *argv, "--out", str(out_path)])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out_path.exists()

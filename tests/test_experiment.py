@@ -4,18 +4,21 @@ thread-count handling, and the explanation pipeline's two branches."""
 import csv
 import dataclasses
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 import liftlab.experiment as exp
-from liftlab.errors import ConfigError, LiftlabError
+from liftlab.errors import ConfigError, LiftlabError, NotConvergedError
 from liftlab.experiment import (CSV_COLUMNS, CSV_HEADER, EXPLAIN_SPECTRAL_FACTOR,
                                 HEADLINE_SPECTRAL_FACTOR, ExperimentConfig,
                                 ResultRow, config_from_json, explain_pipeline,
                                 explain_to_text, rows_to_csv, run_cell,
                                 run_experiment, thread_count)
+import liftlab.dyadic
+from liftlab.dyadic import band_certificate
 from liftlab.graphs import base_from_name, base_to_text, identity_lift
 from liftlab.sampling import SeededRng, plant_clique, sample_lift
 
@@ -83,6 +86,21 @@ def test_config_from_json_rejects_bad_documents():
         config_from_json('{"base": "k4", "base_file": "x", "n": [10], "seeds": [1]}')
     with pytest.raises(ConfigError):
         config_from_json('{"base": "k4", "n": [10], "seeds": [1], "extra": true}')
+
+
+def test_config_from_json_raises_config_errors_for_bad_values(tmp_path):
+    bad_base = tmp_path / "base.txt"
+    bad_base.write_text("3 x\n")
+    for doc in ('{"base": "kx", "n": [10], "seeds": [1]}',
+                '{"base": "k4", "n": ["a"], "seeds": [1]}',
+                '{"base": "k4", "n": [[10]], "seeds": [1]}',
+                '{"base": "k4", "n": [10], "seeds": [1], "trials": "many"}',
+                '{"base": "k4", "n": [10], "seeds": [1], "stages": 3}',
+                '{"base_file": %s, "n": [10], "seeds": [1]}' % json.dumps(str(bad_base)),
+                '{"base_file": 7, "n": [10], "seeds": [1]}',
+                '{"base": "k4", "n": [10], "seeds": [1],'):
+        with pytest.raises(ConfigError):
+            config_from_json(doc)
 
 
 def test_run_cell_fills_every_column():
@@ -228,6 +246,37 @@ def test_unconverged_spectrum_fails_the_cell(monkeypatch):
     assert len(result.failures) == 1
     assert result.failures[0].startswith("n=13 seed=1: ")
     assert "did not converge" in result.failures[0]
+
+
+def test_unconverged_spectrum_stops_explain_and_certificate(monkeypatch):
+    lift = sample_lift(K4, 30, SeededRng(2))
+    real = exp.lambda_star
+    converged = real(lift)
+
+    def stalled(lift, **kwargs):
+        return dataclasses.replace(real(lift, **kwargs), converged=False)
+
+    monkeypatch.setattr(exp, "lambda_star", stalled)
+    monkeypatch.setattr(liftlab.dyadic, "lambda_star", stalled)
+    with pytest.raises(NotConvergedError):
+        explain_pipeline(lift, trials=4, force_witness=True)
+    with pytest.raises(NotConvergedError):
+        band_certificate(lift, trials=4)
+    # a report the caller passes in is the caller's to check
+    assert band_certificate(lift, trials=4, spectral=converged).spectral is converged
+
+
+@pytest.mark.parametrize("seed, z_value, branch", [(1, "8.36266666667", "large"),
+                                                   (6, "11.456", "small")])
+def test_dense_cells_on_a_bipartite_base_keep_their_recorded_rows(seed, z_value, branch):
+    # c6 has +-theta ties in the balanced spectrum, and the bits of the dense
+    # QL eigenvalues pick the witness's eigenspace; perfbench/reference.json
+    # records these rows, of which these are the tie-sensitive fields (LAPACK
+    # eigenvalues flip seed 6, not seed 1)
+    row = run_cell(base_from_name("c6"), 100, seed)
+    assert format(row.z_value, ".12g") == z_value
+    assert row.reduce_branch == branch
+    assert format(row.lambda_star, ".12g") == "2"
 
 
 def test_explain_star_branch_on_plain_lift():

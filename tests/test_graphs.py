@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from liftlab.errors import (
+    ConfigError,
     DenseGuardError,
     DimensionMismatchError,
     DuplicateEdgeError,
@@ -82,6 +83,15 @@ def test_base_from_name():
     assert base_from_name("petersen").h == 10
     with pytest.raises(LiftlabError):
         base_from_name("q3")
+
+
+def test_base_readers_raise_config_errors():
+    for name in ("q3", "kx", "k1", "k-2", "c2", "c9p9", "c9p2p1", "", 5, None):
+        with pytest.raises(ConfigError):
+            base_from_name(name)
+    for text in ("", "3\n", "3 x\n", "3 2\n0 1\n", "3 1\n0 0\n", "4 2\n0 1\n1 2\n"):
+        with pytest.raises(ConfigError):
+            base_from_text(text)
 
 
 def test_base_text_round_trip():

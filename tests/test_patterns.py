@@ -5,6 +5,7 @@ never call the library's aggregate tables, so library/oracle agreement checks
 two independent routes.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -27,6 +28,7 @@ from liftlab.errors import (
 )
 from liftlab.graphs import BaseGraph, complete_graph, cycle_graph, identity_lift
 from liftlab.patterns import (
+    _peak,
     AggregateTable,
     ClassGraph,
     ClassProfile,
@@ -762,6 +764,95 @@ def test_desk_scale_patterns_empty_out():
     pattern = random_pattern(rng, base=complete_graph(4), n=20)
     report = reduce_pattern(pattern, 20.0)
     assert report.kept == ()
+
+
+# sha256 of reduction_to_text, recorded before the reductions shared one class
+# graph and deviation table per call; transcripts must not move by one byte.
+PINNED_RANDOM = [
+    ("1f1b3da3490251de979955590c0834d634eae0f59aeb7858e8d3a207603a0ff4",
+     "f90864b693fee802983c97ef6ef22106632846041629287c7074a7707382ca64"),
+    ("5958ef6b5d7de52ea9c88b7d2cac7b7557fe1a04c2f9519910ee47aa556cd7db",
+     "7f818f315517d249e0c1628350f30ca959ccb6eb7f60e8df01d71f7953ba4c58"),
+    ("4f65d422f47aa98489355a904cc29ec237482d98f217f17eb5ba9b4ba236056f",
+     "3f2125dfa71b5ffd9649bd57afcf2706ee88d0893364e2e23bfb52478437fbad"),
+    ("e2b34e50c59cb13def59f8e468b018f62ddc4ee47853e12940be0bfddd91cc4c",
+     "bba0c260abae8103d30b025724f6ba31b35122999507827b82bf1c346b2e9695"),
+    ("42c71770c219edc3f8f134a0a8f07d12ae926101276731caa7ae26b012c9ff02",
+     "af565169a8522aebbb91359b6f5504d38b40b31232e87c6ba7ca735c81c6ec91"),
+    ("1e4d5b5640bed3d79d3f25fbaec0df030a9b15961095990b6a2a2eea214a2250",
+     "962d651f331f5e2aaf43c4e33ddda39d26298c5bed079b5c2a0d4eac13e7d71c"),
+    ("e09ed50e6291f807475648f9cf70b4cb0388d45d81a8f84448f080afbd9f4491",
+     "db200f75a3ed2f781ad77463ecaa8418857a93176375da22034f98739019763f"),
+    ("e3d4c3e977e4083bcddc990e2497820dc34f458b9560a210c71fc5d089192a9d",
+     "82955040074197324a9e64b60704aff0a9f822271e3496d03362fb62db6e99f1"),
+    ("5584036517468a18b7089de25f7194a9f3bdd23f6172e0ba1a6c0f763eb09fa2",
+     "fd6b536114635b49b9158e497c800487d0fded0c87a0f18ed0c0456378e3d7f4"),
+    ("26ec8eea7868af38ff720c96f984ed771da022d97bf1ea14624c4e9b5536f15e",
+     "7fcda7ab0a6b3841296871065e2503221a26ad9d1a95e45cb3c8ae8fbd9221ab"),
+]
+PINNED_SIMPLEX = ("b4d2f315965ede722812e91078642e562f32b8cef5811cd7019bada2f3fe9568",
+                  "16ba74acbaeb30c50930d8cde8f98eb2aaf4926c962ae813f06adb2a55a1609f")
+PINNED_SIMPLEX_PLUS_STRAYS = "36a2fb835d050dbe2a94f8f81d09699cd6815610dc7a46cc1fe21e5139967493"
+
+
+def transcript_digest(report):
+    return hashlib.sha256(reduction_to_text(report).encode()).hexdigest()
+
+
+def test_reduction_transcripts_pinned_on_random_patterns():
+    # on K_8..K_17 every class has several neighbours, so the local sums, and
+    # the potencies the transcripts print, depend on the summation order
+    rng = np.random.default_rng(2010)
+    digests = []
+    for k in range(len(PINNED_RANDOM)):
+        pattern = random_pattern(rng, base=complete_graph(8 + k), n=100 + 50 * k)
+        report = reduce_pattern(pattern)
+        assert report.removals
+        digests.append((transcript_digest(report),
+                        transcript_digest(reduce_general(pattern, level=41.0))))
+    assert digests == PINNED_RANDOM
+
+
+def test_reduction_transcripts_pinned_on_the_simplex(large_regime_pattern):
+    pat = large_regime_pattern
+    assert (transcript_digest(reduce_pattern(pat)),
+            transcript_digest(reduce_general(pat, level=41.0))) == PINNED_SIMPLEX
+    # ten unlinked exponent-1 strays: reduce_pattern removes exactly those and
+    # keeps the simplex, so the guarantee checks run on a proper kept subset
+    counts = dict(pat.profile.counts)
+    counts.update({(i, 1): 1 for i in range(0, 40, 4)})
+    strays = Pattern(pat.base, ClassProfile(pat.scale, counts), dict(pat.links))
+    report = reduce_pattern(strays)
+    assert {r.vertex for r in report.removals} == {(i, 1) for i in range(0, 40, 4)}
+    assert report.kept == pat.profile.vertices
+    assert transcript_digest(report) == PINNED_SIMPLEX_PLUS_STRAYS
+
+
+def test_kept_rows_peak_equals_peak_of_the_restricted_pattern():
+    rng = np.random.default_rng(4242)
+    for k in range(60):
+        h = int(rng.integers(6, 14))
+        base = SMALL_BASES[k % len(SMALL_BASES)] if k % 2 else complete_graph(h)
+        pattern = random_pattern(rng, base=base, n=int(rng.integers(20, 400)))
+        table = DeviationTable(pattern)
+        verts = list(pattern.profile.counts)
+        for kept in (set(verts), set(), {v for v in verts if rng.random() < 0.5}):
+            rows = (row for (u, v), row in table.rows.items() if u in kept and v in kept)
+            assert _peak(rows) == peak_potency(pattern.restricted(kept))
+
+
+def test_deviation_table_lists_rows_per_vertex_in_neighbour_order():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        pattern = random_pattern(rng, base=complete_graph(9), n=200)
+        table = DeviationTable(pattern)
+        for vertex in table.graph.vertices:
+            pairs = list(table.incident(vertex))
+            assert [other for other, _ in pairs] == list(table.graph.neighbours(vertex))
+            assert all(row is table.row(vertex, other) for other, row in pairs)
+        assert table.edges == table.graph.edges
+        assert all(table.weights[e] == pattern.profile.weight(e)
+                   for _, e in pattern.profile.counts)
 
 
 # --- neighbour selection ---------------------------------------------------------------
