@@ -48,10 +48,12 @@ def cmd_gen(args) -> int:
     if args.n < 1:
         raise ConfigError("--n must be at least 1")
     base = _load_base(args)
+    fibres = args.plant.split(",") if args.plant else []
+    if not all(t.strip().isdecimal() and int(t) < base.h for t in fibres):
+        raise ConfigError(f"--plant takes comma-separated fibres in 0..{base.h - 1}")
     lift = sample_lift(base, args.n, SeededRng(args.seed))
-    if args.plant:
-        fibres = [int(t) for t in args.plant.split(",")]
-        lift = plant_clique(lift, fibres)
+    if fibres:
+        lift = plant_clique(lift, [int(t) for t in fibres])
     Path(args.out).write_text(lift.to_json())
     print(f"wrote lift h={lift.h} d={lift.d} n={lift.n} -> {args.out}")
     return 0

@@ -177,13 +177,11 @@ def signed_exponents(x: LiftVector) -> tuple[np.ndarray, np.ndarray]:
 
 
 def int_norm_sq(exponents: np.ndarray, nonzero: np.ndarray) -> int:
-    """Exact squared norm (an integer) of a vector with entries +-2^e."""
-    total = 0
-    if nonzero.any():
-        exps, counts = np.unique(exponents[nonzero], return_counts=True)
-        for e, c in zip(exps, counts):
-            total += int(c) * (4 ** int(e))
-    return total
+    """Exact squared norm (an integer) of a vector with entries +-2^e, e >= 0."""
+    live = exponents[nonzero]
+    low = int(live.min()) if live.size else 0
+    counts = np.bincount(live - low).tolist()
+    return sum(c * 4 ** (low + e) for e, c in enumerate(counts) if c)
 
 
 def is_rounded_vector(x: LiftVector) -> bool:
@@ -361,11 +359,12 @@ class DyadicBandVector:
             live = exps[mask]
             if (live < 0).any():
                 raise NotBandVectorError("exponents must be nonnegative")
-            if int_norm_sq(exps, mask) > 10 * self.scale.size:
-                raise NotBandVectorError("squared norm exceeds 10")
+            # the spread check first bounds the exponent range int_norm_sq counts over
             spread = int(live.max()) - int(live.min())
             if 2 ** spread > self.scale.d:
                 raise NotBandVectorError("entries spread beyond one band of width d")
+            if int_norm_sq(exps, mask) > 10 * self.scale.size:
+                raise NotBandVectorError("squared norm exceeds 10")
         exps.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "exponents", exps)

@@ -11,6 +11,9 @@ Three symmetric operators act on vectors indexed this way:
   any two vertices in adjacent fibres), and
 * the centered operator, adjacency minus expectation, whose extreme
   eigenvalues on the balanced subspace are the object of interest.
+
+A vector computes its fibre sums and squared norm on first use, since most
+vectors the certificate search builds never read them.
 """
 
 from __future__ import annotations
@@ -293,8 +296,8 @@ def identity_lift(base: BaseGraph, n: int) -> Lift:
 class LiftVector:
     """A real vector indexed by lift vertices, stored as an (h, n) array.
 
-    Fibre sums and the squared norm are computed once with compensated
-    summation and cached; ``balanced`` means every fibre sums to zero.
+    Fibre sums and the squared norm are computed with compensated summation
+    on first access and cached; ``balanced`` means every fibre sums to zero.
     """
 
     __slots__ = ("values", "_norm_sq", "_fibre_sums")
@@ -305,9 +308,7 @@ class LiftVector:
             raise DimensionMismatchError("LiftVector expects an (h, n) array")
         arr.setflags(write=False)
         self.values = arr
-        self._fibre_sums = np.array([math.fsum(row) for row in arr])
-        self._fibre_sums.setflags(write=False)
-        self._norm_sq = math.fsum(float(t) for t in (arr * arr).sum(axis=1))
+        self._fibre_sums = self._norm_sq = None
 
     @classmethod
     def zeros(cls, lift: Lift) -> "LiftVector":
@@ -330,15 +331,21 @@ class LiftVector:
 
     @property
     def norm_sq(self) -> float:
+        if self._norm_sq is None:
+            self._norm_sq = math.fsum((self.values * self.values).sum(axis=1).tolist())
         return self._norm_sq
 
     @property
     def fibre_sums(self) -> np.ndarray:
+        if self._fibre_sums is None:
+            self._fibre_sums = np.array([math.fsum(row) for row in self.values.tolist()],
+                                        dtype=float)
+            self._fibre_sums.setflags(write=False)
         return self._fibre_sums
 
     def is_balanced(self, tol: float = 1e-9) -> bool:
-        scale = max(1.0, math.sqrt(self._norm_sq))
-        return bool(np.all(np.abs(self._fibre_sums) <= tol * scale))
+        scale = max(1.0, math.sqrt(self.norm_sq))
+        return bool(np.all(np.abs(self.fibre_sums) <= tol * scale))
 
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)

@@ -7,7 +7,10 @@ matched pairs join them.  Potency measures how far those joint counts deviate
 from what uniformly random matchings would give, weighted by entry products.
 The greedy reductions trim the class graph down to a subset on which every
 class contributes enough deviation to be individually unlikely. Each public
-call builds the class graph and deviation table once and passes them along.
+call builds the class graph and deviation table once, as numpy arrays over
+the sorted classes, and passes them along. Sums run in the order of a loop
+over each class's sorted neighbours, or through math.fsum, so the arrays
+give every result the bits a per-edge loop gives.
 """
 
 from __future__ import annotations
@@ -176,36 +179,58 @@ class Pattern:
         return self.profile.scale
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """range(s, s + k) for every paired start s and length k, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
+
+
 class ClassGraph:
     """Adjacency among populated classes: fibres adjacent in the base with
-    weight ratio strictly inside (1/sqrt(d), sqrt(d))."""
+    weight ratio strictly inside (1/sqrt(d), sqrt(d)).
+
+    Held as arrays over the sorted ``vertices`` (``fibre``, ``exponent``):
+    row i of ``nbr`` lists vertex i's neighbours by index, in sorted order,
+    where ``valid`` holds, padded to the largest degree; ``upper`` marks each
+    edge at its lower end.  ``fibre_neighbours[f]`` lists fibre f's base
+    neighbours.
+    """
 
     def __init__(self, pattern: Pattern):
-        self._d = pattern.scale.d
-        self._base = pattern.base
+        base = pattern.base
         self.vertices: tuple[ClassVertex, ...] = pattern.profile.vertices
-        by_fibre: dict[int, list[ClassVertex]] = {}
-        for v in self.vertices:
-            by_fibre.setdefault(v[0], []).append(v)
-        exps = {exp for _, exp in self.vertices}
-        near = {e: {f for f in exps if 4 ** abs(e - f) < self._d} for e in exps}
-        self._adj = {(fibre, exp): tuple(sorted([
-            cand for other in self._base.neighbours(fibre)
-            for cand in by_fibre.get(other, ()) if cand[1] in near[exp]]))
-            for (fibre, exp) in self.vertices}
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        size = len(self.vertices)
+        self.fibre, self.exponent = np.fromiter(itertools.chain.from_iterable(
+            self.vertices), np.int64, 2 * size).reshape(size, 2).T
+        self.fibre_neighbours = np.fromiter(itertools.chain.from_iterable(map(
+            base.neighbours, range(base.h))), np.int64, base.h * base.d).reshape(base.h, -1)
+        # every class of every base-adjacent fibre, in sorted order, then the band cut
+        fibres = self.fibre_neighbours[self.fibre]
+        spans = np.bincount(self.fibre, minlength=base.h)[fibres]
+        first = np.searchsorted(self.fibre, np.arange(base.h))
+        cand = _ranges(first[fibres].ravel(), spans.ravel())
+        owner = np.repeat(np.arange(size), spans.sum(axis=1))
+        keep = 4 ** np.abs(self.exponent[owner] - self.exponent[cand]) < pattern.scale.d
+        degree = np.bincount(owner[keep], minlength=size)
+        self.valid = np.arange(max(int(degree.max(initial=0)), 1)) < degree[:, None]
+        self.nbr = np.zeros(self.valid.shape, np.int64)
+        self.nbr[self.valid] = cand[keep]
+        self.upper = self.valid & (self.nbr > np.arange(size)[:, None])
 
     def neighbours(self, v: ClassVertex) -> tuple[ClassVertex, ...]:
-        return self._adj.get(v, ())
+        i = self.index.get(v)
+        return () if i is None else tuple(map(self.vertices.__getitem__,
+                                              self.nbr[i, self.valid[i]].tolist()))
 
     def are_adjacent(self, u: ClassVertex, v: ClassVertex) -> bool:
-        if u == v or u not in self._adj or v not in self._adj:
-            return False
-        return (self._base.are_adjacent(u[0], v[0])
-                and 4 ** abs(u[1] - v[1]) < self._d)
+        return v in self.neighbours(u)
 
     @property
     def edges(self) -> tuple[ClassEdge, ...]:
-        return tuple(sorted((v, w) for v, nbrs in self._adj.items() for w in nbrs if v < w))
+        verts = self.vertices
+        return tuple((verts[u], verts[v]) for u, v in
+                     zip(np.nonzero(self.upper)[0].tolist(), self.nbr[self.upper].tolist()))
 
 
 @dataclass(frozen=True)
@@ -244,58 +269,97 @@ def edge_deviation(pattern: Pattern, u: ClassVertex, v: ClassVertex) -> EdgeDevi
 
 
 class DeviationTable:
-    """Per-edge deviation rows over the whole class graph, keyed by sorted
-    edge in ``rows`` and listed per vertex for ``incident``; ``weights``
-    holds the entry weight of every populated exponent."""
+    """Deviation data over the whole class graph, as arrays aligned with the
+    graph's ``nbr``: expected matched pairs ``mu``, relative ``gap``, the
+    ``large`` and ``small`` regime masks and the signed potency ``term`` (0.0
+    on padding).  ``count``, ``weight`` and ``square`` hold each vertex's
+    class size, entry weight and weight ** 2; ``weights`` maps each populated
+    exponent to its weight.  Every value has the bits of ``_deviation`` for
+    its edge while n < 2**26, so the integer products convert exactly.
+    ``rows``, ``row()``, ``incident()`` and ``edges`` present the table as
+    ``EdgeDeviation`` objects, built on first use.
+    """
 
     def __init__(self, pattern: Pattern, graph: ClassGraph | None = None):
-        self.graph = graph if graph is not None else ClassGraph(pattern)
-        counts, links, n = pattern.profile.counts, pattern.links, pattern.scale.n
-        self.weights = weights = {exp: pattern.profile.weight(exp)
-                                  for exp in {e for _, e in counts}}
-        rows: dict[ClassEdge, EdgeDeviation] = {}
-        self._at = at = {v: [] for v in self.graph.vertices}
-        # vertices are sorted, so pairs arrive in sorted edge order and each
-        # vertex collects its lower neighbours' rows before its higher ones
-        for u in self.graph.vertices:
-            a, w = counts[u], weights[u[1]]
-            for v in self.graph.neighbours(u):
-                if u < v:
-                    row = _deviation((u, v), a, counts[v], n, links.get((u, v), 0),
-                                     w * weights[v[1]])
-                    rows[(u, v)] = row
-                    at[u].append(row)
-                    at[v].append(row)
-        self.rows: Mapping[ClassEdge, EdgeDeviation] = MappingProxyType(rows)
+        self.graph = g = graph if graph is not None else ClassGraph(pattern)
+        counts, n, size = pattern.profile.counts, pattern.scale.n, len(g.vertices)
+        self.weights = {exp: pattern.profile.weight(exp) for exp in sorted({e for _, e in counts})}
+        squares = {exp: w ** 2 for exp, w in self.weights.items()}
+        self.count = np.fromiter(counts.values(), np.int64, size)
+        self.weight = np.array([self.weights[e] for e in g.exponent.tolist()], dtype=float)
+        self.square = np.array([squares[e] for e in g.exponent.tolist()], dtype=float)
+        # each link's count goes to the entries of both its ends, found by
+        # (row, neighbour) key among the sorted entry keys and a sentinel
+        ends = np.fromiter(map(g.index.__getitem__, itertools.chain.from_iterable(pattern.links)),
+                           np.int64, 2 * len(pattern.links)).reshape(-1, 2)
+        keys = np.append((np.arange(size)[:, None] * size + g.nbr)[g.valid], size * size)
+        wanted = np.concatenate([ends[:, 0] * size + ends[:, 1], ends[:, 1] * size + ends[:, 0]])
+        slot = np.searchsorted(keys, wanted)
+        hit = keys[slot] == wanted
+        observed = np.zeros(g.nbr.shape, np.int64)
+        observed.reshape(-1)[np.flatnonzero(g.valid)[slot[hit]]] = np.tile(
+            np.fromiter(pattern.links.values(), np.int64, len(pattern.links)), 2)[hit]
+        products = self.count[:, None] * self.count[g.nbr]
+        self.mu = products / n
+        self.gap = observed * n / products - 1.0
+        self.large = g.valid & (self.gap > LARGE_DEVIATION_CUTOFF)
+        self.small = g.valid & ~self.large
+        self.term = np.where(g.valid, self.weight[:, None] * self.weight[g.nbr]
+                             * (observed - self.mu), 0.0)
+        self._rows: Mapping[ClassEdge, EdgeDeviation] | None = None
+
+    @property
+    def rows(self) -> Mapping[ClassEdge, EdgeDeviation]:
+        if self._rows is None:
+            upper = self.graph.upper
+            values = zip(self.graph.edges, self.mu[upper].tolist(), self.gap[upper].tolist(),
+                         self.large[upper].tolist(), self.term[upper].tolist())
+            self._rows = MappingProxyType({
+                edge: EdgeDeviation(edge, mu, gap, "large" if large else "small", term)
+                for edge, mu, gap, large, term in values})
+        return self._rows
 
     def row(self, u: ClassVertex, v: ClassVertex) -> EdgeDeviation:
         return self.rows[_edge_key(u, v)]
 
     def incident(self, vertex: ClassVertex) -> Iterable[tuple[ClassVertex, EdgeDeviation]]:
         """(neighbour, row) for every class-graph neighbour, in sorted order."""
-        return zip(self.graph.neighbours(vertex), self._at.get(vertex, ()))
+        return ((other, self.row(vertex, other)) for other in self.graph.neighbours(vertex))
 
     @property
     def edges(self) -> tuple[ClassEdge, ...]:
         return tuple(self.rows)
 
 
-def _peak(rows: Iterable[EdgeDeviation]) -> float:
-    terms = [row.term for row in rows]
-    return max(math.fsum(t for t in terms if t > 0), -math.fsum(t for t in terms if t < 0))
+def _row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Masked values summed left to right along the last axis, as a loop from
+    0.0 adds them (np.sum would add pairwise)."""
+    return np.cumsum(np.where(mask, values, 0.0), axis=-1)[..., -1]
+
+
+def _members_potency(table: DeviationTable, alive: np.ndarray, regime: np.ndarray) -> float:
+    both = regime & table.graph.upper & alive[:, None] & alive[table.graph.nbr]
+    return abs(math.fsum(table.term[both].tolist()))
+
+
+def _peak(terms) -> float:
+    terms = np.asarray(terms, dtype=float)
+    return max(math.fsum(terms[terms > 0].tolist()), -math.fsum(terms[terms < 0].tolist()))
 
 
 def potency(pattern: Pattern) -> float:
     """Absolute signed sum of weight * (observed - expected) over the edges
     of the class graph."""
-    return abs(math.fsum(row.term for row in DeviationTable(pattern).rows.values()))
+    table = DeviationTable(pattern)
+    return abs(math.fsum(table.term[table.graph.upper].tolist()))
 
 
 def peak_potency(pattern: Pattern) -> float:
     """Largest absolute signed sum achievable by any subset of class-graph
     edges: the bigger of the positive-term total and the negative-term
     total's magnitude."""
-    return _peak(DeviationTable(pattern).rows.values())
+    table = DeviationTable(pattern)
+    return _peak(table.term[table.graph.upper])
 
 
 def deviation_rate(gap: float) -> float:
@@ -348,47 +412,30 @@ class AggregateTable:
         return self.rows[vertex]
 
 
+def _vertex_sums(pattern: Pattern, table: DeviationTable) -> tuple[np.ndarray, ...]:
+    """Every vertex's neighbour_mass, tilted_mass, headroom and headroom_log."""
+    g, scale = table.graph, pattern.scale
+    root_d = math.sqrt(scale.d)
+    # bincount adds each fibre's masses in vertex order, as a loop from 0.0 does
+    fibre_mass = np.bincount(g.fibre, weights=table.square * table.count, minlength=scale.h)
+    mass = np.array([math.fsum(row) for row in fibre_mass[g.fibre_neighbours].tolist()])[g.fibre]
+    tilt = (table.square[g.nbr] * table.count[g.nbr]
+            * (table.weight[g.nbr] / (table.weight * root_d)[:, None]))
+    headroom = np.maximum(mass / (table.count * table.square * scale.d),
+                          math.e * scale.n / table.count)
+    return (mass, _row_sums(tilt, g.valid), headroom,
+            np.array([math.log(x) / x for x in headroom.tolist()], dtype=float))
+
+
 def aggregates(pattern: Pattern, graph: ClassGraph | None = None,
                table: DeviationTable | None = None) -> AggregateTable:
     """Per-vertex aggregates over the class graph of ``table`` (built on ``graph`` if absent)."""
-    counts, scale = pattern.profile.counts, pattern.scale
     table = table if table is not None else DeviationTable(pattern, graph)
-    weights = table.weights
-    fibre_mass = [0.0] * scale.h
-    for (fibre, exp), count in counts.items():
-        fibre_mass[fibre] += weights[exp] ** 2 * count
-    rows = {}
-    root_d = math.sqrt(scale.d)
-    for vertex in table.graph.vertices:
-        fibre, exp = vertex
-        count = counts[vertex]
-        weight = weights[exp]
-        nb_mass = math.fsum(fibre_mass[i] for i in pattern.base.neighbours(fibre))
-        tilted = 0.0
-        sum_large = 0.0
-        sum_small = 0.0
-        for other, row in table.incident(vertex):
-            w2 = weights[other[1]]
-            tilted += w2 ** 2 * counts[other] * (w2 / (weight * root_d))
-            if row.regime == "large":
-                sum_large += row.term
-            else:
-                sum_small += row.term
-        headroom = max(nb_mass / (count * weight ** 2 * scale.d),
-                       math.e * scale.n / count)
-        rows[vertex] = AggregateRow(
-            vertex=vertex,
-            count=count,
-            weight=weight,
-            neighbour_mass=nb_mass,
-            tilted_mass=tilted,
-            headroom=headroom,
-            headroom_log=math.log(headroom) / headroom,
-            local_potency=abs(sum_large + sum_small),
-            local_large=abs(sum_large),
-            local_small=abs(sum_small),
-        )
-    return AggregateTable(rows)
+    large, small = _row_sums(table.term, table.large), _row_sums(table.term, table.small)
+    fields = zip(table.graph.vertices, table.count.tolist(), table.weight.tolist(),
+                 *(column.tolist() for column in _vertex_sums(pattern, table)),
+                 np.abs(large + small).tolist(), np.abs(large).tolist(), np.abs(small).tolist())
+    return AggregateTable({values[0]: AggregateRow(*values) for values in fields})
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +460,8 @@ def extract_pattern(vec: DyadicBandVector, lift: Lift) -> tuple[Pattern, dict]:
         right = vec.exponents[v][perm][mask]
         for eu, ev in zip(left.tolist(), right.tolist()):
             links[_edge_key((u, eu), (v, ev))] += 1
-    witnesses = {}
-    for i in range(vec.scale.h):
-        row_mask = vec.nonzero[i]
-        if not row_mask.any():
-            continue
-        for exp in np.unique(vec.exponents[i][row_mask]):
-            members = np.nonzero(row_mask & (vec.exponents[i] == exp))[0]
-            witnesses[(i, int(exp))] = tuple(int(j) for j in members)
+    witnesses = {(i, e): tuple(np.flatnonzero(vec.nonzero[i] & (vec.exponents[i] == e)).tolist())
+                 for i, e in profile.counts}
     return Pattern(lift.base, profile, dict(links)), witnesses
 
 
@@ -459,79 +500,70 @@ class ReductionReport:
         return self.potency_before - self.removed_potency
 
 
-_BRANCH_REGIMES = {
-    "large": ("large",),
-    "small": ("small",),
-    "general": ("large", "small"),
-}
 _BUDGET_FACTOR = {"large": 30.0, "small": 55.0, "general": 150.0}
 
 
-def _branch_conditions(row: AggregateRow, level: float, scale: DyadicScale,
-                       branch: str) -> list[tuple[str, float]]:
+def _branch_floors(table: DeviationTable, sums: tuple[np.ndarray, ...], level: float,
+                   scale: DyadicScale, branch: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The branch's condition labels, and each vertex's floor for each."""
     root_d = math.sqrt(scale.d)
-    share = level * row.count * row.weight ** 2 * root_d
+    mass, tilted, _, headroom_log = sums
+    share = level * table.count * table.square * root_d
     if branch == "large":
-        return [("large1", share),
-                ("large2", level * row.tilted_mass / root_d)]
-    if branch == "small":
-        return [("small1", share),
-                ("small2", level * row.neighbour_mass * row.count / (scale.n * root_d)),
-                ("small3", level * row.neighbour_mass * row.headroom_log / root_d)]
-    return [("general1", 2.0 * share),
-            ("general2", 2.0 * level * row.tilted_mass / root_d),
-            ("general3", 2.0 * level * row.neighbour_mass * row.count
-              / (scale.n * root_d)),
-            ("general4", 2.0 * level * row.neighbour_mass * row.headroom_log
-              / root_d)]
-
-
-def _local_signed(table: DeviationTable, alive: set, vertex: ClassVertex,
-                  regimes: tuple[str, ...]) -> float:
-    total = 0.0
-    for other, row in table.incident(vertex):
-        if other in alive and row.regime in regimes:
-            total += row.term
-    return total
-
-
-def _members_potency(table: DeviationTable, alive: set,
-                     regimes: tuple[str, ...]) -> float:
-    return abs(math.fsum(
-        row.term for pair, row in table.rows.items()
-        if row.regime in regimes and pair[0] in alive and pair[1] in alive))
+        floors = {"large1": share, "large2": level * tilted / root_d}
+    elif branch == "small":
+        floors = {"small1": share,
+                  "small2": level * mass * table.count / (scale.n * root_d),
+                  "small3": level * mass * headroom_log / root_d}
+    else:
+        floors = {"general1": 2.0 * share,
+                  "general2": 2.0 * level * tilted / root_d,
+                  "general3": 2.0 * level * mass * table.count / (scale.n * root_d),
+                  "general4": 2.0 * level * mass * headroom_log / root_d}
+    return tuple(floors), np.stack(list(floors.values()), axis=1)
 
 
 def _greedy_reduce(pattern: Pattern, level: float, branch: str,
-                   table: DeviationTable | None = None) -> ReductionReport:
+                   table: DeviationTable | None = None,
+                   potency_before: float | None = None) -> ReductionReport:
     if level < 20.0:
         raise ConfigError("reduction level must be at least 20")
     table = table if table is not None else DeviationTable(pattern)
-    agg = aggregates(pattern, table=table)
-    regimes = _BRANCH_REGIMES[branch]
-    everything = table.graph.vertices
-    thresholds = {v: _branch_conditions(agg.row(v), level, pattern.scale, branch)
-                  for v in everything}
-    alive = set(everything)
+    g = table.graph
+    labels, floors = _branch_floors(table, _vertex_sums(pattern, table), level,
+                                    pattern.scale, branch)
+    regime = {"large": table.large, "small": table.small}.get(branch, g.valid)
+    alive = np.ones(len(g.vertices), dtype=bool)
+    local = np.abs(_row_sums(table.term, regime))
+    violating = (local[:, None] < floors).any(axis=1)
+    stale = np.zeros_like(alive)
     removals: list[Removal] = []
-    while True:  # drop the first violator, in sorted order
-        for vertex in [v for v in everything if v in alive]:
-            local = abs(_local_signed(table, alive, vertex, regimes))
-            label = next((lab for lab, floor in thresholds[vertex] if local < floor), None)
-            if label is not None:
-                alive.remove(vertex)
-                removals.append(Removal(vertex, label, local))
-                break
-        else:
-            break
+    # every local sum depends only on the live set, so the first violator in
+    # sorted order is the one a fresh scan would drop.  A drop changes only
+    # the sums of its live neighbours across edges in the branch's regimes;
+    # the scan recomputes those when it reaches them.
+    while (pending := violating | stale).any():
+        vertex = int(np.argmax(pending))
+        row = g.nbr[vertex]
+        if stale[vertex]:
+            local[vertex] = abs(_row_sums(table.term[vertex], regime[vertex] & alive[row]))
+            violating[vertex] = (local[vertex] < floors[vertex]).any()
+            stale[vertex] = False
+            continue
+        label = labels[int(np.argmax(local[vertex] < floors[vertex]))]
+        removals.append(Removal(g.vertices[vertex], label, float(local[vertex])))
+        alive[vertex] = violating[vertex] = False
+        stale[row[regime[vertex] & alive[row]]] = True
+    if potency_before is None:
+        potency_before = _members_potency(table, np.ones_like(alive), regime)
     return ReductionReport(
         branch=branch,
-        kept=tuple(v for v in everything if v in alive),
+        kept=tuple(v for v, keep in zip(g.vertices, alive.tolist()) if keep),
         removals=tuple(removals),
         removed_potency=math.fsum(r.local_potency for r in removals),
         budget=_BUDGET_FACTOR[branch] * level * math.sqrt(pattern.scale.d),
-        potency_before=_members_potency(table, set(everything), regimes),
-        potency_after=_members_potency(table, alive, regimes),
+        potency_before=potency_before,
+        potency_after=_members_potency(table, alive, regime),
     )
 
 
@@ -561,10 +593,12 @@ def reduce_pattern(pattern: Pattern, level: float = 20.0) -> ReductionReport:
     least (level/10) * count * log(e n / count).
     """
     table = DeviationTable(pattern)
-    total = abs(math.fsum(row.term for row in table.rows.values()))
-    heavy = _members_potency(table, set(table.graph.vertices), ("large",))
+    everything = np.ones(len(table.graph.vertices), dtype=bool)
+    total = _members_potency(table, everything, table.graph.valid)
+    heavy = _members_potency(table, everything, table.large)
     branch = "large" if heavy >= total / 2.0 else "small"
-    report = _greedy_reduce(pattern, level, branch, table)
+    report = _greedy_reduce(pattern, level, branch, table,
+                            heavy if branch == "large" else None)
     _check_dispatch_guarantees(pattern, level, report, total, table)
     return report
 
@@ -572,23 +606,26 @@ def reduce_pattern(pattern: Pattern, level: float = 20.0) -> ReductionReport:
 def _check_dispatch_guarantees(pattern: Pattern, level: float,
                                report: ReductionReport, total: float,
                                table: DeviationTable) -> None:
-    kept = set(report.kept)
+    g = table.graph
+    kept = np.zeros(len(g.vertices), dtype=bool)
+    kept[[g.index[v] for v in report.kept]] = True
+    both = g.valid & kept[:, None] & kept[g.nbr]
     floor = total / 2.0 - 55.0 * level * math.sqrt(pattern.scale.d)
-    # the kept sub-pattern's class graph is the induced subgraph and its rows
-    # are these rows, so this is peak_potency(pattern.restricted(kept))
-    achieved = _peak(row for (u, v), row in table.rows.items()
-                     if u in kept and v in kept)
+    # the kept sub-pattern's class graph is the induced subgraph and its
+    # deviations are these, so this is peak_potency(pattern.restricted(kept))
+    achieved = _peak(table.term[both & g.upper])
     if achieved < floor - 1e-9 * max(1.0, abs(floor)):
         raise LiftlabError("reduction lost more potency than its guarantee allows")
     n = pattern.scale.n
-    counts = pattern.profile.counts
-    for vertex in report.kept:
-        count = counts[vertex]
-        lhs = math.fsum(
-            (count * counts[other] / n) * deviation_rate(row.relative_gap)
-            for other, row in table.incident(vertex) if other in kept)
+    gaps, which = np.unique(table.gap[both], return_inverse=True)
+    rates = np.zeros(table.gap.shape)
+    rates[both] = np.array([deviation_rate(gap) for gap in gaps.tolist()], dtype=float)[which]
+    # mu is count * neighbour count / n, and fsum ignores the zeros
+    lhs = [math.fsum(row) for row in (table.mu * rates).tolist()]
+    for vertex in np.flatnonzero(kept).tolist():
+        count = int(table.count[vertex])
         rhs = (level / 10.0) * count * math.log(math.e * n / count)
-        if lhs < rhs - 1e-9 * max(1.0, rhs):
+        if lhs[vertex] < rhs - 1e-9 * max(1.0, rhs):
             raise LiftlabError("kept vertex fails the local-unlikeliness bound")
 
 
@@ -611,28 +648,29 @@ def dominant_neighbours(pattern: Pattern, members: Iterable[ClassVertex],
     if regime not in REGIMES:
         raise ConfigError(f"regime must be one of {REGIMES}")
     table = DeviationTable(pattern)
-    count = pattern.profile.counts[vertex]
-    weight = table.weights[vertex[1]]
+    g = table.graph
+    index = g.index[vertex]
+    members = np.zeros(len(g.vertices), dtype=bool)
+    members[[g.index[v] for v in member_set if v in g.index]] = True
+    pick = (table.large if regime == "large" else table.small)[index] & members[g.nbr[index]]
+    if not pick.any():
+        return frozenset()
+    others, gaps = g.nbr[index][pick], table.gap[index][pick]
+    count, weight, square = (int(table.count[index]), float(table.weight[index]),
+                             float(table.square[index]))
     n = pattern.scale.n
     d = pattern.scale.d
-    candidates = [(other, row) for other, row in table.incident(vertex)
-                  if other in member_set and row.regime == regime]
-    if not candidates:
-        return frozenset()
     if regime == "large":
         cut = level * n / (2.0 * count)
-        return frozenset(
-            other for other, row in candidates
-            if row.relative_gap * weight ** 2 * d
-            / table.weights[other[1]] ** 2 >= cut)
-    local = abs(math.fsum(row.term for _, row in candidates))
-    nb_mass = aggregates(pattern, table=table).row(vertex).neighbour_mass
-    if nb_mass == 0.0:
-        return frozenset()
-    cut = local / (2.0 * weight ** 2 * count * nb_mass)
-    return frozenset(
-        other for other, row in candidates
-        if abs(row.relative_gap) / (weight * table.weights[other[1]] * n) >= cut)
+        chosen = gaps * square * d / table.square[others] >= cut
+    else:
+        local = abs(math.fsum(table.term[index][pick].tolist()))
+        nb_mass = float(_vertex_sums(pattern, table)[0][index])
+        if nb_mass == 0.0:
+            return frozenset()
+        cut = local / (2.0 * square * count * nb_mass)
+        chosen = np.abs(gaps) / (weight * table.weight[others] * n) >= cut
+    return frozenset(g.vertices[j] for j in others[chosen].tolist())
 
 
 def measure_select(triples: Sequence[tuple[float, float, float]],
@@ -780,21 +818,23 @@ def pattern_from_text(text: str, base: BaseGraph) -> Pattern:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != "lift-pattern":
         raise LiftlabError("not a pattern file")
+    arity = {"n": 1, "h": 1, "d": 1, "band": 1, "class": 3, "link": 5}
     for line in lines[1:]:
-        tokens = line.split()
-        kind, rest = tokens[0], tokens[1:]
-        if kind in ("n", "h", "d", "band"):
-            if len(rest) != 1:
-                raise LiftlabError(f"malformed line: {line!r}")
-            header[kind] = int(rest[0])
-        elif kind == "class":
-            fibre, exp, count = (int(t) for t in rest)
-            counts[(fibre, exp)] = count
-        elif kind == "link":
-            f1, e1, f2, e2, count = (int(t) for t in rest)
-            links[((f1, e1), (f2, e2))] = count
-        else:
+        kind, *rest = line.split()
+        if kind not in arity:
             raise LiftlabError(f"unknown line kind {kind!r}")
+        try:
+            values = [int(t) for t in rest]
+        except ValueError:
+            values = []
+        if len(values) != arity[kind]:
+            raise InvalidPatternError(f"malformed line: {line!r}")
+        if kind == "class":
+            counts[tuple(values[:2])] = values[2]
+        elif kind == "link":
+            links[(tuple(values[:2]), tuple(values[2:4]))] = values[4]
+        else:
+            header[kind] = values[0]
     for key in ("n", "h", "d"):
         if key not in header:
             raise LiftlabError(f"missing header field {key!r}")

@@ -272,6 +272,9 @@ def test_malformed_base_file_exits_two(tmp_path, capsys):
     pytest.param(["--base", "k4", "--n", "-3"], id="n-negative"),
     pytest.param(["--base", "k1", "--n", "5"], id="degree-zero"),
     pytest.param(["--base", "zz", "--n", "5"], id="unknown-family"),
+    pytest.param(["--base", "k4", "--n", "5", "--plant", "a,b"], id="plant-not-integer"),
+    pytest.param(["--base", "k4", "--n", "5", "--plant", "0,9"], id="plant-out-of-range"),
+    pytest.param(["--base", "k4", "--n", "5", "--plant", "2,-1"], id="plant-negative"),
 ])
 def test_gen_usage_errors_exit_two(tmp_path, capsys, argv):
     out_path = tmp_path / "x.json"

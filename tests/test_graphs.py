@@ -155,6 +155,17 @@ def test_vector_norm_and_fibre_sums():
     assert not v.is_balanced()
 
 
+def test_lazy_norm_and_fibre_sums_keep_the_eager_bits():
+    # the expressions LiftVector evaluated at construction before both became lazy
+    rng = np.random.default_rng(5)
+    for shape in [(1, 1), (3, 7), (5, 400), (12, 33)]:
+        arr = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        v = LiftVector(arr)
+        assert np.array_equal(v.fibre_sums, np.array([math.fsum(row) for row in arr]))
+        assert v.norm_sq == math.fsum(float(t) for t in (arr * arr).sum(axis=1))
+        assert not v.fibre_sums.flags.writeable
+
+
 def test_balance_projects_to_zero_fibre_sums():
     rng = np.random.default_rng(4)
     v = balance(LiftVector(rng.normal(size=(3, 5))))

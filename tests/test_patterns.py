@@ -28,6 +28,7 @@ from liftlab.errors import (
 )
 from liftlab.graphs import BaseGraph, complete_graph, cycle_graph, identity_lift
 from liftlab.patterns import (
+    _deviation,
     _peak,
     AggregateTable,
     ClassGraph,
@@ -793,6 +794,9 @@ PINNED_RANDOM = [
 PINNED_SIMPLEX = ("b4d2f315965ede722812e91078642e562f32b8cef5811cd7019bada2f3fe9568",
                   "16ba74acbaeb30c50930d8cde8f98eb2aaf4926c962ae813f06adb2a55a1609f")
 PINNED_SIMPLEX_PLUS_STRAYS = "36a2fb835d050dbe2a94f8f81d09699cd6815610dc7a46cc1fe21e5139967493"
+# recorded while the deviation table still held one object per edge
+PINNED_PAIRWISE = ("a23b496221ff1f3eb71b8c0577a2990d38a310ae9767a510b346ed9b5af9fc59",
+                   "28b3679da0e6e5c42bd763187a0b4167c07b6deb6d7fe9b4e6c4c77af65255c6")
 
 
 def transcript_digest(report):
@@ -828,6 +832,23 @@ def test_reduction_transcripts_pinned_on_the_simplex(large_regime_pattern):
     assert transcript_digest(report) == PINNED_SIMPLEX_PLUS_STRAYS
 
 
+def test_reduction_transcripts_pinned_where_pairwise_sums_differ():
+    # on this K_9 pattern np.sum of a vertex's terms differs from their
+    # left-to-right sum at four classes, and the transcripts print such sums
+    pattern = random_pattern(np.random.default_rng([7, 2]), base=complete_graph(9), n=150)
+    table = DeviationTable(pattern)
+    differs = 0
+    for vertex in table.graph.vertices:
+        terms = [row.term for _, row in table.incident(vertex)]
+        in_order = 0.0
+        for term in terms:
+            in_order += term
+        differs += float(np.sum(terms)) != in_order
+    assert differs == 4
+    assert (transcript_digest(reduce_pattern(pattern)),
+            transcript_digest(reduce_general(pattern, level=41.0))) == PINNED_PAIRWISE
+
+
 def test_kept_rows_peak_equals_peak_of_the_restricted_pattern():
     rng = np.random.default_rng(4242)
     for k in range(60):
@@ -837,8 +858,8 @@ def test_kept_rows_peak_equals_peak_of_the_restricted_pattern():
         table = DeviationTable(pattern)
         verts = list(pattern.profile.counts)
         for kept in (set(verts), set(), {v for v in verts if rng.random() < 0.5}):
-            rows = (row for (u, v), row in table.rows.items() if u in kept and v in kept)
-            assert _peak(rows) == peak_potency(pattern.restricted(kept))
+            terms = [row.term for (u, v), row in table.rows.items() if u in kept and v in kept]
+            assert _peak(terms) == peak_potency(pattern.restricted(kept))
 
 
 def test_deviation_table_lists_rows_per_vertex_in_neighbour_order():
@@ -853,6 +874,20 @@ def test_deviation_table_lists_rows_per_vertex_in_neighbour_order():
         assert table.edges == table.graph.edges
         assert all(table.weights[e] == pattern.profile.weight(e)
                    for _, e in pattern.profile.counts)
+
+
+def test_deviation_rows_equal_the_per_edge_deviation():
+    rng = np.random.default_rng(12)
+    for k in range(40):
+        h = int(rng.integers(6, 16))
+        base = SMALL_BASES[k % len(SMALL_BASES)] if k % 2 else complete_graph(h)
+        pattern = random_pattern(rng, base=base, n=int(rng.integers(4, 500)))
+        counts, weight = pattern.profile.counts, pattern.profile.weight
+        table = DeviationTable(pattern)
+        assert list(table.rows) == ref_gamma_edges(pattern)
+        for (u, v), row in table.rows.items():
+            assert row == _deviation((u, v), counts[u], counts[v], pattern.scale.n,
+                                     pattern.links.get((u, v), 0), weight(u[1]) * weight(v[1]))
 
 
 # --- neighbour selection ---------------------------------------------------------------
@@ -1091,6 +1126,10 @@ def test_pattern_text_errors():
     bad_band = "lift-pattern\nn 5\nh 3\nd 2\nband 3\nclass 0 1 2\n"
     with pytest.raises(InvalidPatternError):
         pattern_from_text(bad_band, base)
+    for line in ("class 0 x 2", "link 0 0 1 0 1.5", "n five", "class 0 1", "link 0 0 1 0",
+                 "class 0 1 2 3", "d"):
+        with pytest.raises(InvalidPatternError):
+            pattern_from_text(f"lift-pattern\nn 5\nh 3\nd 2\n{line}\n", base)
 
 
 def test_reduction_transcript_format():
