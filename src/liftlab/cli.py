@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -51,9 +52,12 @@ def cmd_gen(args) -> int:
     fibres = args.plant.split(",") if args.plant else []
     if not all(t.strip().isdecimal() and int(t) < base.h for t in fibres):
         raise ConfigError(f"--plant takes comma-separated fibres in 0..{base.h - 1}")
+    fibres = [int(t) for t in fibres]  # a repeated fibre is not adjacent to itself
+    if not all(base.are_adjacent(a, b) for a, b in itertools.combinations(fibres, 2)):
+        raise ConfigError("--plant fibres must be distinct and pairwise adjacent in the base")
     lift = sample_lift(base, args.n, SeededRng(args.seed))
     if fibres:
-        lift = plant_clique(lift, [int(t) for t in fibres])
+        lift = plant_clique(lift, fibres)
     Path(args.out).write_text(lift.to_json())
     print(f"wrote lift h={lift.h} d={lift.d} n={lift.n} -> {args.out}")
     return 0
@@ -219,7 +223,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ConfigError, InvalidMarginalsError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError,
+            InvalidMarginalsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except LiftlabError as exc:

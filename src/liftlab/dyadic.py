@@ -35,7 +35,7 @@ from .errors import (
     NotSignCompatibleError,
     TooLargeError,
 )
-from .graphs import Lift, LiftVector, apply_operator, check_shape
+from .graphs import Lift, LiftVector, apply_operator, centered_self_forms, check_shape
 from .sampling import SeededRng
 from .spectra import SpectralReport, lambda_star
 
@@ -91,11 +91,8 @@ def _weight_grids(lift: Lift, cx: np.ndarray, cy: np.ndarray,
     for (a, b), p in lift.perms.items():
         np.add.at(wa, (cx[a], cy[b][p]), 1.0)
         np.add.at(wa, (cx[b][p], cy[a]), 1.0)
-    hx = np.zeros((lift.h, kx))
-    hy = np.zeros((lift.h, ky))
-    for i in range(lift.h):
-        np.add.at(hx[i], cx[i], 1.0)
-        np.add.at(hy[i], cy[i], 1.0)
+    hx = np.array([np.bincount(c, minlength=kx) for c in cx], dtype=float)
+    hy = np.array([np.bincount(c, minlength=ky) for c in cy], dtype=float)
     nb = lift.base.adjacency()
     we = (hx.T @ (nb @ hy)) / lift.n
     return wa, we
@@ -323,8 +320,9 @@ def dyadic_certificate(lift: Lift, x: LiftVector, trials: int = 40,
     for t in range(trials):
         y = dyadic_round(x, rng.generator(6101, t, 0))
         z = dyadic_round(x, rng.generator(6101, t, 1))
-        for cand in polarize(y, z):
-            val = abs(quad_form(lift, "centered", cand, cand))
+        cands = polarize(y, z)
+        for cand, form in zip(cands, centered_self_forms(lift, cands)):
+            val = abs(form)
             if val > best_val:
                 best_vec, best_val, best_trial = cand, val, t
     met = best_val >= target * (1.0 - 1e-12)

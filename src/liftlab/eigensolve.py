@@ -3,7 +3,8 @@
 Dense path: Householder reduction to tridiagonal form followed by the
 implicit-shift QL iteration (eigenvalues only), whose scalar sweeps run on
 Python floats. Iterative path: restarted Lanczos with full
-reorthogonalization driven by a caller-supplied matvec; the extreme Ritz
+reorthogonalization driven by a caller-supplied matvec, taking a second
+Gram-Schmidt pass only when the DGKS test asks for it; the extreme Ritz
 pair of the growing tridiagonal matrix comes from LAPACK
 (``numpy.linalg.eigh``).
 """
@@ -18,6 +19,9 @@ import numpy as np
 from .errors import NotConvergedError
 
 _EPS = np.finfo(np.float64).eps
+# Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30, 1976): a second Gram-Schmidt
+# pass is needed only when the first left less than this fraction of the norm.
+_DGKS = 1.0 / math.sqrt(2.0)
 
 
 def householder_tridiagonalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -30,6 +34,7 @@ def householder_tridiagonalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
+    scratch = np.empty(n * n)  # holds each rank-one update
     for k in range(n - 2):
         x = a[k + 1:, k]
         nx = math.sqrt(float(x @ x))
@@ -48,8 +53,10 @@ def householder_tridiagonalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         sub = a[k + 1:, k + 1:]
         w = sub @ v
         q = w - v * float(v @ w)
-        sub -= 2.0 * np.outer(v, q)
-        sub -= 2.0 * np.outer(q, v)
+        # doubling is exact, so (2v) q^T has the bits of 2 (v q^T)
+        t = scratch[: sub.size].reshape(sub.shape)
+        sub -= np.multiply.outer(2.0 * v, q, out=t)
+        sub -= np.multiply.outer(2.0 * q, v, out=t)
         a[k + 1:, k] = 0.0
         a[k, k + 1:] = 0.0
         a[k + 1, k] = a[k, k + 1] = alpha
@@ -166,8 +173,12 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
     computation to an invariant subspace of the operator.
 
     Runs restarted Lanczos with full reorthogonalization in a preallocated
-    basis of at most ``max_basis`` vectors; every ``check_every`` steps the
-    Ritz pair of the tridiagonal comes from LAPACK, and convergence is
+    basis of at most ``max_basis`` vectors. Each step takes one classical
+    Gram-Schmidt pass against the basis, and a second only when the first
+    left less than 1/sqrt(2) of the vector's norm (the DGKS test, which
+    flags the cancellation that loses orthogonality). Every
+    ``check_every`` steps the Ritz pair of the tridiagonal comes from
+    LAPACK, and convergence is
     declared when the implicit residual bound beta*|s_last| drops below
     tol relative to the operator scale.
     """
@@ -205,9 +216,12 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
             if k > 0:
                 w = w - betas[k - 1] * basis[k - 1]
             known = basis[: k + 1]
-            w -= known.T @ (known @ w)
+            before = math.sqrt(float(w @ w))
             w -= known.T @ (known @ w)
             b = math.sqrt(float(w @ w))
+            if b < _DGKS * before:  # cancellation: one more Gram-Schmidt pass
+                w -= known.T @ (known @ w)
+                b = math.sqrt(float(w @ w))
             total_iters += 1
             k += 1
             d, e = alphas[:k], betas[: k - 1]

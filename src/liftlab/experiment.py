@@ -2,18 +2,15 @@
 turns a large centered eigenvalue into a small dense witness subgraph.
 
 Each (n, seed) cell samples one lift, runs the configured stages, and emits
-one CSV row.  Cells are independent, so sweeps may run on a thread pool
-(size taken from the LIFTLAB_THREADS environment variable); rows are sorted
-by (n, seed) before writing, so the output does not depend on scheduling.
+one CSV row.  Cells run one after another, and rows are written sorted by
+(n, seed).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,7 +35,6 @@ EXPLAIN_SPECTRAL_FACTOR = 1189248.0
 EXPLAIN_LEVEL = 41.0
 
 STAGES = ("spectrum", "certificate", "reduction", "witnesses")
-THREADS_ENV = "LIFTLAB_THREADS"
 
 CSV_COLUMNS = ("seed", "h", "d", "n", "lambda_top", "lambda_star",
                "ramanujan_ratio", "paper_ratio", "dyprop_met", "z_value",
@@ -149,7 +145,7 @@ def config_from_json(text: str) -> ExperimentConfig:
         seeds = tuple(int(s) for s in doc.get("seeds", []))
         kwargs = {name: parse(doc[key])
                   for key, (name, parse) in _CONFIG_OPTIONS.items() if key in doc}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     return ExperimentConfig(base, n_values, seeds, **kwargs)
 
@@ -215,51 +211,24 @@ class ExperimentResult:
     csv_path: str | None
 
 
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full (n, seed) grid.
 
     Failed cells become bare rows (identity columns only) plus an entry in
     failures; whatever finished is flushed to the CSV even on interrupt.
     """
-    cells = [(n, seed) for n in sorted(set(config.n_values))
-             for seed in config.seeds]
     done: dict[tuple[int, int], ResultRow] = {}
     failures: list[str] = []
-
-    def work(cell):
-        n, seed = cell
-        try:
-            return cell, run_cell(config.base, n, seed, stages=config.stages,
-                                  tolerance=config.tolerance,
-                                  trials=config.trials), None
-        except LiftlabError as exc:
-            bare = ResultRow(seed=seed, h=config.base.h, d=config.base.d, n=n)
-            return cell, bare, f"n={n} seed={seed}: {exc}"
-
-    workers = thread_count()
     try:
-        if workers == 1:
-            for cell in cells:
-                cell, row, err = work(cell)
-                done[cell] = row
-                if err:
-                    failures.append(err)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for cell, row, err in pool.map(work, cells):
-                    done[cell] = row
-                    if err:
-                        failures.append(err)
+        for n in sorted(set(config.n_values)):
+            for seed in config.seeds:
+                try:
+                    row = run_cell(config.base, n, seed, stages=config.stages,
+                                   tolerance=config.tolerance, trials=config.trials)
+                except LiftlabError as exc:
+                    row = ResultRow(seed=seed, h=config.base.h, d=config.base.d, n=n)
+                    failures.append(f"n={n} seed={seed}: {exc}")
+                done[(n, seed)] = row
     finally:
         rows = tuple(done[c] for c in sorted(done))
         if config.out_csv is not None:

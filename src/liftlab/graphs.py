@@ -51,6 +51,8 @@ class BaseGraph:
     def __post_init__(self):
         if self.h < 1:
             raise LiftlabError("base graph needs at least one vertex")
+        if 2 * len(self.edges) < self.h:  # checked before anything is sized by h
+            raise NonRegularError("degree must be at least 1")
         seen = set()
         deg = [0] * self.h
         canon = []
@@ -69,9 +71,7 @@ class BaseGraph:
         if len(set(deg)) > 1:
             raise NonRegularError(f"degrees {sorted(set(deg))} differ")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        object.__setattr__(self, "degree", deg[0] if deg else 0)
-        if self.degree < 1:
-            raise NonRegularError("degree must be at least 1")
+        object.__setattr__(self, "degree", deg[0])
         nbrs = [[] for _ in range(self.h)]
         for (u, v) in self.edges:
             nbrs[u].append(v)
@@ -207,10 +207,9 @@ class Lift:
         if want != got:
             raise LiftlabError("permutation keys do not match base edges")
         self.perms: dict[tuple[int, int], np.ndarray] = {}
-        ref = np.arange(n)
         for e, p in perms.items():
             arr = np.asarray(p, dtype=np.int64)
-            if arr.shape != (n,) or not np.array_equal(np.sort(arr), ref):
+            if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
                 raise LiftlabError(f"permutation for edge {e} is not a bijection on 0..{n - 1}")
             arr.setflags(write=False)
             self.perms[e] = arr
@@ -262,8 +261,8 @@ class Lift:
     def from_json(cls, text: str) -> "Lift":
         """Inverse of to_json.  Missing keys, wrongly typed values, malformed
         "u-v" keys and documents that describe no valid lift raise ConfigError."""
-        doc = json.loads(text)
         try:
+            doc = json.loads(text)
             base = BaseGraph(_json_int(doc["base"]["h"]),
                              tuple(tuple(_json_int(t) for t in e) for e in doc["base"]["edges"]))
             perms = {}
@@ -373,23 +372,25 @@ def balance(x: LiftVector) -> LiftVector:
 
 
 # -- raw-array operator kernels (used by the iterative eigensolver too) -----
+# Both take an (h, n) array or a (k, h, n) stack, and apply to each slice of a
+# stack the operations, in the order, that they apply to a single array.
 
 
 def _adjacency_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
     out = np.zeros_like(arr)
     for (u, v), p in lift.perms.items():
-        out[u] += arr[v, p]
-        out[v, p] += arr[u]
+        out[..., u, :] += arr[..., v, p]
+        out[..., v, p] += arr[..., u, :]
     return out
 
 
 def _expected_raw(lift: Lift, arr: np.ndarray, fibre_sums: np.ndarray | None = None) -> np.ndarray:
-    s = arr.sum(axis=1) if fibre_sums is None else fibre_sums
-    acc = np.zeros(lift.h)
+    s = arr.sum(axis=-1) if fibre_sums is None else fibre_sums
+    acc = np.zeros(s.shape)
     for (u, v) in lift.base.edges:
-        acc[u] += s[v]
-        acc[v] += s[u]
-    return np.repeat(acc[:, None] / lift.n, lift.n, axis=1)
+        acc[..., u] += s[..., v]
+        acc[..., v] += s[..., u]
+    return np.repeat(acc[..., None] / lift.n, lift.n, axis=-1)
 
 
 def _centered_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
@@ -419,7 +420,16 @@ def apply_centered(lift: Lift, x: LiftVector) -> LiftVector:
     )
 
 
-OPERATOR_KINDS = ("adjacency", "expected", "centered")
+def centered_self_forms(lift: Lift, vectors: list[LiftVector]) -> list[float]:
+    """<x, C x> under the centered operator C for each vector, from one
+    operator pass over the stacked vectors; each value has the bits of
+    ``np.vdot(x.values, apply_centered(lift, x).values)``."""
+    for x in vectors:
+        check_shape(lift, x)
+    stack = np.stack([x.values for x in vectors])
+    sums = np.stack([x.fibre_sums for x in vectors])
+    image = _adjacency_raw(lift, stack) - _expected_raw(lift, stack, sums)
+    return [float(np.vdot(x.values, y)) for x, y in zip(vectors, image)]
 
 
 def apply_operator(lift: Lift, kind: str, x: LiftVector) -> LiftVector:
@@ -448,12 +458,10 @@ def dense_operator(lift: Lift, kind: str = "adjacency", guard: int = DENSE_GUARD
     n = lift.n
     mat = np.zeros((nh, nh))
     if kind in ("adjacency", "centered"):
+        pos = np.arange(n)
         for (u, v), p in lift.perms.items():
-            for j in range(n):
-                a = u * n + j
-                b = v * n + int(p[j])
-                mat[a, b] += 1.0
-                mat[b, a] += 1.0
+            mat[u * n + pos, v * n + p] += 1.0
+            mat[v * n + p, u * n + pos] += 1.0
     if kind in ("expected", "centered"):
         sign = 1.0 if kind == "expected" else -1.0
         for (u, v) in lift.base.edges:

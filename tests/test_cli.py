@@ -275,6 +275,8 @@ def test_malformed_base_file_exits_two(tmp_path, capsys):
     pytest.param(["--base", "k4", "--n", "5", "--plant", "a,b"], id="plant-not-integer"),
     pytest.param(["--base", "k4", "--n", "5", "--plant", "0,9"], id="plant-out-of-range"),
     pytest.param(["--base", "k4", "--n", "5", "--plant", "2,-1"], id="plant-negative"),
+    pytest.param(["--base", "c6", "--n", "5", "--plant", "0,0"], id="plant-repeated"),
+    pytest.param(["--base", "c6", "--n", "5", "--plant", "0,2"], id="plant-not-adjacent"),
 ])
 def test_gen_usage_errors_exit_two(tmp_path, capsys, argv):
     out_path = tmp_path / "x.json"

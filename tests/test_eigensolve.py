@@ -1,10 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftlab.eigensolve import lanczos_extreme, symmetric_eigenvalues, tridiagonal_eigenvalues
-from liftlab.graphs import complete_graph
+import liftlab.eigensolve as eigensolve
+import liftlab.spectra as spectra
+from liftlab.eigensolve import (householder_tridiagonalize, lanczos_extreme,
+                                symmetric_eigenvalues, tridiagonal_eigenvalues)
+from liftlab.graphs import base_from_name, complete_graph
 from liftlab.sampling import SeededRng, sample_lift
 from liftlab.spectra import lambda_star
 
@@ -54,6 +59,26 @@ def test_clustered_eigenvalues():
     m = q @ np.diag(vals) @ q.T
     mine = symmetric_eigenvalues((m + m.T) / 2)
     assert np.allclose(mine, np.sort(vals)[::-1], atol=1e-9)
+
+
+def _balanced_restriction(base, n, seed, monkeypatch):
+    """The matrix new_spectrum hands to the dense solver for one sweep cell's lift."""
+    seen = []
+    solve = spectra.symmetric_eigenvalues
+    monkeypatch.setattr(spectra, "symmetric_eigenvalues", lambda m: seen.append(m) or solve(m))
+    spectra.new_spectrum(sample_lift(base_from_name(base), n, SeededRng(seed)))
+    return seen[0]
+
+
+@pytest.mark.parametrize("base, n, seed, digest", [
+    ("k4", 150, 1, "b852dd304887fdf8c6e9ad3f7b2d8a8d049aea762fcf4febbb705572f65e099c"),
+    ("c6", 100, 6, "881f9101182b8870e14a7dce64a0ef046c52a69bcc4faf836dcfb346875e585f"),
+])
+def test_householder_bits_are_pinned(base, n, seed, digest, monkeypatch):
+    # the c6 witness sign hangs on these bits (the +-theta tie), so the
+    # tridiagonal form of two sweep cells' restrictions is pinned exactly
+    d, e = householder_tridiagonalize(_balanced_restriction(base, n, seed, monkeypatch))
+    assert hashlib.sha256(d.tobytes() + e.tobytes()).hexdigest() == digest
 
 
 @settings(max_examples=50, deadline=None)
@@ -184,3 +209,36 @@ def test_lanczos_iteration_count_is_pinned():
     assert rep.method == "iterative"
     assert rep.converged
     assert rep.iterations == 264
+
+
+def test_lanczos_dgks_second_pass_runs_as_the_krylov_space_closes(monkeypatch):
+    # four tight clusters: the Krylov space nearly closes after four steps,
+    # and a tolerance out of reach drives the iteration on until the basis
+    # spans the space and the first Gram-Schmidt pass cancels almost all of w
+    fired = []
+
+    class Threshold(float):
+        def __mul__(self, norm):
+            return Product(float(self) * norm)
+
+    class Product(float):
+        def __gt__(self, norm):  # evaluates the test ``norm < threshold * before``
+            fired.append(norm < float(self))
+            return fired[-1]
+
+    monkeypatch.setattr(eigensolve, "_DGKS", Threshold(eigensolve._DGKS))
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(24, 24)))
+    vals = np.repeat([5.0, 1.0, -2.0, 0.5], 6) + 1e-6 * rng.normal(size=24)
+    m = (q * vals) @ q.T
+    m = (m + m.T) / 2
+    ref = np.linalg.eigvalsh(m)
+    start = rng.normal(size=24)
+    for which, want in (("max", ref[-1]), ("min", ref[0])):
+        fired.clear()
+        out = lanczos_extreme(lambda x: m @ x, 24, start, which=which, tol=1e-15)
+        assert any(fired), "the second pass never ran"
+        assert len(fired) == out.iterations
+        assert out.converged
+        assert out.value == pytest.approx(want, abs=1e-12)
+        assert np.linalg.norm(m @ out.vector - out.value * out.vector) < 1e-12

@@ -1,5 +1,5 @@
 """Sweep harness checks: config validation, cell rows, CSV stability,
-thread-count handling, and the explanation pipeline's two branches."""
+and the explanation pipeline's two branches."""
 
 import csv
 import dataclasses
@@ -16,7 +16,7 @@ from liftlab.experiment import (CSV_COLUMNS, CSV_HEADER, EXPLAIN_SPECTRAL_FACTOR
                                 HEADLINE_SPECTRAL_FACTOR, ExperimentConfig,
                                 ResultRow, config_from_json, explain_pipeline,
                                 explain_to_text, rows_to_csv, run_cell,
-                                run_experiment, thread_count)
+                                run_experiment)
 import liftlab.dyadic
 from liftlab.dyadic import band_certificate
 from liftlab.graphs import base_from_name, base_to_text, identity_lift
@@ -185,28 +185,6 @@ def test_run_experiment_is_reproducible_except_wall_time():
     for a, b in zip(first, second):
         va, vb = a.csv_values(), b.csv_values()
         assert va[:-1] == vb[:-1]
-
-
-def test_parallel_matches_serial(monkeypatch):
-    cfg = ExperimentConfig(K4, (16, 22), (1, 2), trials=4)
-    monkeypatch.delenv(exp.THREADS_ENV, raising=False)
-    serial = run_experiment(cfg).rows
-    monkeypatch.setenv(exp.THREADS_ENV, "3")
-    parallel = run_experiment(cfg).rows
-    assert [r.csv_values()[:-1] for r in serial] == \
-        [r.csv_values()[:-1] for r in parallel]
-
-
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv(exp.THREADS_ENV, raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv(exp.THREADS_ENV, "4")
-    assert thread_count() == 4
-    monkeypatch.setenv(exp.THREADS_ENV, "0")
-    assert thread_count() == 1
-    monkeypatch.setenv(exp.THREADS_ENV, "many")
-    with pytest.raises(ConfigError):
-        thread_count()
 
 
 def test_failed_cells_become_bare_rows(monkeypatch, tmp_path):

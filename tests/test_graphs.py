@@ -25,6 +25,7 @@ from liftlab.graphs import (
     base_from_name,
     base_from_text,
     base_to_text,
+    centered_self_forms,
     complete_graph,
     cycle_graph,
     cycle_power_graph,
@@ -33,7 +34,10 @@ from liftlab.graphs import (
     induced_adjacency,
     lifted_eigenvector,
     petersen_graph,
+    _adjacency_raw,
+    _expected_raw,
 )
+from liftlab.dyadic import quad_form
 
 from _support import lift_with_vector, oracle_adjacency, oracle_centered, oracle_expected, random_lift
 
@@ -262,6 +266,54 @@ def test_dimension_mismatch_raises():
     lift = identity_lift(complete_graph(3), 2)
     with pytest.raises(DimensionMismatchError):
         apply_adjacency(lift, LiftVector(np.zeros((3, 3))))
+
+
+# --- stacked operator passes -------------------------------------------------
+
+
+STACK_BASES = (complete_graph(4), cycle_graph(6), petersen_graph())
+
+
+@pytest.mark.parametrize("base", STACK_BASES, ids=lambda b: f"h{b.h}d{b.d}")
+def test_stacked_kernels_equal_the_per_slice_calls_bit_for_bit(base):
+    rng = np.random.default_rng(base.h)
+    lift = random_lift(base, 37, rng)
+    # entries spanning many magnitudes, so any change in summation order shows
+    shape = (9, lift.h, lift.n)
+    stack = rng.normal(size=shape) * 10.0 ** rng.integers(-9, 9, size=shape)
+    sums = rng.normal(size=shape[:2])
+    adjacency = _adjacency_raw(lift, stack)
+    expected = _expected_raw(lift, stack)
+    given_sums = _expected_raw(lift, stack, sums)
+    for i, arr in enumerate(stack):
+        assert np.array_equal(adjacency[i], _adjacency_raw(lift, arr))
+        assert np.array_equal(expected[i], _expected_raw(lift, arr))
+        assert np.array_equal(given_sums[i], _expected_raw(lift, arr, sums[i]))
+
+
+@pytest.mark.parametrize("base", STACK_BASES, ids=lambda b: f"h{b.h}d{b.d}")
+def test_centered_self_forms_equal_quad_form_exactly(base):
+    rng = np.random.default_rng(100 + base.h)
+    for n in (1, 5, 64):
+        lift = random_lift(base, n, rng)
+        # nonnegative dyadic candidates, as polarization produces them
+        shape = (12, lift.h, lift.n)
+        cands = [LiftVector(v) for v in
+                 np.ldexp(1.0, rng.integers(0, 6, size=shape)) * (rng.random(shape) < 0.6)]
+        forms = centered_self_forms(lift, cands)
+        assert forms == [quad_form(lift, "centered", c, c) for c in cands]
+    # any vectors: entries over many magnitudes, where a fibre sum other than
+    # the cached compensated one would change the bits
+    lift = random_lift(base, 64, rng)
+    shape = (5, lift.h, lift.n)
+    vecs = [LiftVector(v) for v in rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)]
+    assert centered_self_forms(lift, vecs) == [quad_form(lift, "centered", x, x) for x in vecs]
+
+
+def test_centered_self_forms_check_shapes():
+    lift = identity_lift(complete_graph(3), 2)
+    with pytest.raises(DimensionMismatchError):
+        centered_self_forms(lift, [LiftVector(np.ones((3, 2))), LiftVector(np.ones((3, 3)))])
 
 
 # --- lifted eigenvectors -----------------------------------------------------
