@@ -2,11 +2,11 @@
 
 Dense path: Householder reduction to tridiagonal form followed by the
 implicit-shift QL iteration (eigenvalues only), whose scalar sweeps run on
-Python floats. Iterative path: restarted Lanczos with full
-reorthogonalization driven by a caller-supplied matvec, taking a second
-Gram-Schmidt pass only when the DGKS test asks for it; the extreme Ritz
-pair of the growing tridiagonal matrix comes from LAPACK
-(``numpy.linalg.eigh``).
+Python floats. Iterative path: thick-restart Lanczos in a fixed basis of
+48 vectors, driven by a caller-supplied matvec, with full
+reorthogonalization that takes a second Gram-Schmidt pass only when the
+DGKS test asks for it; the Ritz pairs of the small projected matrix come
+from LAPACK (``numpy.linalg.eigh``).
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lanczos with full reorthogonalization
+# Thick-restart Lanczos with full reorthogonalization
 
 
 @dataclass
@@ -138,33 +138,27 @@ class IterativeResult:
     iterations: int
     residual: float
     converged: bool
+    restarts: int
 
 
-def _ritz_pair(alphas: np.ndarray, betas: np.ndarray, which: str) -> tuple[float, np.ndarray]:
-    """The selected extreme eigenpair of the Lanczos tridiagonal matrix.
+def _ritz_pairs(t: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenpairs of the projected matrix and the index of the selected one.
 
-    The eigenvector's sign is fixed so that its entries sum to at most zero,
-    which keeps the Ritz vector, and every witness rounded from it, stable.
+    The selected eigenvector is signed to sum to at most zero, which keeps
+    the Ritz vector, and every witness rounded from it, stable.
     """
-    t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     vals, vecs = np.linalg.eigh(t)
     top = which == "max" or (which == "abs" and abs(vals[-1]) >= abs(vals[0]))
-    i = -1 if top else 0
-    s = vecs[:, i]
-    if s.sum() > 0.0:
-        s = -s
-    return float(vals[i]), s
-
-
-def _unit(x: np.ndarray) -> np.ndarray:
-    nx = math.sqrt(float(x @ x))
-    return x / nx if nx > 0 else x
+    i = vals.size - 1 if top else 0
+    if vecs[:, i].sum() > 0.0:
+        vecs[:, i] = -vecs[:, i]
+    return vals, vecs, i
 
 
 def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
                     tol: float = 1e-8, max_iter: int | None = None,
                     project=None, check_every: int = 8,
-                    max_basis: int = 400, max_restarts: int = 3) -> IterativeResult:
+                    max_basis: int = 48) -> IterativeResult:
     """Extreme eigenpair of a symmetric operator given only matvec.
 
     ``which`` selects "max" (most positive), "min" (most negative), or
@@ -172,18 +166,22 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
     start vector and to every new Krylov direction, restricting the whole
     computation to an invariant subspace of the operator.
 
-    Runs restarted Lanczos with full reorthogonalization in a preallocated
-    basis of at most ``max_basis`` vectors. Each step takes one classical
-    Gram-Schmidt pass against the basis, and a second only when the first
-    left less than 1/sqrt(2) of the vector's norm (the DGKS test, which
-    flags the cancellation that loses orthogonality). Every
-    ``check_every`` steps the Ritz pair of the tridiagonal comes from
-    LAPACK, and convergence is
-    declared when the implicit residual bound beta*|s_last| drops below
-    tol relative to the operator scale.
+    Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22(2),
+    2000) in a basis of m = ``max_basis`` vectors. Each step takes one
+    classical Gram-Schmidt pass against the basis, and a second only when
+    the first left less than 1/sqrt(2) of the vector's norm (the DGKS test).
+    A full basis keeps its m // 3 Ritz vectors nearest the wanted end and
+    continues from the last Lanczos vector, so the projected matrix is
+    diagonal on the kept block, with an arrowhead row coupling it to that
+    vector, then tridiagonal. Every ``check_every`` steps LAPACK gives its
+    Ritz pair, converged once the implicit residual beta*|s_last| drops
+    below tol times the scale max|alpha| + max beta over all steps. After
+    ``max_iter`` steps the current Ritz pair is returned, unconverged.
     """
     if which not in ("max", "min", "abs"):
         raise ValueError("which must be max, min, or abs")
+    if max_basis < 2:
+        raise ValueError("max_basis must be at least 2")
     if max_iter is None:
         max_iter = 10 * dim
     v = np.array(start, dtype=np.float64).reshape(-1)
@@ -191,59 +189,59 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
         raise ValueError("start vector has wrong length")
     if project is not None:
         v = project(v)
+    nv = math.sqrt(float(v @ v))
+    if nv == 0.0:
+        return IterativeResult(0.0, v, 0, 0.0, True, 0)
 
     m = min(max_basis, dim)
+    keep = max(1, m // 3)
     basis = np.empty((m + 1, dim))
-    alphas = np.empty(m)
-    betas = np.empty(m)
-    total_iters = 0
-    best = IterativeResult(0.0, v.copy(), 0, math.inf, False)
-
-    for _restart in range(max_restarts + 1):
-        nv = math.sqrt(float(v @ v))
-        if nv == 0.0:
-            return IterativeResult(0.0, v, total_iters, 0.0, True)
-        basis[0] = v / nv
-        k = 0  # Lanczos steps taken since this restart
-        while total_iters < max_iter and k < m:
-            q = basis[k]
-            w = matvec(q)
-            if project is not None:
-                w = project(w)
-            a = float(q @ w)
-            alphas[k] = a
-            w = w - a * q
-            if k > 0:
-                w = w - betas[k - 1] * basis[k - 1]
-            known = basis[: k + 1]
-            before = math.sqrt(float(w @ w))
+    basis[0] = v / nv
+    t = np.zeros((m, m))  # projected matrix basis[:k] A basis[:k]^T
+    k = total_iters = restarts = 0  # k: basis vectors before this step
+    amax = bmax = 0.0
+    while True:
+        q = basis[k]
+        w = matvec(q)
+        if project is not None:
+            w = project(w)
+        a = float(q @ w)
+        t[k, k] = a
+        w = w - a * q
+        if k:  # right after a restart, basis[keep] couples to every kept vector
+            lo = 0 if restarts and k == keep else k - 1
+            w -= t[lo:k, k] @ basis[lo:k]
+        known = basis[: k + 1]
+        before = math.sqrt(float(w @ w))
+        w -= known.T @ (known @ w)
+        b = math.sqrt(float(w @ w))
+        if b < _DGKS * before:  # cancellation: one more Gram-Schmidt pass
             w -= known.T @ (known @ w)
             b = math.sqrt(float(w @ w))
-            if b < _DGKS * before:  # cancellation: one more Gram-Schmidt pass
-                w -= known.T @ (known @ w)
-                b = math.sqrt(float(w @ w))
-            total_iters += 1
-            k += 1
-            d, e = alphas[:k], betas[: k - 1]
-            scale = max(1.0, float(np.max(np.abs(d))) + (float(np.max(np.abs(e))) if e.size else 0.0))
-            if b <= 1e3 * _EPS * scale:
-                # Krylov space is invariant: Ritz values are exact
-                theta, s = _ritz_pair(d, e, which)
-                return IterativeResult(theta, basis[:k].T @ s, total_iters, 0.0, True)
-            betas[k - 1] = b
+        total_iters += 1
+        k += 1
+        amax = max(amax, abs(a))
+        scale = max(1.0, amax + bmax)
+        exact = b <= 1e3 * _EPS * scale  # the Krylov space is invariant
+        if not exact:
+            bmax = max(bmax, b)
             basis[k] = w / b
-            if k % check_every == 0 or k >= m:
-                theta, s = _ritz_pair(d, e, which)
-                resid = b * abs(float(s[-1]))
-                if resid <= tol * scale:
-                    return IterativeResult(theta, _unit(basis[:k].T @ s), total_iters, resid, True)
-        # restart from the current best Ritz vector
-        if k:
-            theta, s = _ritz_pair(alphas[:k], betas[: k - 1], which)
-            resid = betas[k - 1] * abs(float(s[-1]))
-            v = _unit(basis[:k].T @ s)
-            if resid < best.residual:
-                best = IterativeResult(theta, v, total_iters, resid, False)
-        if total_iters >= max_iter:
-            break
-    return best
+            if k < m:
+                t[k, k - 1] = t[k - 1, k] = b
+        if exact or k % check_every == 0 or k == m or total_iters >= max_iter:
+            vals, vecs, i = _ritz_pairs(t[:k, :k], which)
+            resid = 0.0 if exact else b * abs(float(vecs[-1, i]))
+            if resid <= tol * scale or total_iters >= max_iter:
+                x = basis[:k].T @ vecs[:, i]
+                return IterativeResult(float(vals[i]), x / math.sqrt(float(x @ x)),
+                                       total_iters, resid, resid <= tol * scale, restarts)
+            if k == m:  # thick restart: keep the Ritz vectors nearest the wanted end
+                near = np.abs(vals) if which == "abs" else vals if which == "max" else -vals
+                kept = np.argsort(near, kind="stable")[-keep:]
+                basis[:keep] = vecs[:, kept].T @ basis[:m]
+                basis[keep] = basis[m]
+                t.fill(0.0)
+                t[:keep, :keep] = np.diag(vals[kept])
+                t[keep, :keep] = t[:keep, keep] = b * vecs[-1, kept]
+                k = keep
+                restarts += 1

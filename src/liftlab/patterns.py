@@ -77,6 +77,8 @@ class ClassProfile:
                 raise InvalidPatternError(f"fibre {fibre} out of range")
             if exp < 0:
                 raise InvalidPatternError(f"negative exponent at {key}")
+            if 2 * exp > (10 * self.scale.size).bit_length():  # before 4 ** exp is formed
+                raise InvalidPatternError("squared norm exceeds 10")
             cleaned[(int(fibre), int(exp))] = count
         per_fibre: Counter = Counter()
         norm_int = 0

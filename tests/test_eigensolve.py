@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ def test_lanczos_projected_subspace():
 def test_lanczos_flags_non_convergence():
     m = random_symmetric(90, 31)
     out = lanczos_extreme(lambda x: m @ x, 90, np.ones(90), which="max",
-                          tol=1e-14, max_iter=4, max_restarts=0)
+                          tol=1e-14, max_iter=4)
     assert not out.converged
     assert out.iterations <= 4
 
@@ -179,9 +180,9 @@ def test_lanczos_restarts_with_a_small_basis():
     start = np.random.default_rng(4).normal(size=200)
     for which, want in (("max", ref[-1]), ("min", ref[0])):
         out = lanczos_extreme(lambda x: m @ x, 200, start, which=which, tol=1e-10,
-                              max_basis=12, max_restarts=20)
+                              max_basis=12)
         assert out.converged
-        assert out.iterations > 12, "the basis limit must force restarts"
+        assert out.restarts > 0, "the basis limit must force restarts"
         assert out.value == pytest.approx(want, abs=1e-9)
         assert np.linalg.norm(out.vector) == pytest.approx(1.0)
         # the implicit residual bound matches the true residual
@@ -202,13 +203,54 @@ def test_lanczos_ritz_vector_sign_convention():
 
 
 def test_lanczos_iteration_count_is_pinned():
-    # the benchmark reference records 264 iterations for this cell; the
-    # Ritz-pair method must not move the check cadence or restarts
+    # pins the restart scheme (a 48-vector basis keeping 16 Ritz vectors,
+    # checked every 8 steps) on one sweep cell, not a correctness bound:
+    # a change to the scheme re-pins it on a before/after comparison
     lift = sample_lift(complete_graph(4), 1000, SeededRng(1))
     rep = lambda_star(lift, rng=SeededRng(1, 101))
     assert rep.method == "iterative"
     assert rep.converged
-    assert rep.iterations == 264
+    assert rep.iterations == 272
+
+
+def _with_spectrum(vals, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(vals.size, vals.size)))
+    m = (q * vals) @ q.T
+    return (m + m.T) / 2
+
+
+def test_lanczos_abs_finds_a_negative_extreme_across_thick_restarts():
+    m = _with_spectrum(np.linspace(-6.0, 5.0, 300), 13)
+    ref = np.linalg.eigvalsh(m)
+    out = lanczos_extreme(lambda x: m @ x, 300, np.ones(300), which="abs", tol=1e-10)
+    assert out.converged
+    assert out.restarts >= 2
+    assert out.value == pytest.approx(ref[0], abs=1e-9)
+    assert np.linalg.norm(m @ out.vector - out.value * out.vector) < 1e-8
+
+
+def test_lanczos_converges_into_a_tight_cluster_at_the_wanted_end():
+    vals = np.concatenate([4.0 + 1e-12 * np.arange(6), np.linspace(-3.0, 3.0, 194)])
+    m = _with_spectrum(vals, 17)
+    ref = np.linalg.eigvalsh(m)
+    out = lanczos_extreme(lambda x: m @ x, 200, np.random.default_rng(3).normal(size=200),
+                          which="max", tol=1e-10, max_basis=12)
+    assert out.converged
+    assert out.restarts > 0
+    assert abs(out.value - ref[-1]) <= 1e-10
+    assert np.linalg.norm(m @ out.vector - out.value * out.vector) <= 1e-8
+
+
+def test_lanczos_cap_mid_cycle_returns_the_current_ritz_pair():
+    # a 12-vector basis keeps 4 Ritz vectors, so step 17 falls between checks
+    m = random_symmetric(150, 43)
+    out = lanczos_extreme(lambda x: m @ x, 150, np.random.default_rng(5).normal(size=150),
+                          which="max", tol=1e-14, max_iter=17, max_basis=12)
+    assert not out.converged
+    assert out.iterations == 17 and out.restarts == 1
+    assert math.isfinite(out.residual) and out.residual > 0.0
+    assert np.linalg.norm(out.vector) == pytest.approx(1.0)
+    assert out.value <= np.linalg.eigvalsh(m)[-1] + 1e-12
 
 
 def test_lanczos_dgks_second_pass_runs_as_the_krylov_space_closes(monkeypatch):

@@ -10,11 +10,16 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import liftlab
 from liftlab.cli import main
 from liftlab.dyadic import DyadicScale
 from liftlab.errors import LiftlabError
@@ -80,6 +85,18 @@ def _mutate_json(data, text: str) -> str:
     else:
         parent[key] = data.draw(JSON_VALUES)
     return json.dumps(doc)
+
+
+def _read_in_child(name: str, text: str) -> None:
+    """Read ``text`` with one reader in a fresh interpreter under a time
+    limit, so a reader that never returns fails the test instead of hanging
+    the suite. The child exits 0 only on a LiftlabError (see the end of this
+    file)."""
+    src = str(Path(liftlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, __file__, name], input=text, text=True,
+                           capture_output=True, timeout=60, env=env)
+    assert child.returncode == 0, child.stderr
 
 
 def _check(name: str, raw: bytes, workdir) -> None:
@@ -148,10 +165,22 @@ def test_mutated_json_values_give_typed_errors(name, data, workdir):
     pytest.param("lift", '{"base": {"h": 2, "edges": [[0, 1]]}, "n": 1000000000000,'
                  ' "perms": {"0-1": [0, 1, 2]}}', id="lift-n-huge"),
     pytest.param("base", "100000000000 1\n0 1\n", id="base-h-huge"),
+    pytest.param("pattern", "lift-pattern\nn 10\nh 4\nd 3\nclass 0 99999999999 1",
+                 id="pattern-exponent-huge"),
 ])
 def test_malformed_documents_fail_fast_with_typed_errors(name, text, workdir):
-    # each of these once escaped as OverflowError or OSError, or tried to
-    # allocate an array sized by the huge number
+    # each of these once escaped as OverflowError or OSError, tried to
+    # allocate an array sized by the huge number, or computed 4 ** exponent
+    # on Python ints and never returned
+    _read_in_child(name, text)
     with pytest.raises(LiftlabError):
         READERS[name][0](text)
     _check(name, text.encode(), workdir)
+
+
+if __name__ == "__main__":  # the child process of _read_in_child
+    try:
+        READERS[sys.argv[1]][0](sys.stdin.read())
+    except LiftlabError:
+        sys.exit(0)
+    sys.exit("the reader accepted a malformed document")
