@@ -5,7 +5,7 @@ vectors constant on every fibre (carrying a copy of the base spectrum)
 and vectors balanced on every fibre. ``new_spectrum`` computes the
 balanced part exactly by restricting to an explicit orthonormal basis of
 the balanced subspace; ``lambda_star`` estimates its extreme modulus at
-scale with restarted Lanczos on the centered operator.
+scale with thick-restart Lanczos on the centered operator.
 """
 
 from __future__ import annotations
