@@ -111,6 +111,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_prob(args) -> int:
     spec = matching_spec_from_text(Path(args.spec).read_text())
+    rng = SeededRng(args.seed)
     log_p = exact_log_probability(spec)
     print(f"log-probability {log_p!r}")
     if spec.n <= EXACT_FRACTION_LIMIT:
@@ -126,7 +127,7 @@ def cmd_prob(args) -> int:
         print(f"stirling-window {lo!r} {hi!r}")
         print(f"log-simple-cap {cap!r}")
     if args.monte_carlo > 0:
-        est = monte_carlo_probability(spec, args.monte_carlo, SeededRng(args.seed))
+        est = monte_carlo_probability(spec, args.monte_carlo, rng)
         print(f"monte-carlo {est.estimate!r} stderr {est.std_error!r}")
     return 0
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyVectorError,
     LiftlabError,
     NormTooLargeError,
@@ -310,6 +311,8 @@ def dyadic_certificate(lift: Lift, x: LiftVector, trials: int = 40,
     trials resolve to the earliest trial.
     """
     check_shape(lift, x)
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, not {trials}")
     nh = lift.n * lift.h
     if x.norm_sq > nh * (1.0 + 1e-9):
         raise NormTooLargeError(f"squared norm {x.norm_sq:.6g} exceeds {nh}")

@@ -157,8 +157,7 @@ def _ritz_pairs(t: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray, int]
 
 def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
                     tol: float = 1e-8, max_iter: int | None = None,
-                    project=None, check_every: int = 8,
-                    max_basis: int = 48) -> IterativeResult:
+                    project=None, max_basis: int = 48) -> IterativeResult:
     """Extreme eigenpair of a symmetric operator given only matvec.
 
     ``which`` selects "max" (most positive), "min" (most negative), or
@@ -173,9 +172,9 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
     A full basis keeps its m // 3 Ritz vectors nearest the wanted end and
     continues from the last Lanczos vector, so the projected matrix is
     diagonal on the kept block, with an arrowhead row coupling it to that
-    vector, then tridiagonal. Every ``check_every`` steps LAPACK gives its
-    Ritz pair, converged once the implicit residual beta*|s_last| drops
-    below tol times the scale max|alpha| + max beta over all steps. After
+    vector, then tridiagonal. Every 8 steps LAPACK gives its Ritz pair,
+    converged once the implicit residual beta*|s_last| drops below tol
+    times the scale max|alpha| + max beta over all steps. After
     ``max_iter`` steps the current Ritz pair is returned, unconverged.
     """
     if which not in ("max", "min", "abs"):
@@ -228,7 +227,7 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
             basis[k] = w / b
             if k < m:
                 t[k, k - 1] = t[k - 1, k] = b
-        if exact or k % check_every == 0 or k == m or total_iters >= max_iter:
+        if exact or k % 8 == 0 or k == m or total_iters >= max_iter:
             vals, vecs, i = _ritz_pairs(t[:k, :k], which)
             resid = 0.0 if exact else b * abs(float(vecs[-1, i]))
             if resid <= tol * scale or total_iters >= max_iter:

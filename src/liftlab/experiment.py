@@ -100,15 +100,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError("every n must be at least 1")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("need at least one seed, all non-negative")
         if not self.stages:
             raise ConfigError("need at least one stage")
         for stage in self.stages:
             if stage not in STAGES:
                 raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
-        if not self.tolerance > 0.0:
-            raise ConfigError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ConfigError("tolerance must be positive and finite")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
 

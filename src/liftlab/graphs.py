@@ -450,11 +450,11 @@ def lifted_eigenvector(lift: Lift, base_vec: np.ndarray) -> LiftVector:
     return LiftVector(np.repeat(base_vec[:, None], lift.n, axis=1))
 
 
-def dense_operator(lift: Lift, kind: str = "adjacency", guard: int = DENSE_GUARD) -> np.ndarray:
+def dense_operator(lift: Lift, kind: str = "adjacency") -> np.ndarray:
     """Assemble the chosen operator as a dense (nh, nh) array; guarded by size."""
     nh = lift.num_vertices
-    if nh > guard:
-        raise DenseGuardError(f"dense operator of size {nh} exceeds guard {guard}")
+    if nh > DENSE_GUARD:
+        raise DenseGuardError(f"dense operator of size {nh} exceeds guard {DENSE_GUARD}")
     n = lift.n
     mat = np.zeros((nh, nh))
     if kind in ("adjacency", "centered"):

@@ -228,17 +228,16 @@ class MonteCarloEstimate:
 
 
 def monte_carlo_probability(spec: MatchingSpec, samples: int,
-                            rng: SeededRng | None = None,
-                            shards: int = 8) -> MonteCarloEstimate:
+                            rng: SeededRng | None = None) -> MonteCarloEstimate:
     """Empirical frequency over uniform matchings.
 
-    Work is split into shards with independent child streams, so the result
-    is reproducible for a given seed no matter how shards are scheduled.
+    Work is split into up to 8 shards with independent child streams, so the
+    result is reproducible for a given seed no matter how shards are scheduled.
     """
     if samples < 1:
         raise ConfigError("need at least one sample")
     rng = rng if rng is not None else SeededRng(0)
-    shards = max(1, min(shards, samples))
+    shards = min(8, samples)
     label_a = np.array(_labels(spec.a))
     label_b = np.array(_labels(spec.b))
     target = np.array(spec.e)

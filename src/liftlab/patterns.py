@@ -8,9 +8,10 @@ from what uniformly random matchings would give, weighted by entry products.
 The greedy reductions trim the class graph down to a subset on which every
 class contributes enough deviation to be individually unlikely. Each public
 call builds the class graph and deviation table once, as numpy arrays over
-the sorted classes, and passes them along. Sums run in the order of a loop
-over each class's sorted neighbours, or through math.fsum, so the arrays
-give every result the bits a per-edge loop gives.
+the sorted classes, and passes them along; no other form of either exists.
+Sums run in the order of a loop over each class's sorted neighbours, or
+through math.fsum, so the arrays give every result the bits a loop over
+``edge_deviation`` gives.
 """
 
 from __future__ import annotations
@@ -220,24 +221,11 @@ class ClassGraph:
         self.nbr[self.valid] = cand[keep]
         self.upper = self.valid & (self.nbr > np.arange(size)[:, None])
 
-    def neighbours(self, v: ClassVertex) -> tuple[ClassVertex, ...]:
-        i = self.index.get(v)
-        return () if i is None else tuple(map(self.vertices.__getitem__,
-                                              self.nbr[i, self.valid[i]].tolist()))
-
-    def are_adjacent(self, u: ClassVertex, v: ClassVertex) -> bool:
-        return v in self.neighbours(u)
-
-    @property
-    def edges(self) -> tuple[ClassEdge, ...]:
-        verts = self.vertices
-        return tuple((verts[u], verts[v]) for u, v in
-                     zip(np.nonzero(self.upper)[0].tolist(), self.nbr[self.upper].tolist()))
-
 
 @dataclass(frozen=True)
 class EdgeDeviation:
-    """Deviation data for one class-graph edge.
+    """Deviation data for one class-graph edge, the per-edge definition that
+    ``DeviationTable`` holds as arrays.
 
     expected is the mean matched-pair count between the two classes under a
     uniform matching; relative_gap is (observed / expected) - 1, with the
@@ -278,12 +266,10 @@ class DeviationTable:
     class size, entry weight and weight ** 2; ``weights`` maps each populated
     exponent to its weight.  Every value has the bits of ``_deviation`` for
     its edge while n < 2**26, so the integer products convert exactly.
-    ``rows``, ``row()``, ``incident()`` and ``edges`` present the table as
-    ``EdgeDeviation`` objects, built on first use.
     """
 
-    def __init__(self, pattern: Pattern, graph: ClassGraph | None = None):
-        self.graph = g = graph if graph is not None else ClassGraph(pattern)
+    def __init__(self, pattern: Pattern):
+        self.graph = g = ClassGraph(pattern)
         counts, n, size = pattern.profile.counts, pattern.scale.n, len(g.vertices)
         self.weights = {exp: pattern.profile.weight(exp) for exp in sorted({e for _, e in counts})}
         squares = {exp: w ** 2 for exp, w in self.weights.items()}
@@ -308,29 +294,6 @@ class DeviationTable:
         self.small = g.valid & ~self.large
         self.term = np.where(g.valid, self.weight[:, None] * self.weight[g.nbr]
                              * (observed - self.mu), 0.0)
-        self._rows: Mapping[ClassEdge, EdgeDeviation] | None = None
-
-    @property
-    def rows(self) -> Mapping[ClassEdge, EdgeDeviation]:
-        if self._rows is None:
-            upper = self.graph.upper
-            values = zip(self.graph.edges, self.mu[upper].tolist(), self.gap[upper].tolist(),
-                         self.large[upper].tolist(), self.term[upper].tolist())
-            self._rows = MappingProxyType({
-                edge: EdgeDeviation(edge, mu, gap, "large" if large else "small", term)
-                for edge, mu, gap, large, term in values})
-        return self._rows
-
-    def row(self, u: ClassVertex, v: ClassVertex) -> EdgeDeviation:
-        return self.rows[_edge_key(u, v)]
-
-    def incident(self, vertex: ClassVertex) -> Iterable[tuple[ClassVertex, EdgeDeviation]]:
-        """(neighbour, row) for every class-graph neighbour, in sorted order."""
-        return ((other, self.row(vertex, other)) for other in self.graph.neighbours(vertex))
-
-    @property
-    def edges(self) -> tuple[ClassEdge, ...]:
-        return tuple(self.rows)
 
 
 def _row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -405,15 +368,6 @@ class AggregateRow:
     local_small: float
 
 
-class AggregateTable:
-
-    def __init__(self, rows: dict[ClassVertex, AggregateRow]):
-        self.rows: Mapping[ClassVertex, AggregateRow] = MappingProxyType(dict(rows))
-
-    def row(self, vertex: ClassVertex) -> AggregateRow:
-        return self.rows[vertex]
-
-
 def _vertex_sums(pattern: Pattern, table: DeviationTable) -> tuple[np.ndarray, ...]:
     """Every vertex's neighbour_mass, tilted_mass, headroom and headroom_log."""
     g, scale = table.graph, pattern.scale
@@ -429,15 +383,14 @@ def _vertex_sums(pattern: Pattern, table: DeviationTable) -> tuple[np.ndarray, .
             np.array([math.log(x) / x for x in headroom.tolist()], dtype=float))
 
 
-def aggregates(pattern: Pattern, graph: ClassGraph | None = None,
-               table: DeviationTable | None = None) -> AggregateTable:
-    """Per-vertex aggregates over the class graph of ``table`` (built on ``graph`` if absent)."""
-    table = table if table is not None else DeviationTable(pattern, graph)
+def aggregates(pattern: Pattern) -> Mapping[ClassVertex, AggregateRow]:
+    """Per-vertex aggregates over the class graph, keyed by class vertex in sorted order."""
+    table = DeviationTable(pattern)
     large, small = _row_sums(table.term, table.large), _row_sums(table.term, table.small)
     fields = zip(table.graph.vertices, table.count.tolist(), table.weight.tolist(),
                  *(column.tolist() for column in _vertex_sums(pattern, table)),
                  np.abs(large + small).tolist(), np.abs(large).tolist(), np.abs(small).tolist())
-    return AggregateTable({values[0]: AggregateRow(*values) for values in fields})
+    return MappingProxyType({values[0]: AggregateRow(*values) for values in fields})
 
 
 # ---------------------------------------------------------------------------

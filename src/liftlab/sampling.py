@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FibresNotAdjacentError, FibresNotDistinctError, LiftlabError, TooLargeError
+from .errors import (ConfigError, FibresNotAdjacentError, FibresNotDistinctError,
+                     LiftlabError, TooLargeError)
 from .graphs import BaseGraph, Lift
 
 
@@ -23,6 +24,10 @@ class SeededRng:
 
     seed: int = 0
     stream: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0 or self.stream < 0:
+            raise ConfigError(f"seed {self.seed} and stream {self.stream} must be non-negative")
 
     def generator(self, *extra: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream) + extra))

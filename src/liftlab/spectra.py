@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import lanczos_extreme, symmetric_eigenvalues
-from .errors import NotConvergedError
+from .errors import ConfigError, NotConvergedError
 from .graphs import (
     Lift,
     LiftVector,
@@ -26,8 +26,6 @@ from .graphs import (
     dense_operator,
 )
 from .sampling import SeededRng
-
-DENSE_SPECTRUM_GUARD = 2000
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,9 @@ def adjacency_rayleigh(lift: Lift, x: LiftVector) -> float:
     return float(np.vdot(x.values, apply_adjacency(lift, x).values)) / x.norm_sq
 
 
-def dense_spectrum(lift: Lift, kind: str = "adjacency",
-                   guard: int = DENSE_SPECTRUM_GUARD) -> np.ndarray:
+def dense_spectrum(lift: Lift, kind: str = "adjacency") -> np.ndarray:
     """All nh eigenvalues of the chosen operator, sorted descending."""
-    return symmetric_eigenvalues(dense_operator(lift, kind, guard=guard))
+    return symmetric_eigenvalues(dense_operator(lift, kind))
 
 
 def balanced_basis(n: int) -> np.ndarray:
@@ -83,7 +80,7 @@ def balanced_basis(n: int) -> np.ndarray:
     return w
 
 
-def new_spectrum(lift: Lift, guard: int = DENSE_SPECTRUM_GUARD) -> np.ndarray:
+def new_spectrum(lift: Lift) -> np.ndarray:
     """The (n-1)h eigenvalues of the adjacency operator on balanced vectors.
 
     Restricts the dense adjacency to a per-fibre orthonormal balanced
@@ -91,7 +88,7 @@ def new_spectrum(lift: Lift, guard: int = DENSE_SPECTRUM_GUARD) -> np.ndarray:
     Sorted descending.
     """
     n, h = lift.n, lift.h
-    mat = dense_operator(lift, "adjacency", guard=guard)
+    mat = dense_operator(lift, "adjacency")
     if n == 1:
         return np.zeros(0)
     w = balanced_basis(n)
@@ -110,20 +107,20 @@ def _balance_flat(h: int, n: int):
     return project
 
 
-def lambda_star(lift: Lift, tol: float = 1e-8, max_iter: int | None = None,
-                rng: SeededRng | None = None, method: str = "auto") -> SpectralReport:
+def lambda_star(lift: Lift, tol: float = 1e-8, rng: SeededRng | None = None,
+                method: str = "auto") -> SpectralReport:
     """Largest-modulus eigenvalue of the centered operator on balanced vectors.
 
     The returned value is the honestly recomputed Rayleigh quotient of the
     witness, so it is always a certified lower bound; convergence of the
     iteration makes it accurate to roughly tol as an estimate of the true
     extreme. ``method`` is "auto", "iterative", or "dense" (dense requires
-    nh within the dense guard).
+    nh within the dense guard). The iteration stops after 10nh steps.
     """
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, not {tol!r}")
     n, h = lift.n, lift.h
     lam_top = adjacency_rayleigh(lift, LiftVector(np.ones((h, n))))
-    if max_iter is None:
-        max_iter = 10 * n * h
     if rng is None:
         rng = SeededRng(0, 991)
     if n == 1:
@@ -146,7 +143,7 @@ def lambda_star(lift: Lift, tol: float = 1e-8, max_iter: int | None = None,
 
     start = rng.generator(17).normal(size=h * n)
     out = lanczos_extreme(matvec, h * n, start, which="abs", tol=tol,
-                          max_iter=max_iter, project=project)
+                          max_iter=10 * n * h, project=project)
     witness = LiftVector(out.vector.reshape(h, n))
     ray = centered_rayleigh(lift, witness)
     return SpectralReport(lam_top, abs(ray), "iterative", out.iterations,

@@ -27,10 +27,9 @@ from .errors import (
     SubgraphTooLargeError,
     WitnessMismatchError,
 )
-from .eigensolve import lanczos_extreme
-from .graphs import Lift, LiftVector, induced_adjacency
+from .graphs import DENSE_GUARD, Lift, LiftVector, induced_adjacency
 from .patterns import Pattern, extract_pattern, potency
-from .spectra import DENSE_SPECTRUM_GUARD, centered_rayleigh
+from .spectra import centered_rayleigh
 
 
 @dataclass(frozen=True)
@@ -137,13 +136,14 @@ def bipartition_witness(lift: Lift, halves: Sequence[Iterable[int]]) -> WitnessR
     return result
 
 
-def embed_subgraph_witness(lift: Lift, subgraph_vertices: Sequence[tuple[int, int]],
-                           guard: int = DENSE_SPECTRUM_GUARD) -> WitnessResult:
+def embed_subgraph_witness(lift: Lift,
+                           subgraph_vertices: Sequence[tuple[int, int]]) -> WitnessResult:
     """Balanced extension of an induced subgraph's top eigenvector.
 
-    Takes the top eigenpair of the induced subgraph, then cancels each fibre
-    sum t_i by spreading -t_i evenly over the fibre's outside vertices.  The
-    resulting quotient is at least lambda(subgraph) - 7/2.
+    Takes the top eigenpair of the induced subgraph's dense adjacency from
+    LAPACK (the quotient is quadratic in it, so its sign is irrelevant), then
+    cancels each fibre sum t_i by spreading -t_i evenly over the fibre's
+    outside vertices.  The resulting quotient is at least lambda(subgraph) - 7/2.
     """
     verts = [(int(i), int(j)) for i, j in subgraph_vertices]
     if not verts:
@@ -155,18 +155,10 @@ def embed_subgraph_witness(lift: Lift, subgraph_vertices: Sequence[tuple[int, in
     if size > n - h * math.sqrt(n):
         raise SubgraphTooLargeError(
             f"{size} vertices exceeds the balancing headroom n - h sqrt(n)")
-    if size > guard:
-        raise DenseGuardError(f"{size} vertices exceeds the dense guard {guard}")
-    adjacency = induced_adjacency(lift, verts)
-    if size == 1:
-        top_value = 0.0
-        top_vector = np.ones(1)
-    else:
-        start = np.ones(size) + 1e-3 * np.arange(size)
-        res = lanczos_extreme(lambda v: adjacency @ v, size, start,
-                              which="max", tol=1e-12)
-        top_value, top_vector = res.value, res.vector
-    top_vector = top_vector / math.sqrt(float(top_vector @ top_vector))
+    if size > DENSE_GUARD:
+        raise DenseGuardError(f"{size} vertices exceeds the dense guard {DENSE_GUARD}")
+    vals, vecs = np.linalg.eigh(induced_adjacency(lift, verts))
+    top_value, top_vector = float(vals[-1]), vecs[:, -1]
     values = np.zeros((h, n))
     inside = np.zeros((h, n), dtype=bool)
     for (i, j), entry in zip(verts, top_vector):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -181,6 +182,27 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     text.write_text("matching-spec\nn 2\na 1 1\nb 3\ne 1 1\n")
     assert main(["prob", "--spec", str(text)]) == 2
     capsys.readouterr()
+    text.write_text("matching-spec\nn 4\na 2 2\nb 2 2\ne 2 0 0 2\n")
+    code, out, err = run(capsys, ["prob", "--spec", str(text), "--monte-carlo", "10",
+                                  "--seed", "-1"])
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum", "--tol", "-1"], id="spectrum-tol-negative"),
+    pytest.param(["spectrum", "--tol", "nan"], id="spectrum-tol-nan"),
+    pytest.param(["spectrum", "--tol", "inf"], id="spectrum-tol-inf"),
+    pytest.param(["certify", "--seed", "-2"], id="certify-seed-negative"),
+    pytest.param(["certify", "--trials", "0"], id="certify-trials-zero"),
+    pytest.param(["reduce", "--seed", "-1"], id="reduce-seed-negative"),
+    pytest.param(["reduce", "--trials", "0"], id="reduce-trials-zero"),
+    pytest.param(["explain", "--seed", "-1"], id="explain-seed-negative"),
+])
+def test_bad_seed_tol_or_trials_exits_two(lift_file, capsys, argv):
+    code, out, err = run(capsys, [argv[0], "--lift", lift_file, *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _rename_perm_key(doc):
@@ -243,7 +265,9 @@ def test_unconverged_spectrum_exits_three(lift_file, monkeypatch, capsys, argv):
     pytest.param({"base": 4}, id="base-not-a-string"),
     pytest.param({"base": "k4", "n": ["a"]}, id="n-not-a-number"),
     pytest.param({"base": "k4", "seeds": 1}, id="seeds-not-a-list"),
+    pytest.param({"base": "k4", "seeds": [2, -1]}, id="seed-negative"),
     pytest.param({"base": "k4", "tolerance": "tight"}, id="tolerance-not-a-number"),
+    pytest.param({"base": "k4", "tolerance": math.inf}, id="tolerance-infinite"),
     pytest.param({"base": "k4", "trials": None}, id="trials-null"),
 ])
 def test_malformed_config_exits_two(tmp_path, capsys, config):
@@ -277,6 +301,7 @@ def test_malformed_base_file_exits_two(tmp_path, capsys):
     pytest.param(["--base", "k4", "--n", "5", "--plant", "2,-1"], id="plant-negative"),
     pytest.param(["--base", "c6", "--n", "5", "--plant", "0,0"], id="plant-repeated"),
     pytest.param(["--base", "c6", "--n", "5", "--plant", "0,2"], id="plant-not-adjacent"),
+    pytest.param(["--base", "k4", "--n", "5", "--seed", "-1"], id="seed-negative"),
 ])
 def test_gen_usage_errors_exit_two(tmp_path, capsys, argv):
     out_path = tmp_path / "x.json"

@@ -30,7 +30,6 @@ from liftlab.graphs import BaseGraph, complete_graph, cycle_graph, identity_lift
 from liftlab.patterns import (
     _deviation,
     _peak,
-    AggregateTable,
     ClassGraph,
     ClassProfile,
     DeviationTable,
@@ -138,6 +137,21 @@ def ref_local_potency(pattern, members, vertex, regimes):
 
 
 REGIME_SETS = {"large": ("large",), "small": ("small",), "general": ("large", "small")}
+
+
+def class_pairs(graph, mask):
+    """(vertex, neighbour) at every masked slot of the class graph's padded
+    rows, row by row."""
+    verts = graph.vertices
+    return [(verts[i], verts[j]) for i, j in
+            zip(np.nonzero(mask)[0].tolist(), graph.nbr[mask].tolist())]
+
+
+def slot(graph, u, v):
+    """Row and column of neighbour v in class u's row."""
+    i, j = graph.index[u], graph.index[v]
+    (k,) = np.flatnonzero(graph.valid[i] & (graph.nbr[i] == j))
+    return i, k
 
 
 def ref_thresholds(pattern, vertex, level, branch):
@@ -372,11 +386,12 @@ def test_class_graph_matches_bruteforce(seed):
     rng = np.random.default_rng(seed)
     pattern = random_pattern(rng)
     graph = ClassGraph(pattern)
-    assert sorted(graph.edges) == ref_gamma_edges(pattern)
-    for (u, v) in graph.edges:
-        assert graph.are_adjacent(u, v) and graph.are_adjacent(v, u)
-        assert v in graph.neighbours(u) and u in graph.neighbours(v)
-    assert not graph.are_adjacent((0, 0), (0, 0))
+    edges = ref_gamma_edges(pattern)
+    assert class_pairs(graph, graph.upper) == edges
+    assert sorted(class_pairs(graph, graph.valid)) == sorted(edges + [(v, u) for u, v in edges])
+    for i in range(len(graph.vertices)):
+        row = graph.nbr[i, graph.valid[i]]
+        assert i not in row.tolist() and (np.diff(row) > 0).all()
 
 
 def test_class_graph_band_strictness():
@@ -386,14 +401,14 @@ def test_class_graph_band_strictness():
         scale = DyadicScale(50, d + 1, d)
         prof = ClassProfile(scale, {(0, 0): 1, (1, 1): 1})
         graph = ClassGraph(Pattern(base, prof, {}))
-        assert len(graph.edges) == expect
+        assert int(graph.upper.sum()) == expect and int(graph.valid.sum()) == 2 * expect
 
 
 def test_class_graph_degenerate_degree_one():
     base = BaseGraph(2, ((0, 1),))
     scale = DyadicScale(4, 2, 1)
     prof = ClassProfile(scale, {(0, 0): 1, (1, 0): 1})
-    assert ClassGraph(Pattern(base, prof, {})).edges == ()
+    assert not ClassGraph(Pattern(base, prof, {})).valid.any()
 
 
 # --- deviations -----------------------------------------------------------------------
@@ -429,11 +444,11 @@ def test_regime_cutoff_is_strict():
     at_cutoff = int((LARGE_DEVIATION_CUTOFF + 1.0) * 100 * 100 / n)  # 73 -> gap 6.3
     pat = Pattern(base, prof, {((0, 0), (1, 0)): at_cutoff,
                                ((0, 0), (2, 0)): 100})
-    rows = DeviationTable(pat).rows
-    low = rows[((0, 0), (1, 0))]
-    high = rows[((0, 0), (2, 0))]
-    assert low.relative_gap <= LARGE_DEVIATION_CUTOFF and low.regime == "small"
-    assert high.relative_gap > LARGE_DEVIATION_CUTOFF and high.regime == "large"
+    table = DeviationTable(pat)
+    low = slot(table.graph, (0, 0), (1, 0))
+    high = slot(table.graph, (0, 0), (2, 0))
+    assert table.gap[low] <= LARGE_DEVIATION_CUTOFF and table.small[low] and not table.large[low]
+    assert table.gap[high] > LARGE_DEVIATION_CUTOFF and table.large[high] and not table.small[high]
 
 
 def test_deviation_rate_anchors():
@@ -480,7 +495,7 @@ def test_empty_pattern_everything_trivial():
     base = complete_graph(3)
     pat = Pattern(base, ClassProfile(DyadicScale(5, 3, 2), {}), {})
     assert potency(pat) == 0.0 and peak_potency(pat) == 0.0
-    assert aggregates(pat).rows == {}
+    assert aggregates(pat) == {}
     for reducer in (reduce_large, reduce_small, reduce_general, reduce_pattern):
         report = reducer(pat, 20.0)
         assert report.kept == () and report.removals == ()
@@ -621,8 +636,11 @@ def test_extract_census_consistency(seed):
 def test_aggregates_match_reference(seed):
     rng = np.random.default_rng(seed)
     pattern = random_pattern(rng)
-    table = aggregates(pattern)
-    for vertex, row in table.rows.items():
+    rows = aggregates(pattern)
+    assert list(rows) == list(pattern.profile.counts)
+    with pytest.raises(TypeError):
+        rows[(0, 0)] = None
+    for vertex, row in rows.items():
         nb, tilted, headroom = ref_aggregate(pattern, vertex)
         assert row.neighbour_mass == pytest.approx(nb, rel=1e-12, abs=1e-15)
         assert row.tilted_mass == pytest.approx(tilted, rel=1e-12, abs=1e-15)
@@ -632,7 +650,7 @@ def test_aggregates_match_reference(seed):
         for regimes, value in [(("large",), row.local_large),
                                (("small",), row.local_small),
                                (("large", "small"), row.local_potency)]:
-            ref = ref_local_potency(pattern, set(table.rows), vertex, regimes)
+            ref = ref_local_potency(pattern, set(rows), vertex, regimes)
             assert value == pytest.approx(ref, rel=1e-9, abs=1e-15)
 
 
@@ -641,7 +659,7 @@ def test_aggregates_match_reference(seed):
 def test_headroom_bounds(seed):
     rng = np.random.default_rng(seed)
     pattern = random_pattern(rng)
-    for row in aggregates(pattern).rows.values():
+    for row in aggregates(pattern).values():
         assert row.headroom >= math.e
         assert row.headroom_log <= 1.18 * row.headroom ** (-2.0 / 3.0)
 
@@ -681,14 +699,16 @@ def test_reduce_keeps_everything_in_large_regime(large_regime_pattern):
     assert report.retention_floor == report.potency_before
     assert report.budget == pytest.approx(30 * 20 * math.sqrt(451))
     table = DeviationTable(pat)
-    assert all(r.regime == "large" for r in table.rows.values())
+    valid = table.graph.valid
+    assert valid.sum() == 452 * 451 and table.large[valid].all() and not table.small.any()
 
 
 def test_reduce_keeps_everything_in_small_regime(small_regime_pattern):
     pat = small_regime_pattern
     table = DeviationTable(pat)
-    assert all(r.regime == "small" for r in table.rows.values())
-    gap = next(iter(table.rows.values())).relative_gap
+    valid = table.graph.valid
+    assert valid.sum() == 600 * 599 and table.small[valid].all() and not table.large.any()
+    gap = float(table.gap[table.graph.upper][0])
     assert gap == pytest.approx(6.389) and gap < LARGE_DEVIATION_CUTOFF
     report = reduce_pattern(pat, 20.0)
     assert report.branch == "small"
@@ -838,8 +858,8 @@ def test_reduction_transcripts_pinned_where_pairwise_sums_differ():
     pattern = random_pattern(np.random.default_rng([7, 2]), base=complete_graph(9), n=150)
     table = DeviationTable(pattern)
     differs = 0
-    for vertex in table.graph.vertices:
-        terms = [row.term for _, row in table.incident(vertex)]
+    for i in range(len(table.graph.vertices)):
+        terms = table.term[i, table.graph.valid[i]].tolist()
         in_order = 0.0
         for term in terms:
             in_order += term
@@ -856,9 +876,11 @@ def test_kept_rows_peak_equals_peak_of_the_restricted_pattern():
         base = SMALL_BASES[k % len(SMALL_BASES)] if k % 2 else complete_graph(h)
         pattern = random_pattern(rng, base=base, n=int(rng.integers(20, 400)))
         table = DeviationTable(pattern)
+        g = table.graph
         verts = list(pattern.profile.counts)
         for kept in (set(verts), set(), {v for v in verts if rng.random() < 0.5}):
-            terms = [row.term for (u, v), row in table.rows.items() if u in kept and v in kept]
+            alive = np.array([v in kept for v in g.vertices], dtype=bool)
+            terms = table.term[g.upper & alive[:, None] & alive[g.nbr]].tolist()
             assert _peak(terms) == peak_potency(pattern.restricted(kept))
 
 
@@ -867,11 +889,18 @@ def test_deviation_table_lists_rows_per_vertex_in_neighbour_order():
     for _ in range(20):
         pattern = random_pattern(rng, base=complete_graph(9), n=200)
         table = DeviationTable(pattern)
-        for vertex in table.graph.vertices:
-            pairs = list(table.incident(vertex))
-            assert [other for other, _ in pairs] == list(table.graph.neighbours(vertex))
-            assert all(row is table.row(vertex, other) for other, row in pairs)
-        assert table.edges == table.graph.edges
+        g = table.graph
+        assert class_pairs(g, g.upper) == ref_gamma_edges(pattern)
+        for i in range(len(g.vertices)):
+            row = g.nbr[i, g.valid[i]]
+            assert (np.diff(row) > 0).all() and g.valid[i, :row.size].all()
+            for k, j in enumerate(row.tolist()):
+                # both ends of an edge hold the same row
+                back = slot(g, g.vertices[j], g.vertices[i])
+                for field in (table.mu, table.gap, table.large, table.small, table.term):
+                    assert field[i, k] == field[back]
+        assert not (table.term[~g.valid].any() or table.large[~g.valid].any()
+                    or table.small[~g.valid].any())
         assert all(table.weights[e] == pattern.profile.weight(e)
                    for _, e in pattern.profile.counts)
 
@@ -884,10 +913,16 @@ def test_deviation_rows_equal_the_per_edge_deviation():
         pattern = random_pattern(rng, base=base, n=int(rng.integers(4, 500)))
         counts, weight = pattern.profile.counts, pattern.profile.weight
         table = DeviationTable(pattern)
-        assert list(table.rows) == ref_gamma_edges(pattern)
-        for (u, v), row in table.rows.items():
-            assert row == _deviation((u, v), counts[u], counts[v], pattern.scale.n,
-                                     pattern.links.get((u, v), 0), weight(u[1]) * weight(v[1]))
+        g = table.graph
+        assert class_pairs(g, g.upper) == ref_gamma_edges(pattern)
+        for (u, v), mu, gap, large, small, term in zip(
+                class_pairs(g, g.valid), *(a[g.valid].tolist() for a in (
+                    table.mu, table.gap, table.large, table.small, table.term))):
+            edge = (min(u, v), max(u, v))
+            row = _deviation(edge, counts[u], counts[v], pattern.scale.n,
+                             pattern.links.get(edge, 0), weight(u[1]) * weight(v[1]))
+            assert (mu, gap, term) == (row.expected, row.relative_gap, row.term)
+            assert (large, small) == (row.regime == "large", row.regime == "small")
 
 
 # --- neighbour selection ---------------------------------------------------------------

@@ -220,9 +220,10 @@ def test_embed_validation():
     lift = identity_lift(petersen_graph(), 50)  # n - h sqrt(n) < 0
     with pytest.raises(SubgraphTooLargeError):
         embed_subgraph_witness(lift, [(0, 0)])
+    with pytest.raises(DenseGuardError):  # within the balancing headroom, over the guard
+        embed_subgraph_witness(identity_lift(complete_graph(4), 2200),
+                               [(0, j) for j in range(2001)])
     big = identity_lift(complete_graph(4), 100)
-    with pytest.raises(DenseGuardError):
-        embed_subgraph_witness(big, [(0, j) for j in range(5)], guard=3)
     with pytest.raises(LiftlabError):
         embed_subgraph_witness(big, [(0, 0), (0, 0)])
     with pytest.raises(LiftlabError):
