@@ -66,16 +66,15 @@ def cmd_gen(args) -> int:
 def cmd_spectrum(args) -> int:
     lift = _load_lift(args.lift)
     rep = lambda_star(lift, tol=args.tol, method=args.method)
+    count = args.list if args.list > 0 else 10 if args.method == "dense" else 0
+    values = new_spectrum(lift)[:count] if count else []
     print(f"lambda_top {rep.lambda_top!r}")
     print(f"lambda_star {rep.lambda_star!r}")
     print(f"method {rep.method}")
     print(f"iterations {rep.iterations}")
     print(f"residual {rep.residual!r}")
-    if args.method == "dense" or args.list > 0:
-        count = args.list if args.list > 0 else 10
-        values = new_spectrum(lift)
-        for value in values[:count]:
-            print(f"eigenvalue {float(value)!r}")
+    for value in values:
+        print(f"eigenvalue {float(value)!r}")
     if not rep.converged:
         print("warning: iteration did not converge", file=sys.stderr)
         return NUMERIC_EXIT

@@ -17,6 +17,10 @@ positive and ratio strictly inside (1/sqrt(d), sqrt(d)). Comparisons on
 the band boundary are resolved in exact rational arithmetic, so a ratio
 of exactly sqrt(d) (possible when d is a power of four) is excluded
 deterministically.
+
+``dyadic_round`` and ``polarize`` wrap array functions that the certificate
+search calls directly. A candidate's entries are 0 or 2^i (i >= 0), with
+squared norm <= 10nh: its fibre sums are integers below 2^53, exact in any order.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import (
     NotSignCompatibleError,
     TooLargeError,
 )
-from .graphs import Lift, LiftVector, apply_operator, centered_self_forms, check_shape
+from .graphs import Lift, LiftVector, _centered_forms_raw, apply_operator, check_shape
 from .sampling import SeededRng
 from .spectra import SpectralReport, lambda_star
 
@@ -88,10 +92,8 @@ def _weight_grids(lift: Lift, cx: np.ndarray, cy: np.ndarray,
                   kx: int, ky: int) -> tuple[np.ndarray, np.ndarray]:
     """Total operator weight between each (x-value, y-value) class, for the
     adjacency and expected operators."""
-    wa = np.zeros((kx, ky))
-    for (a, b), p in lift.perms.items():
-        np.add.at(wa, (cx[a], cy[b][p]), 1.0)
-        np.add.at(wa, (cx[b][p], cy[a]), 1.0)
+    pairs = cx[:, None, :] * ky + cy.reshape(-1)[lift.neighbour_index()]
+    wa = np.bincount(pairs.ravel(), minlength=kx * ky).reshape(kx, ky).astype(float)
     hx = np.array([np.bincount(c, minlength=kx) for c in cx], dtype=float)
     hy = np.array([np.bincount(c, minlength=ky) for c in cy], dtype=float)
     nb = lift.base.adjacency()
@@ -182,24 +184,34 @@ def int_norm_sq(exponents: np.ndarray, nonzero: np.ndarray) -> int:
     return sum(c * 4 ** (low + e) for e, c in enumerate(counts) if c)
 
 
+def _norms_sq(stack: np.ndarray) -> np.ndarray | None:
+    """Squared norm of each (h, n) slice of an array whose entries are all 0 or
+    +-2^i with i >= 0, else None. A sum of integers, it is exact up to 2^53;
+    a larger one (inf if a square overflows) never rounds down below a cap."""
+    mant, expo = np.frexp(np.abs(stack))
+    if ((stack != 0.0) & ((mant != 0.5) | (expo < 1))).any():
+        return None
+    with np.errstate(over="ignore"):
+        return (stack * stack).sum(axis=(-2, -1))
+
+
 def is_rounded_vector(x: LiftVector) -> bool:
     """Entries are signed unit-or-larger dyadic and squared norm <= 5nh."""
-    try:
-        exps, mask = signed_exponents(x)
-    except NotBandVectorError:
-        return False
-    return int_norm_sq(exps, mask) <= 5 * x.h * x.n
+    norm = _norms_sq(x.values)
+    return norm is not None and bool(norm <= 5 * x.h * x.n)
+
+
+def _is_candidate_stack(stack: np.ndarray) -> bool:
+    """Every (h, n) slice is nonnegative unit-or-larger dyadic with squared
+    norm <= 10nh, decided with one frexp over the stack."""
+    norms = _norms_sq(stack)
+    return (norms is not None and not (stack < 0).any()
+            and bool((norms <= 10 * stack.shape[-2] * stack.shape[-1]).all()))
 
 
 def is_candidate_vector(x: LiftVector) -> bool:
     """Entries are nonnegative unit-or-larger dyadic and squared norm <= 10nh."""
-    if (x.values < 0).any():
-        return False
-    try:
-        exps, mask = signed_exponents(x)
-    except NotBandVectorError:
-        return False
-    return int_norm_sq(exps, mask) <= 10 * x.h * x.n
+    return _is_candidate_stack(x.values)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +231,12 @@ def dyadic_round(x: LiftVector, rng) -> LiftVector:
     if x.norm_sq > nh * (1.0 + 1e-9):
         raise NormTooLargeError(f"squared norm {x.norm_sq:.6g} exceeds {nh}")
     gen = rng.generator() if isinstance(rng, SeededRng) else rng
-    a = np.abs(x.values)
-    s = np.sign(x.values)
+    return LiftVector(_round(x.values, gen))
+
+
+def _round(values: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    a = np.abs(values)
+    s = np.sign(values)
     u = gen.random(size=a.shape)
     mant, expo = np.frexp(a)
     lo = np.ldexp(1.0, expo - 1)
@@ -228,20 +244,22 @@ def dyadic_round(x: LiftVector, rng) -> LiftVector:
         up = (a - lo) / lo
     big = np.where(u < up, np.ldexp(1.0, expo), lo)
     small = np.where(u < a, 1.0, 0.0)
-    out = np.where(a >= 1.0, big, small) * s
-    return LiftVector(out)
+    return np.where(a >= 1.0, big, small) * s
 
 
 # ---------------------------------------------------------------------------
 # polarization
 
 
-def _check_compatible(y: LiftVector, z: LiftVector) -> None:
-    for v, name in ((y, "first"), (z, "second")):
-        exps, mask = signed_exponents(v)
-        if int_norm_sq(exps, mask) > 5 * v.h * v.n:
+def _check_compatible(yv: np.ndarray, zv: np.ndarray) -> None:
+    if yv.shape != zv.shape:
+        raise NotSignCompatibleError("shape mismatch")
+    for v, name in ((yv, "first"), (zv, "second")):
+        norm = _norms_sq(v)
+        if norm is None:
+            raise NotBandVectorError("entries must be zero or have modulus 2^i with i >= 0")
+        if norm > 5 * v.size:
             raise NotBandVectorError(f"{name} vector exceeds the rounded-class norm cap")
-    yv, zv = y.values, z.values
     if ((yv > 0) & (zv < 0)).any() or ((yv < 0) & (zv > 0)).any():
         raise NotSignCompatibleError("entries with opposite signs")
     both = (yv != 0) & (zv != 0)
@@ -264,26 +282,25 @@ def polarize(y: LiftVector, z: LiftVector) -> list[LiftVector]:
     on the diagonal (a sign-splitting argument over positive/negative
     parts and their differences).
     """
-    if y.values.shape != z.values.shape:
-        raise NotSignCompatibleError("shape mismatch")
-    _check_compatible(y, z)
-    yp = np.maximum(y.values, 0.0)
-    ym = np.maximum(-y.values, 0.0)
-    zp = np.maximum(z.values, 0.0)
-    zm = np.maximum(-z.values, 0.0)
+    return [LiftVector(c) for c in _polarize(y.values, z.values)]
+
+
+def _polarize(yv: np.ndarray, zv: np.ndarray) -> np.ndarray:
+    """The twelve candidates of ``polarize`` as one (12, h, n) stack."""
+    _check_compatible(yv, zv)
+    yp = np.maximum(yv, 0.0)
+    ym = np.maximum(-yv, 0.0)
+    zp = np.maximum(zv, 0.0)
+    zm = np.maximum(-zv, 0.0)
     w1p = np.maximum(yp - zp, 0.0)
     w1m = np.maximum(zp - yp, 0.0)
     w2p = np.maximum(ym - zm, 0.0)
     w2m = np.maximum(zm - ym, 0.0)
-    raw = [yp, ym, zp, zm, yp + zm, ym + zp,
-           w1p, w1m, w1p + w1m, w2p, w2m, w2p + w2m]
-    out = []
-    for arr in raw:
-        cand = LiftVector(arr)
-        if not is_candidate_vector(cand):
-            raise LiftlabError("internal: polarization produced an invalid candidate")
-        out.append(cand)
-    return out
+    stack = np.stack([yp, ym, zp, zm, yp + zm, ym + zp,
+                      w1p, w1m, w1p + w1m, w2p, w2m, w2p + w2m])
+    if not _is_candidate_stack(stack):
+        raise LiftlabError("internal: polarization produced an invalid candidate")
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +334,18 @@ def dyadic_certificate(lift: Lift, x: LiftVector, trials: int = 40,
     if x.norm_sq > nh * (1.0 + 1e-9):
         raise NormTooLargeError(f"squared norm {x.norm_sq:.6g} exceeds {nh}")
     target = abs(quad_form(lift, "centered", x, x)) / 12.0
-    best_vec = LiftVector(np.zeros((lift.h, lift.n)))
+    best = np.zeros((lift.h, lift.n))
     best_val = 0.0
     best_trial = -1
     for t in range(trials):
-        y = dyadic_round(x, rng.generator(6101, t, 0))
-        z = dyadic_round(x, rng.generator(6101, t, 1))
-        cands = polarize(y, z)
-        for cand, form in zip(cands, centered_self_forms(lift, cands)):
+        stack = _polarize(_round(x.values, rng.generator(6101, t, 0)),
+                          _round(x.values, rng.generator(6101, t, 1)))
+        for cand, form in zip(stack, _centered_forms_raw(lift, stack, stack.sum(axis=-1))):
             val = abs(form)
             if val > best_val:
-                best_vec, best_val, best_trial = cand, val, t
+                best, best_val, best_trial = cand, val, t
     met = best_val >= target * (1.0 - 1e-12)
-    return CertificateReport(best_vec, best_val, target, met, trials, best_trial)
+    return CertificateReport(LiftVector(best), best_val, target, met, trials, best_trial)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +489,8 @@ def band_certificate(lift: Lift, trials: int = 40, tol: float = 1e-8,
                      spectral: SpectralReport | None = None) -> BandCertificateReport:
     """Run the whole chain and report the comparable-region form achieved by
     the resulting band vector against the target lambda*/96 - 5*sqrt(d)."""
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, not {trials}")
     rep = spectral or lambda_star(lift, tol=tol, rng=rng).require_converged()
     scale = DyadicScale.of(lift)
     target = rep.lambda_star / 96.0 - 5.0 * math.sqrt(lift.d)

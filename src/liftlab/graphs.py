@@ -12,8 +12,7 @@ Three symmetric operators act on vectors indexed this way:
 * the centered operator, adjacency minus expectation, whose extreme
   eigenvalues on the balanced subspace are the object of interest.
 
-A vector computes its fibre sums and squared norm on first use, since most
-vectors the certificate search builds never read them.
+A vector computes its fibre sums and squared norm on first use.
 """
 
 from __future__ import annotations
@@ -214,6 +213,7 @@ class Lift:
             arr.setflags(write=False)
             self.perms[e] = arr
         self._inverse: dict[tuple[int, int], np.ndarray] = {}
+        self._neighbour_index: np.ndarray | None = None
 
     @property
     def h(self) -> int:
@@ -238,14 +238,20 @@ class Lift:
             self._inverse[edge] = inv
         return inv
 
+    def neighbour_index(self) -> np.ndarray:
+        """(h, d, n) flat indices, cached: entry [u, k, j] is the k-th neighbour
+        of vertex (u, j), each fibre's slots in ``perms`` order."""
+        if self._neighbour_index is None:
+            slots = [[] for _ in range(self.h)]
+            for (u, v), p in self.perms.items():
+                slots[u].append(v * self.n + p)
+                slots[v].append(u * self.n + self.inverse_perm((u, v)))
+            self._neighbour_index = np.array(slots)
+            self._neighbour_index.setflags(write=False)
+        return self._neighbour_index
+
     def neighbours(self, i: int, j: int) -> list[tuple[int, int]]:
-        out = []
-        for (u, v) in self.base.edges:
-            if u == i:
-                out.append((v, int(self.perms[(u, v)][j])))
-            elif v == i:
-                out.append((u, int(self.inverse_perm((u, v))[j])))
-        return out
+        return [divmod(int(k), self.n) for k in self.neighbour_index()[i, :, j]]
 
     # -- JSON serialization -------------------------------------------------
 
@@ -373,15 +379,14 @@ def balance(x: LiftVector) -> LiftVector:
 
 # -- raw-array operator kernels (used by the iterative eigensolver too) -----
 # Both take an (h, n) array or a (k, h, n) stack, and apply to each slice of a
-# stack the operations, in the order, that they apply to a single array.
+# stack the operations, in the order, that they apply to a single array. The
+# adjacency gathers each vertex's d neighbours and adds them from 0.0 in
+# ``perms`` order, so every entry gets the sum a per-edge loop would give.
 
 
 def _adjacency_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(arr)
-    for (u, v), p in lift.perms.items():
-        out[..., u, :] += arr[..., v, p]
-        out[..., v, p] += arr[..., u, :]
-    return out
+    flat = arr.reshape(*arr.shape[:-2], -1)
+    return np.add.reduce(flat.take(lift.neighbour_index(), axis=-1), axis=-2, initial=0.0)
 
 
 def _expected_raw(lift: Lift, arr: np.ndarray, fibre_sums: np.ndarray | None = None) -> np.ndarray:
@@ -420,16 +425,20 @@ def apply_centered(lift: Lift, x: LiftVector) -> LiftVector:
     )
 
 
+def _centered_forms_raw(lift: Lift, stack: np.ndarray, sums: np.ndarray) -> list[float]:
+    """<x, C x> for each slice x of a (k, h, n) stack whose fibre sums are given."""
+    image = _adjacency_raw(lift, stack) - _expected_raw(lift, stack, sums)
+    return [float(np.vdot(x, y)) for x, y in zip(stack, image)]
+
+
 def centered_self_forms(lift: Lift, vectors: list[LiftVector]) -> list[float]:
     """<x, C x> under the centered operator C for each vector, from one
     operator pass over the stacked vectors; each value has the bits of
     ``np.vdot(x.values, apply_centered(lift, x).values)``."""
     for x in vectors:
         check_shape(lift, x)
-    stack = np.stack([x.values for x in vectors])
-    sums = np.stack([x.fibre_sums for x in vectors])
-    image = _adjacency_raw(lift, stack) - _expected_raw(lift, stack, sums)
-    return [float(np.vdot(x.values, y)) for x, y in zip(vectors, image)]
+    return _centered_forms_raw(lift, np.stack([x.values for x in vectors]),
+                               np.stack([x.fibre_sums for x in vectors]))
 
 
 def apply_operator(lift: Lift, kind: str, x: LiftVector) -> LiftVector:
@@ -458,10 +467,7 @@ def dense_operator(lift: Lift, kind: str = "adjacency") -> np.ndarray:
     n = lift.n
     mat = np.zeros((nh, nh))
     if kind in ("adjacency", "centered"):
-        pos = np.arange(n)
-        for (u, v), p in lift.perms.items():
-            mat[u * n + pos, v * n + p] += 1.0
-            mat[v * n + p, u * n + pos] += 1.0
+        mat[np.arange(nh)[:, None], lift.neighbour_index().transpose(0, 2, 1).reshape(nh, -1)] = 1.0
     if kind in ("expected", "centered"):
         sign = 1.0 if kind == "expected" else -1.0
         for (u, v) in lift.base.edges:

@@ -186,6 +186,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     code, out, err = run(capsys, ["prob", "--spec", str(text), "--monte-carlo", "10",
                                   "--seed", "-1"])
     assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    # a lift with one vertex per fibre has a zero spectral witness
+    one = tmp_path / "one.json"
+    assert main(["gen", "--base", "k4", "--n", "1", "--seed", "1", "--out", str(one)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, ["certify", "--lift", str(one), "--trials", "0"])
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -237,6 +243,19 @@ def test_numeric_guards_exit_three(tmp_path, capsys):
     # nh = 2400 exceeds the dense guard
     assert main(["spectrum", "--lift", str(big), "--method", "dense"]) == 3
     capsys.readouterr()
+
+
+def test_spectrum_list_over_the_dense_guard_prints_nothing(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    assert main(["gen", "--base", "k4", "--n", "600", "--seed", "1",
+                 "--out", str(big)]) == 0
+    capsys.readouterr()
+    # the iterative solve succeeds, but the listed values need a dense
+    # operator over the guard: the command fails before any output
+    code, out, err = run(capsys, ["spectrum", "--lift", str(big), "--list", "3"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,6 +21,7 @@ from liftlab.dyadic import (
     quad_form,
     quad_form_restricted,
     signed_exponents,
+    _is_candidate_stack,
 )
 from liftlab.errors import (
     EmptyVectorError,
@@ -29,7 +30,7 @@ from liftlab.errors import (
     NotBandVectorError,
     NotSignCompatibleError,
 )
-from liftlab.graphs import LiftVector, balance, complete_graph, cycle_graph, identity_lift, lifted_eigenvector, petersen_graph
+from liftlab.graphs import LiftVector, balance, base_from_name, complete_graph, cycle_graph, identity_lift, lifted_eigenvector, petersen_graph
 from liftlab.sampling import SeededRng, plant_clique, sample_lift
 from liftlab.spectra import lambda_star
 
@@ -367,6 +368,71 @@ def test_certificate_deterministic():
     b = dyadic_certificate(lift, x, trials=5, rng=SeededRng(3))
     assert a.value == b.value and a.best_trial == b.best_trial
     assert np.array_equal(a.vector.values, b.vector.values)
+
+
+def per_vector_certificate(lift, x, trials, rng):
+    """dyadic_certificate built from the public per-vector calls: each trial
+    rounds, polarizes, and takes one form per candidate."""
+    target = abs(quad_form(lift, "centered", x, x)) / 12.0
+    best, best_val, best_trial = LiftVector.zeros(lift), 0.0, -1
+    for t in range(trials):
+        y = dyadic_round(x, rng.generator(6101, t, 0))
+        z = dyadic_round(x, rng.generator(6101, t, 1))
+        for cand in polarize(y, z):
+            val = abs(quad_form(lift, "centered", cand, cand))
+            if val > best_val:
+                best, best_val, best_trial = cand, val, t
+    return best, best_val, target, best_val >= target * (1.0 - 1e-12), best_trial
+
+
+# k5 n=9 has an odd nh, so the stacked candidates start at every alignment
+@pytest.mark.parametrize("name, n", [("k4", 20), ("c6", 30), ("petersen", 10), ("k5", 9)])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_certificate_equals_the_per_vector_path_bit_for_bit(name, n, seed):
+    lift = sample_lift(base_from_name(name), n, SeededRng(seed))
+    witness = lambda_star(lift, rng=SeededRng(seed, 101)).witness
+    x = witness.scaled(math.sqrt(lift.num_vertices / witness.norm_sq) * (1.0 - 1e-12))
+    rep = dyadic_certificate(lift, x, trials=40, rng=SeededRng(seed, 202))
+    vector, value, target, met, best_trial = per_vector_certificate(lift, x, 40, SeededRng(seed, 202))
+    assert (rep.value, rep.target, rep.met, rep.best_trial) == (value, target, met, best_trial)
+    assert rep.vector.values.tobytes() == vector.values.tobytes()
+    assert best_trial >= 0
+
+
+def exact_candidate(arr):
+    """is_candidate_vector by its definition, in integer arithmetic."""
+    if (arr < 0).any():
+        return False
+    try:
+        exps, mask = signed_exponents(LiftVector(arr))
+    except NotBandVectorError:
+        return False
+    return int_norm_sq(exps, mask) <= 10 * arr.size
+
+
+@pytest.mark.parametrize("bad", [3.0, 0.5, math.inf, math.nan, -1.0, 2.0 ** 600],
+                         ids=["three", "half", "inf", "nan", "negative", "square-overflows"])
+def test_candidate_stack_rejects_a_non_candidate_entry(bad):
+    rng = np.random.default_rng(31)
+    raw = balance(LiftVector(rng.normal(size=(4, 16)))).values
+    x = LiftVector(raw * math.sqrt(64 / float((raw * raw).sum())) * 0.95)
+    stack = np.stack([c.values for c in polarize(dyadic_round(x, SeededRng(1)),
+                                                  dyadic_round(x, SeededRng(2)))])
+    assert _is_candidate_stack(stack) and all(exact_candidate(c) for c in stack)
+    stack[7, 1, 2] = bad
+    assert not _is_candidate_stack(stack)
+    assert not exact_candidate(stack[7])
+    assert not is_candidate_vector(LiftVector(stack[7]))
+
+
+def test_candidate_stack_norm_cap_is_exact():
+    # nh = 10, cap 100: 64 + 16 + 4*4 + 4*1 is on the cap, one more 3 over it
+    at_cap = np.array([[[8.0, 4.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0]]])
+    over = at_cap.copy()
+    over[0, 0, 6] = 2.0
+    assert _is_candidate_stack(at_cap) and exact_candidate(at_cap[0])
+    assert not _is_candidate_stack(over) and not exact_candidate(over[0])
+    assert not _is_candidate_stack(np.concatenate([at_cap, over]))
 
 
 # --- band vectors and band_select ---------------------------------------------------

@@ -4,8 +4,10 @@ and the explanation pipeline's two branches."""
 import csv
 import dataclasses
 import io
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +257,28 @@ def test_dense_cells_on_a_bipartite_base_keep_their_recorded_rows(seed, z_value,
     assert format(row.z_value, ".12g") == z_value
     assert row.reduce_branch == branch
     assert format(row.lambda_star, ".12g") == "2"
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+@pytest.mark.parametrize("name, n", [("k4", 1000), ("petersen", 500)])
+def test_lanczos_cells_keep_their_recorded_rows(monkeypatch, name, n, seed):
+    # the iterative-spectrum cells of the benchmark pool run every stage on
+    # the Lanczos matvec and the certificate kernels; the benchmark's reference
+    # rows and row comparison are read, never written
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    reference = checks.load_reference()
+    expected = reference["outputs"][workloads.sweep_key(name, n, workloads.ALL_STAGES, seed)]
+    row = run_cell(base_from_name(name), n, seed, stages=workloads.ALL_STAGES)
+    values = row.csv_values()
+    actual = ",".join(v for v, c in zip(values, CSV_COLUMNS) if c != "wall_ms")
+    tol = reference["tolerance"]
+    assert checks.compare_row(reference["columns"], expected["row"], actual,
+                              tol["rtol"], tol["atol"]) == []
 
 
 def test_explain_star_branch_on_plain_lift():

@@ -291,6 +291,42 @@ def test_stacked_kernels_equal_the_per_slice_calls_bit_for_bit(base):
         assert np.array_equal(given_sums[i], _expected_raw(lift, arr, sums[i]))
 
 
+def per_edge_adjacency(lift, arr):
+    """The adjacency as a scatter/gather loop over the edges: every vertex adds
+    its neighbours to 0.0 in ``perms`` order."""
+    out = np.zeros_like(arr)
+    for (u, v), p in lift.perms.items():
+        out[..., u, :] += arr[..., v, p]
+        out[..., v, p] += arr[..., u, :]
+    return out
+
+
+@pytest.mark.parametrize("base", (*STACK_BASES, complete_graph(5)), ids=lambda b: f"h{b.h}d{b.d}")
+def test_adjacency_gather_keeps_the_per_edge_bits(base):
+    rng = np.random.default_rng(200 + base.h)
+    lift = random_lift(base, 23, rng)
+    doc = json.loads(lift.to_json())
+    doc["perms"] = dict(reversed(doc["perms"].items()))
+    unsorted = Lift.from_json(json.dumps(doc))
+    assert list(unsorted.perms) != sorted(unsorted.perms)
+    for which in (lift, unsorted):
+        index = which.neighbour_index()
+        assert index is which.neighbour_index() and not index.flags.writeable
+        assert index.shape == (which.h, which.d, which.n)
+        for shape in ((which.h, which.n), (12, which.h, which.n)):
+            # many magnitudes, so any change of summation order shows, with
+            # zeros of both signs among them; and zeros alone, where only the
+            # initial +0.0 decides the sign of a sum of -0.0 terms
+            arr = rng.normal(size=shape) * 10.0 ** rng.integers(-9, 9, size=shape)
+            zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+            arr = np.where(rng.random(shape) < 0.3, zeros, arr)
+            for a in (arr, zeros):
+                assert _adjacency_raw(which, a).tobytes() == per_edge_adjacency(which, a).tobytes()
+    if base.d > 2:  # 0.0 + a + b is b + a: two terms sum alike in either order
+        # the same graph with its edges in another order sums in another order
+        assert _adjacency_raw(lift, arr).tobytes() != _adjacency_raw(unsorted, arr).tobytes()
+
+
 @pytest.mark.parametrize("base", STACK_BASES, ids=lambda b: f"h{b.h}d{b.d}")
 def test_centered_self_forms_equal_quad_form_exactly(base):
     rng = np.random.default_rng(100 + base.h)
