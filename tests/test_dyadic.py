@@ -385,7 +385,7 @@ def per_vector_certificate(lift, x, trials, rng):
     return best, best_val, target, best_val >= target * (1.0 - 1e-12), best_trial
 
 
-# k5 n=9 has an odd nh, so the stacked candidates start at every alignment
+# k5 n=9 has an odd nh, so every other stacked candidate starts off a 16-byte boundary
 @pytest.mark.parametrize("name, n", [("k4", 20), ("c6", 30), ("petersen", 10), ("k5", 9)])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_certificate_equals_the_per_vector_path_bit_for_bit(name, n, seed):
