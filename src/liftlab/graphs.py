@@ -72,10 +72,12 @@ class BaseGraph:
         object.__setattr__(self, "edges", tuple(sorted(canon)))
         object.__setattr__(self, "degree", deg[0])
         nbrs = [[] for _ in range(self.h)]
-        for (u, v) in self.edges:
+        for (u, v) in self.edges:  # sorted edges list each vertex's neighbours ascending
             nbrs[u].append(v)
             nbrs[v].append(u)
-        object.__setattr__(self, "_neighbours", tuple(tuple(sorted(x)) for x in nbrs))
+        index = np.ascontiguousarray(np.array(nbrs, dtype=np.int64).T)
+        index.setflags(write=False)
+        object.__setattr__(self, "_neighbour_index", index)
         object.__setattr__(self, "_edge_set", frozenset(self.edges))
 
     @property
@@ -83,13 +85,15 @@ class BaseGraph:
         return self.degree
 
     def neighbours(self, i: int) -> list[int]:
-        return list(self._neighbours[i])
+        return self._neighbour_index[:, i].tolist()
+
+    def neighbour_index(self) -> np.ndarray:
+        """(d, h): entry [k, u] is u's k-th neighbour, ascending as in the sorted edges."""
+        return self._neighbour_index
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.h, self.h))
-        for (u, v) in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        a[self._neighbour_index, np.arange(self.h)] = 1.0
         return a
 
     def are_adjacent(self, u: int, v: int) -> bool:
@@ -381,7 +385,8 @@ def balance(x: LiftVector) -> LiftVector:
 # Both take an (h, n) array or a (k, h, n) stack, and apply to each slice of a
 # stack the operations, in the order, that they apply to a single array. The
 # adjacency gathers each vertex's d neighbours and adds them from 0.0 in
-# ``perms`` order, so every entry gets the sum a per-edge loop would give.
+# ``perms`` order, and the expectation adds each fibre's base neighbours from
+# 0.0 in edge order, so every entry gets the sum a per-edge loop would give.
 
 
 def _adjacency_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
@@ -391,10 +396,7 @@ def _adjacency_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
 
 def _expected_raw(lift: Lift, arr: np.ndarray, fibre_sums: np.ndarray | None = None) -> np.ndarray:
     s = arr.sum(axis=-1) if fibre_sums is None else fibre_sums
-    acc = np.zeros(s.shape)
-    for (u, v) in lift.base.edges:
-        acc[..., u] += s[..., v]
-        acc[..., v] += s[..., u]
+    acc = np.add.reduce(s[..., lift.base.neighbour_index()], axis=-2, initial=0.0)
     return np.repeat(acc[..., None] / lift.n, lift.n, axis=-1)
 
 
@@ -468,12 +470,10 @@ def dense_operator(lift: Lift, kind: str = "adjacency") -> np.ndarray:
     mat = np.zeros((nh, nh))
     if kind in ("adjacency", "centered"):
         mat[np.arange(nh)[:, None], lift.neighbour_index().transpose(0, 2, 1).reshape(nh, -1)] = 1.0
-    if kind in ("expected", "centered"):
+    if kind in ("expected", "centered"):  # each entry gains +-1/n, or +-0.0, once
+        blocks = mat.reshape(lift.h, n, lift.h, n)
         sign = 1.0 if kind == "expected" else -1.0
-        for (u, v) in lift.base.edges:
-            blk = sign / n
-            mat[u * n:(u + 1) * n, v * n:(v + 1) * n] += blk
-            mat[v * n:(v + 1) * n, u * n:(u + 1) * n] += blk
+        blocks += sign / n * lift.base.adjacency()[:, None, :, None]
     return mat
 
 

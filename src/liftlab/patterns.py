@@ -6,12 +6,13 @@ the class holds, and for each pair of classes across a base edge, how many
 matched pairs join them.  Potency measures how far those joint counts deviate
 from what uniformly random matchings would give, weighted by entry products.
 The greedy reductions trim the class graph down to a subset on which every
-class contributes enough deviation to be individually unlikely. Each public
-call builds the class graph and deviation table once, as numpy arrays over
-the sorted classes, and passes them along; no other form of either exists.
-Sums run in the order of a loop over each class's sorted neighbours, or
-through math.fsum, so the arrays give every result the bits a loop over
-``edge_deviation`` gives.
+class contributes enough deviation to be individually unlikely. A pattern
+keeps its links also as index arrays; each public call builds the class
+graph and deviation table from them once, as numpy arrays over the sorted
+classes, and passes them along. Sums run in the order of a loop over each
+class's sorted neighbours, or through math.fsum, so every result has the
+bits a loop over ``edge_deviation`` gives; the greedy scan drops, in verified
+batches, what a scan of one class per turn drops.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +51,19 @@ LARGE_DEVIATION_CUTOFF = math.e ** 2 - 1.0
 
 def _edge_key(u: ClassVertex, v: ClassVertex) -> ClassEdge:
     return (u, v) if u <= v else (v, u)
+
+
+_LINK_ERRORS = ("negative link count at {}", "duplicate link {}", "link {} touches an empty class",
+                "link {} joins fibres that are not adjacent in the base",
+                "link {} exceeds the smaller class size")
+
+
+def _int64s(values: Callable[[], Iterable], count: int = -1) -> np.ndarray:
+    """int() of each value as int64, clipped to +-2**62, where it fails the checks it failed."""
+    try:
+        return np.fromiter(values(), np.int64, count)
+    except OverflowError:
+        return np.fromiter((max(-2 ** 62, min(int(x), 2 ** 62)) for x in values()), np.int64, count)
 
 
 @dataclass(frozen=True)
@@ -129,7 +143,8 @@ class ClassProfile:
 class Pattern:
     """A class profile plus matched-pair counts between classes across base
     edges.  Links are stored sparsely on canonically ordered class pairs;
-    an absent pair means zero matched pairs."""
+    an absent pair means zero matched pairs.  ``link_ends`` (indices into
+    ``profile.vertices``) and ``link_counts`` hold them as read-only arrays."""
 
     base: BaseGraph
     profile: ClassProfile
@@ -140,30 +155,41 @@ class Pattern:
             raise DimensionMismatchError("profile and base disagree on the fibre count")
         if self.base.d != self.profile.scale.d:
             raise DimensionMismatchError("profile and base disagree on the degree")
-        counts = self.profile.counts
-        cleaned: dict[ClassEdge, int] = {}
-        for pair, value in self.links.items():
-            u, v = pair
-            count = int(value)
-            if count < 0:
-                raise InvalidPatternError(f"negative link count at {pair}")
-            if count == 0:
-                continue
-            key = _edge_key(tuple(u), tuple(v))
-            if key in cleaned:
-                raise InvalidPatternError(f"duplicate link {pair}")
-            a, b = key
-            if a not in counts or b not in counts:
-                raise InvalidPatternError(f"link {pair} touches an empty class")
-            if not self.base.are_adjacent(a[0], b[0]):
-                raise InvalidPatternError(
-                    f"link {pair} joins fibres that are not adjacent in the base")
-            if count > min(counts[a], counts[b]):
-                raise InvalidPatternError(
-                    f"link {pair} exceeds the smaller class size")
-            cleaned[key] = count
-        ordered = dict(sorted(cleaned.items()))
-        object.__setattr__(self, "links", MappingProxyType(ordered))
+        vertices, size, h = self.profile.vertices, len(self.links), self.base.h
+        chain = itertools.chain.from_iterable
+        flat = _int64s(lambda: chain(chain(self.links)))
+        if flat.size != 4 * size:
+            raise InvalidPatternError("a link key is not a pair of (fibre, exponent) classes")
+        count = _int64s(self.links.values, size)
+        # each end's index among the sorted classes; an end outside them reads -1
+        vfibre, vexp = np.array(vertices, np.int64).reshape(-1, 2).T
+        index = np.full((h + 1, int(vexp.max(initial=0)) + 2), -1)
+        index[vfibre, vexp] = np.arange(len(vertices))
+        fibre, exp = flat.reshape(size, 2, 2).transpose(2, 0, 1)
+        lo, hi = np.sort(index[fibre.clip(-1, h), exp.clip(-1, index.shape[1] - 1)], axis=1).T
+        # every earlier link is valid when one is checked, so a repeat can
+        # only be of a live link between populated classes
+        live = np.flatnonzero((lo >= 0) & (count > 0))
+        order = live[np.lexsort((hi[live], lo[live]))]
+        repeat, apart, over = (np.zeros(size, dtype=bool) for _ in range(3))
+        repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+        edges = (np.arange(h) * h + self.base.neighbour_index()).T.ravel()
+        pairs = vfibre[lo[live]] * h + vfibre[hi[live]]
+        apart[live] = edges[np.searchsorted(edges, pairs).clip(max=edges.size - 1)] != pairs
+        sizes = np.fromiter(self.profile.counts.values(), np.int64, len(vertices))
+        over[live] = count[live] > np.minimum(sizes[lo[live]], sizes[hi[live]])
+        problem = np.select([count < 0, repeat, (count > 0) & (lo < 0), apart, over],
+                            [1, 2, 3, 4, 5])
+        if problem.any():
+            first = int(np.flatnonzero(problem)[0])
+            raise InvalidPatternError(_LINK_ERRORS[problem[first] - 1].format(
+                next(itertools.islice(self.links, first, None))))
+        ends, count = np.stack((lo[order], hi[order]), axis=1), count[order]
+        for name, array in (("link_ends", ends), ("link_counts", count)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        keys = zip(*(map(vertices.__getitem__, column) for column in ends.T.tolist()))
+        object.__setattr__(self, "links", MappingProxyType(dict(zip(keys, count.tolist()))))
 
     def link(self, u: ClassVertex, v: ClassVertex) -> int:
         return self.links.get(_edge_key(u, v), 0)
@@ -204,17 +230,17 @@ class ClassGraph:
         self.vertices: tuple[ClassVertex, ...] = pattern.profile.vertices
         self.index = {v: i for i, v in enumerate(self.vertices)}
         size = len(self.vertices)
-        self.fibre, self.exponent = np.fromiter(itertools.chain.from_iterable(
-            self.vertices), np.int64, 2 * size).reshape(size, 2).T
-        self.fibre_neighbours = np.fromiter(itertools.chain.from_iterable(map(
-            base.neighbours, range(base.h))), np.int64, base.h * base.d).reshape(base.h, -1)
-        # every class of every base-adjacent fibre, in sorted order, then the band cut
+        self.fibre, self.exponent = np.array(self.vertices, np.int64).reshape(size, 2).T
+        self.fibre_neighbours = base.neighbour_index().T
+        # every class of every base-adjacent fibre, in sorted order, then the
+        # band cut: 4 ** |exponent gap| < d just when the gap is below span
+        span = ((pattern.scale.d - 1).bit_length() + 1) // 2
         fibres = self.fibre_neighbours[self.fibre]
         spans = np.bincount(self.fibre, minlength=base.h)[fibres]
         first = np.searchsorted(self.fibre, np.arange(base.h))
         cand = _ranges(first[fibres].ravel(), spans.ravel())
         owner = np.repeat(np.arange(size), spans.sum(axis=1))
-        keep = 4 ** np.abs(self.exponent[owner] - self.exponent[cand]) < pattern.scale.d
+        keep = np.abs(self.exponent[owner] - self.exponent[cand]) < span
         degree = np.bincount(owner[keep], minlength=size)
         self.valid = np.arange(max(int(degree.max(initial=0)), 1)) < degree[:, None]
         self.nbr = np.zeros(self.valid.shape, np.int64)
@@ -278,15 +304,14 @@ class DeviationTable:
         self.square = np.array([squares[e] for e in g.exponent.tolist()], dtype=float)
         # each link's count goes to the entries of both its ends, found by
         # (row, neighbour) key among the sorted entry keys and a sentinel
-        ends = np.fromiter(map(g.index.__getitem__, itertools.chain.from_iterable(pattern.links)),
-                           np.int64, 2 * len(pattern.links)).reshape(-1, 2)
+        ends = pattern.link_ends
         keys = np.append((np.arange(size)[:, None] * size + g.nbr)[g.valid], size * size)
         wanted = np.concatenate([ends[:, 0] * size + ends[:, 1], ends[:, 1] * size + ends[:, 0]])
         slot = np.searchsorted(keys, wanted)
         hit = keys[slot] == wanted
         observed = np.zeros(g.nbr.shape, np.int64)
         observed.reshape(-1)[np.flatnonzero(g.valid)[slot[hit]]] = np.tile(
-            np.fromiter(pattern.links.values(), np.int64, len(pattern.links)), 2)[hit]
+            pattern.link_counts, 2)[hit]
         products = self.count[:, None] * self.count[g.nbr]
         self.mu = products / n
         self.gap = observed * n / products - 1.0
@@ -488,27 +513,38 @@ def _greedy_reduce(pattern: Pattern, level: float, branch: str,
     labels, floors = _branch_floors(table, _vertex_sums(pattern, table), level,
                                     pattern.scale, branch)
     regime = {"large": table.large, "small": table.small}.get(branch, g.valid)
-    alive = np.ones(len(g.vertices), dtype=bool)
-    local = np.abs(_row_sums(table.term, regime))
-    violating = (local[:, None] < floors).any(axis=1)
+    size = len(g.vertices)
+    alive = np.ones(size, dtype=bool)
+    violating = (np.abs(_row_sums(table.term, regime))[:, None] < floors).any(axis=1)
     stale = np.zeros_like(alive)
     removals: list[Removal] = []
-    # every local sum depends only on the live set, so the first violator in
-    # sorted order is the one a fresh scan would drop.  A drop changes only
-    # the sums of its live neighbours across edges in the branch's regimes;
-    # the scan recomputes those when it reaches them.
-    while (pending := violating | stale).any():
-        vertex = int(np.argmax(pending))
-        row = g.nbr[vertex]
-        if stale[vertex]:
-            local[vertex] = abs(_row_sums(table.term[vertex], regime[vertex] & alive[row]))
-            violating[vertex] = (local[vertex] < floors[vertex]).any()
-            stale[vertex] = False
-            continue
-        label = labels[int(np.argmax(local[vertex] < floors[vertex]))]
-        removals.append(Removal(g.vertices[vertex], label, float(local[vertex])))
-        alive[vertex] = violating[vertex] = False
-        stale[row[regime[vertex] & alive[row]]] = True
+    # one turn drops the first violator in sorted order and stales its live
+    # regime neighbours.  A round sums the first `window` pending vertices as
+    # if the pending ones below each were dropped, and drops the prefix where
+    # that holds: each violates, and no drop stales a settled vertex below the
+    # next.  The sum it stops at is exact, so a vertex not violating settles.
+    # The window doubles after a whole prefix and restarts at 1 after a break.
+    window = 1
+    while (pending := np.flatnonzero(pend := violating | stale)).size:
+        turn = pending[:window]
+        rows = g.nbr[turn]
+        live = regime[turn] & alive[rows]
+        sums = np.abs(_row_sums(table.term[turn], live & ~(pend[rows] & (rows < turn[:, None]))))
+        fails = sums[:, None] < floors[turn]
+        reach = np.minimum.accumulate(np.where(live & ~pend[rows], rows, size).min(axis=1))
+        on_turn = np.append(True, reach[:-1] > turn[1:])
+        commit = on_turn & fails.any(axis=1)
+        done = turn.size if commit.all() else int(np.argmin(commit))
+        dropped = turn[:done]
+        removals += map(Removal, map(g.vertices.__getitem__, dropped.tolist()),
+                        map(labels.__getitem__, np.argmax(fails[:done], axis=1).tolist()),
+                        sums[:done].tolist())
+        alive[dropped] = violating[dropped] = stale[dropped] = False
+        hit = g.nbr[dropped]
+        stale[hit[regime[dropped] & alive[hit]]] = True
+        if done < turn.size and not fails[done].any():
+            violating[turn[done]] = stale[turn[done]] = False
+        window = 2 * window if done == turn.size else 1
     if potency_before is None:
         potency_before = _members_potency(table, np.ones_like(alive), regime)
     return ReductionReport(
@@ -730,7 +766,6 @@ def enumerate_patterns(n: int, h: int, d: int, max_count: int,
                 per_fibre[i] += c
             if any(total > n for total in per_fibre.values()):
                 continue
-            profile = ClassProfile(scale, counts)
             pairs = []
             verts = sorted(counts)
             for u, v in itertools.combinations(verts, 2):
@@ -741,7 +776,6 @@ def enumerate_patterns(n: int, h: int, d: int, max_count: int,
                     *(range(m + 1) for _, m in pairs)):
                 links = {pair: val for (pair, _), val in zip(pairs, link_values)
                          if val > 0}
-                Pattern(base, profile, links)
                 seen.add((profile_key, tuple(sorted(links.items()))))
                 if len(seen) > guard:
                     raise TooLargeError("more patterns than the guard allows")
@@ -784,12 +818,13 @@ def pattern_from_text(text: str, base: BaseGraph) -> Pattern:
             values = []
         if len(values) != arity[kind]:
             raise InvalidPatternError(f"malformed line: {line!r}")
-        if kind == "class":
-            counts[tuple(values[:2])] = values[2]
-        elif kind == "link":
-            links[(tuple(values[:2]), tuple(values[2:4]))] = values[4]
-        else:
-            header[kind] = values[0]
+        target, key, value = (
+            (counts, tuple(values[:2]), values[2]) if kind == "class" else
+            (links, (tuple(values[:2]), tuple(values[2:4])), values[4]) if kind == "link" else
+            (header, kind, values[0]))
+        if key in target:
+            raise InvalidPatternError(f"repeated line: {line!r}")
+        target[key] = value
     for key in ("n", "h", "d"):
         if key not in header:
             raise LiftlabError(f"missing header field {key!r}")

@@ -327,6 +327,45 @@ def test_adjacency_gather_keeps_the_per_edge_bits(base):
         assert _adjacency_raw(lift, arr).tobytes() != _adjacency_raw(unsorted, arr).tobytes()
 
 
+def per_edge_expected(lift, arr):
+    """The expectation as a loop over the base edges: every fibre adds its
+    neighbours' fibre sums to 0.0 in edge order, then spreads them over n."""
+    s = arr.sum(axis=-1)
+    acc = np.zeros(s.shape)
+    for (u, v) in lift.base.edges:
+        acc[..., u] += s[..., v]
+        acc[..., v] += s[..., u]
+    return np.repeat(acc[..., None] / lift.n, lift.n, axis=-1)
+
+
+@pytest.mark.parametrize("base", (*STACK_BASES, complete_graph(5), complete_graph(9)),
+                         ids=lambda b: f"h{b.h}d{b.d}")
+def test_expected_gather_keeps_the_per_edge_bits(base):
+    rng = np.random.default_rng(300 + base.h)
+    lift = random_lift(base, 7, rng)
+    index = base.neighbour_index()
+    assert index is base.neighbour_index() and not index.flags.writeable
+    assert index.shape == (base.d, base.h) and index.flags.c_contiguous
+    for u in range(base.h):  # each vertex's neighbours in the order of the sorted edges
+        assert index[:, u].tolist() == [v for e in base.edges if u in e for v in e if v != u]
+    for shape in ((base.h, lift.n), (12, base.h, lift.n)):
+        # fibre sums over many magnitudes, so any change of summation order
+        # shows, with zeros of both signs among them and alone
+        arr = rng.normal(size=shape) * 10.0 ** rng.integers(-9, 9, size=shape)
+        zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        arr = np.where(rng.random(shape) < 0.3, zeros, arr)
+        for a in (arr, zeros):
+            assert _expected_raw(lift, a).tobytes() == per_edge_expected(lift, a).tobytes()
+    if base.d >= 8:
+        # a reduction along the last axis adds eight or more terms pairwise,
+        # which gives other bits than the edge order does
+        arr = rng.normal(size=(12, base.h, lift.n))
+        s = arr.sum(axis=-1)
+        pairwise = np.add.reduce(np.ascontiguousarray(s[..., index.T]), axis=-1, initial=0.0)
+        spread = np.repeat(pairwise[..., None] / lift.n, lift.n, axis=-1)
+        assert spread.tobytes() != _expected_raw(lift, arr).tobytes()
+
+
 @pytest.mark.parametrize("base", STACK_BASES, ids=lambda b: f"h{b.h}d{b.d}")
 def test_centered_self_forms_equal_quad_form_exactly(base):
     rng = np.random.default_rng(100 + base.h)

@@ -6,14 +6,17 @@ two independent routes.
 """
 
 import hashlib
+import importlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liftlab
 from liftlab.dyadic import DyadicBandVector, DyadicScale, quad_form_restricted
 from liftlab.errors import (
     ConfigError,
@@ -28,13 +31,21 @@ from liftlab.errors import (
 )
 from liftlab.graphs import BaseGraph, complete_graph, cycle_graph, identity_lift
 from liftlab.patterns import (
+    _BUDGET_FACTOR,
+    _branch_floors,
     _deviation,
+    _greedy_reduce,
+    _members_potency,
     _peak,
+    _row_sums,
+    _vertex_sums,
     ClassGraph,
     ClassProfile,
     DeviationTable,
     LARGE_DEVIATION_CUTOFF,
     Pattern,
+    Removal,
+    ReductionReport,
     aggregates,
     deviation_rate,
     dominant_neighbours,
@@ -395,11 +406,12 @@ def test_class_graph_matches_bruteforce(seed):
 
 
 def test_class_graph_band_strictness():
-    # ratio 4 between exponents 0 and 1: adjacent only when d > 4
-    for d, expect in [(4, 0), (5, 1)]:
+    # exponent gap g (weight ratio 2 ** g): adjacent only when 4 ** g < d
+    for d, gap, expect in [(4, 1, 0), (5, 1, 1), (16, 2, 0), (17, 2, 1), (64, 3, 0),
+                           (65, 3, 1), (2, 0, 1), (1, 0, 0)]:
         base = complete_graph(d + 1)
         scale = DyadicScale(50, d + 1, d)
-        prof = ClassProfile(scale, {(0, 0): 1, (1, 1): 1})
+        prof = ClassProfile(scale, {(0, 0): 1, (1, gap): 1})
         graph = ClassGraph(Pattern(base, prof, {}))
         assert int(graph.upper.sum()) == expect and int(graph.valid.sum()) == 2 * expect
 
@@ -869,6 +881,133 @@ def test_reduction_transcripts_pinned_where_pairwise_sums_differ():
             transcript_digest(reduce_general(pattern, level=41.0))) == PINNED_PAIRWISE
 
 
+def lazy_greedy_reduce(pattern, level, branch):
+    """The greedy scan as it ran before it dropped classes in batches: one
+    turn drops the first violator, or re-sums the first stale vertex."""
+    table = DeviationTable(pattern)
+    g = table.graph
+    labels, floors = _branch_floors(table, _vertex_sums(pattern, table), level,
+                                    pattern.scale, branch)
+    regime = {"large": table.large, "small": table.small}.get(branch, g.valid)
+    alive = np.ones(len(g.vertices), dtype=bool)
+    local = np.abs(_row_sums(table.term, regime))
+    violating = (local[:, None] < floors).any(axis=1)
+    stale = np.zeros_like(alive)
+    removals = []
+    while (pending := violating | stale).any():
+        vertex = int(np.argmax(pending))
+        row = g.nbr[vertex]
+        if stale[vertex]:
+            local[vertex] = abs(_row_sums(table.term[vertex], regime[vertex] & alive[row]))
+            violating[vertex] = (local[vertex] < floors[vertex]).any()
+            stale[vertex] = False
+            continue
+        label = labels[int(np.argmax(local[vertex] < floors[vertex]))]
+        removals.append(Removal(g.vertices[vertex], label, float(local[vertex])))
+        alive[vertex] = violating[vertex] = False
+        stale[row[regime[vertex] & alive[row]]] = True
+    return ReductionReport(
+        branch=branch,
+        kept=tuple(v for v, keep in zip(g.vertices, alive.tolist()) if keep),
+        removals=tuple(removals),
+        removed_potency=math.fsum(r.local_potency for r in removals),
+        budget=_BUDGET_FACTOR[branch] * level * math.sqrt(pattern.scale.d),
+        potency_before=_members_potency(table, np.ones_like(alive), regime),
+        potency_after=_members_potency(table, alive, regime))
+
+
+def assert_scans_agree(pattern, levels=(20.0, 41.0)):
+    for branch in ("large", "small", "general"):
+        for level in levels:
+            assert (reduction_to_text(_greedy_reduce(pattern, level, branch))
+                    == reduction_to_text(lazy_greedy_reduce(pattern, level, branch)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_batched_scan_equals_the_lazy_scan(seed):
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        pattern = random_pattern(rng)
+    else:
+        pattern = random_pattern(rng, base=complete_graph(int(rng.integers(6, 30))),
+                                 n=int(rng.integers(20, 800)))
+    assert_scans_agree(pattern)
+
+
+SIMPLEX_BASE = complete_graph(452)
+
+
+def simplex_with_strays(strays, cut):
+    """The K_452 simplex pattern (every class (i, 0) holds one entry, every
+    pair linked once) plus one-entry exponent-1 strays, each linked to the
+    simplex classes it maps to, and without the simplex links in ``cut``.
+
+    At level 20 a simplex class survives the large branch while its large
+    local sum, 0.999 w**2 per simplex neighbour and 1.998 w**2 per stray,
+    stays at or above 20 sqrt(451) w**2 = 424.7 w**2; a stray never does.
+    """
+    h, n = 452, 1000
+    counts = {(i, 0): 1 for i in range(h)}
+    counts.update(dict.fromkeys(strays, 1))
+    links = {((i, 0), (j, 0)): 1 for i in range(h) for j in range(i + 1, h)}
+    for pair in cut:
+        del links[pair]
+    for stray, targets in strays.items():
+        links.update({(stray, target): 1 for target in targets})
+    return Pattern(SIMPLEX_BASE, ClassProfile(DyadicScale(n, h, h - 1), counts), links)
+
+
+def test_batched_scan_waits_for_a_vertex_a_drop_stales_below_the_next():
+    # (5, 0) keeps 425 simplex links, 424.6 w**2, and clears the floor only
+    # with the stray (6, 1).  The strays below it grow the window to four, so
+    # (6, 1) and (7, 1) are summed in one round; dropping (6, 1) stales the
+    # settled (5, 0), which then violates and goes before (7, 1)
+    pattern = simplex_with_strays(
+        {(0, 1): (), (1, 1): (), (2, 1): (), (6, 1): ((5, 0),), (7, 1): ()},
+        [((5, 0), (j, 0)) for j in range(400, 426)])
+    report = reduce_large(pattern)
+    assert [r.vertex for r in report.removals] == [(0, 1), (1, 1), (2, 1), (6, 1), (5, 0), (7, 1)]
+    assert_scans_agree(pattern, levels=(20.0,))
+
+
+def test_batched_scan_sums_each_vertex_without_the_pending_ones_below_it():
+    # (30, 0) keeps 420 simplex links and eight strays; it violates once six
+    # are gone, so it goes in the round that drops (3, 1), (4, 1) and (5, 1),
+    # summed without them.  (35, 0) is stale when the round that drops
+    # (32, 1) reaches it, and settles with the sum that (32, 1)'s drop leaves
+    q1, q2 = (35, 0), (30, 0)
+    pattern = simplex_with_strays(
+        {**{(i, 1): (q1, q2) for i in range(6)}, (32, 1): (q1,),
+         (40, 1): (q1, q2), (41, 1): (q1, q2)},
+        [(q2, (j, 0)) for j in range(400, 431)])
+    report = reduce_large(pattern)
+    assert [r.vertex for r in report.removals] == [
+        (0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), q2, (32, 1), (40, 1), (41, 1)]
+    assert q1 in report.kept
+    assert_scans_agree(pattern, levels=(20.0,))
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_census_transcripts_keep_their_recorded_digests(monkeypatch):
+    # every pattern the benchmark's census can draw, reduced as its items
+    # reduce them; the benchmark's reference digests are read, never written
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    reference = checks.load_reference()["outputs"]
+    instances = workloads.instances("reduce-census")
+    assert len(instances) == 17
+    for spec, index in instances:
+        pattern = workloads.census_pattern(liftlab, spec, index)
+        recorded = reference[workloads.census_key(spec, index)]
+        assert (transcript_digest(reduce_pattern(pattern)),
+                transcript_digest(reduce_general(pattern, level=workloads.CENSUS_LEVEL))) == (
+            recorded["reduce_pattern"], recorded["reduce_general"])
+
+
 def test_kept_rows_peak_equals_peak_of_the_restricted_pattern():
     rng = np.random.default_rng(4242)
     for k in range(60):
@@ -923,6 +1062,124 @@ def test_deviation_rows_equal_the_per_edge_deviation():
                              pattern.links.get(edge, 0), weight(u[1]) * weight(v[1]))
             assert (mu, gap, term) == (row.expected, row.relative_gap, row.term)
             assert (large, small) == (row.regime == "large", row.regime == "small")
+
+
+def ref_validated_links(base, profile, links):
+    """The per-link loop that validated a pattern's links before they were
+    validated as arrays: the canonical links in sorted order, or its error."""
+    counts = profile.counts
+    cleaned = {}
+    for pair, value in links.items():
+        u, v = pair
+        count = int(value)
+        if count < 0:
+            raise InvalidPatternError(f"negative link count at {pair}")
+        if count == 0:
+            continue
+        key = (tuple(u), tuple(v)) if tuple(u) <= tuple(v) else (tuple(v), tuple(u))
+        if key in cleaned:
+            raise InvalidPatternError(f"duplicate link {pair}")
+        a, b = key
+        if a not in counts or b not in counts:
+            raise InvalidPatternError(f"link {pair} touches an empty class")
+        if not base.are_adjacent(a[0], b[0]):
+            raise InvalidPatternError(
+                f"link {pair} joins fibres that are not adjacent in the base")
+        if count > min(counts[a], counts[b]):
+            raise InvalidPatternError(
+                f"link {pair} exceeds the smaller class size")
+        cleaned[key] = count
+    return dict(sorted(cleaned.items()))
+
+
+def validation_outcome(read):
+    try:
+        return list(read().items())
+    except LiftlabError as exc:
+        return type(exc), str(exc)
+
+
+def scrambled_links(pattern, rng):
+    """The pattern's links in shuffled order, some keys reversed, with
+    zero-count links added, and sometimes one to three malformed entries."""
+    counts = pattern.profile.counts
+    verts = sorted(counts)
+    h = pattern.scale.h
+    items = [((v, u), c) if rng.random() < 0.5 else ((u, v), c)
+             for (u, v), c in pattern.links.items()]
+    for _ in range(int(rng.integers(0, 4))):
+        fibre = int(rng.integers(-1, h + 2))
+        items.append((((fibre, int(rng.integers(0, 6))), (int(rng.integers(0, h)), 0)), 0))
+    huge = 2 ** 70
+    for _ in range(int(rng.integers(0, 4)) if rng.random() < 0.7 and verts else 0):
+        u, v = (verts[int(rng.integers(len(verts)))] for _ in range(2))
+        kind = int(rng.integers(0, 8))
+        if kind == 0:
+            items.append(((u, v), -int(rng.integers(1, 3))))
+        elif kind == 1 and items:
+            (a, b), c = items[int(rng.integers(len(items)))]
+            items.append(((b, a), c))
+        elif kind == 2:
+            items.append((((u[0], u[1] + 7), v), 1))
+        elif kind == 3:
+            items.append((((h + int(rng.integers(0, 3)), u[1]), v), 1))
+        elif kind == 4:
+            items.append(((u, v), min(counts[u], counts[v]) + 1))
+        elif kind == 5:
+            items.append(((u, (u[0], v[1])), 1))  # one fibre, never adjacent to itself
+        elif kind == 6:
+            items.append(((u, v), huge if rng.random() < 0.5 else -huge))
+        else:
+            items.append((((huge, 0), v) if rng.random() < 0.5 else ((u[0], -huge), v), 1))
+    order = rng.permutation(len(items))
+    return {items[i][0]: items[i][1] for i in order.tolist()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_array_validation_matches_the_per_link_loop(seed):
+    rng = np.random.default_rng(seed)
+    base = (SMALL_BASES[seed % len(SMALL_BASES)] if seed % 3
+            else complete_graph(int(rng.integers(3, 12))))
+    pattern = random_pattern(rng, base=base)
+    for _ in range(4):
+        links = scrambled_links(pattern, rng)
+        expected = validation_outcome(lambda: ref_validated_links(base, pattern.profile, links))
+        assert validation_outcome(lambda: Pattern(base, pattern.profile, links).links) == expected
+        if isinstance(expected, list):
+            again = Pattern(base, pattern.profile, links)
+            assert type(again.links.keys()) is type({}.keys())
+            assert all(type(x) is int for key in again.links for end in key for x in end)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_deviation_arrays_from_the_cached_links_equal_the_dict_lookups(seed):
+    rng = np.random.default_rng(seed)
+    base = (SMALL_BASES[seed % len(SMALL_BASES)] if seed % 2
+            else complete_graph(int(rng.integers(3, 14))))
+    pattern = random_pattern(rng, base=base)
+    table = DeviationTable(pattern)
+    g = table.graph
+    ends = np.array([[g.index[a], g.index[b]] for a, b in pattern.links], np.int64).reshape(-1, 2)
+    assert pattern.link_ends.tobytes() == ends.tobytes()
+    counts = np.array(list(pattern.links.values()), np.int64)
+    assert pattern.link_counts.tobytes() == counts.tobytes()
+    assert not (pattern.link_ends.flags.writeable or pattern.link_counts.flags.writeable)
+    # the table as it was built when every link looked up its two ends by key
+    observed = np.zeros(g.nbr.shape, np.int64)
+    for (a, b), count in pattern.links.items():
+        for x, y in ((a, b), (b, a)):
+            i, j = g.index[x], g.index[y]
+            observed[i, g.valid[i] & (g.nbr[i] == j)] = count
+    products = table.count[:, None] * table.count[g.nbr]
+    mu = products / pattern.scale.n
+    gap = observed * pattern.scale.n / products - 1.0
+    large = g.valid & (gap > LARGE_DEVIATION_CUTOFF)
+    term = np.where(g.valid, table.weight[:, None] * table.weight[g.nbr] * (observed - mu), 0.0)
+    for mine, theirs in ((table.mu, mu), (table.gap, gap), (table.large, large),
+                         (table.small, g.valid & ~large), (table.term, term)):
+        assert mine.tobytes() == theirs.tobytes()
 
 
 # --- neighbour selection ---------------------------------------------------------------

@@ -167,11 +167,16 @@ def test_mutated_json_values_give_typed_errors(name, data, workdir):
     pytest.param("base", "100000000000 1\n0 1\n", id="base-h-huge"),
     pytest.param("pattern", "lift-pattern\nn 10\nh 4\nd 3\nclass 0 99999999999 1",
                  id="pattern-exponent-huge"),
+    pytest.param("pattern", "lift-pattern\nn 10\nh 4\nd 3\nclass 0 0 2\nclass 0 0 5",
+                 id="pattern-class-repeated"),
+    pytest.param("pattern", "lift-pattern\nn 10\nh 4\nd 3\nclass 0 0 2\nclass 1 0 2\n"
+                 "link 0 0 1 0 1\nlink 0 0 1 0 1", id="pattern-link-repeated"),
 ])
 def test_malformed_documents_fail_fast_with_typed_errors(name, text, workdir):
     # each of these once escaped as OverflowError or OSError, tried to
-    # allocate an array sized by the huge number, or computed 4 ** exponent
-    # on Python ints and never returned
+    # allocate an array sized by the huge number, computed 4 ** exponent on
+    # Python ints and never returned, or was read with its last repeated
+    # line silently in force
     _read_in_child(name, text)
     with pytest.raises(LiftlabError):
         READERS[name][0](text)
