@@ -741,7 +741,7 @@ def enumerate_patterns(n: int, h: int, d: int, max_count: int,
     base = base if base is not None else _default_base(h, d)
     if base.h != h or base.d != d:
         raise DimensionMismatchError("base does not match the stated (h, d)")
-    scale = DyadicScale(n, h, d)
+    DyadicScale(n, h, d)  # rejects a non-positive n, h or d
     cap = 10 * n * h
     width = d.bit_length() - 1  # widest exponent offset within one band
     anchors = []
