@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +50,19 @@ GRID_GUARD = 4_000_000
 
 @dataclass(frozen=True)
 class DyadicScale:
-    """Lift dimensions with the derived scales used by dyadic vectors."""
+    """Lift dimensions, and the band rules on the exponents e of entries 2^e/sqrt(nh).
+
+    Every rule is decided on integer exponents, and no power of an exponent is
+    formed before the exponent is bounded, so none depends on d > 1 to stop:
+
+    - ``weight``: the entry value 2^e/sqrt(nh);
+    - ``max_spread``: one band holds exponents at most s apart, 2^s <= d;
+    - ``within_cap``: the squared norm sum(count * 4^e) is at most 10nh;
+      ``headroom`` gives the largest k with 4^k * mass <= 10nh;
+    - ``gap_limit``: two entries are comparable, 4^g < d, when their
+      exponent gap g is below it (never when d = 1);
+    - ``window_level``: band selection's level of e, the largest m with d^m <= 4^e.
+    """
 
     n: int
     h: int
@@ -70,6 +83,52 @@ class DyadicScale:
     @property
     def root_size(self) -> float:
         return math.sqrt(self.n * self.h)
+
+    def weight(self, exponent: int) -> float:
+        return math.ldexp(1.0, exponent) / self.root_size
+
+    @property
+    def max_spread(self) -> int:
+        return self.d.bit_length() - 1
+
+    @property
+    def norm_cap(self) -> int:
+        return 10 * self.size
+
+    def headroom(self, mass: int) -> int:
+        """The largest k with 4^k * mass <= 10nh, for an integer mass >= 1; -1
+        when the mass alone exceeds the cap."""
+        return ((self.norm_cap // mass).bit_length() - 1) // 2
+
+    def within_cap(self, classes: Sequence[tuple[int, int]]) -> bool:
+        """sum(count * 4^e) <= 10nh over (exponent, count) pairs with e >= 0 and
+        count >= 1; an exponent above ``headroom(1)`` fails before 4^e is formed."""
+        top = self.headroom(1)
+        return (all(e <= top for e, _ in classes)
+                and sum(c * 4 ** e for e, c in classes) <= self.norm_cap)
+
+    def check_band(self, classes: Sequence[tuple[int, int]], error: type[LiftlabError]) -> None:
+        """Raise ``error`` unless the (exponent, count >= 1) pairs have nonnegative
+        exponents spread over one band, and a squared norm within 10."""
+        exps = [e for e, _ in classes]
+        if exps and min(exps) < 0:
+            raise error("exponents must be nonnegative")
+        if exps and max(exps) - min(exps) > self.max_spread:
+            raise error("entries spread beyond one band of width d")
+        if not self.within_cap(classes):
+            raise error("squared norm exceeds 10")
+
+    @property
+    def gap_limit(self) -> int:
+        return ((self.d - 1).bit_length() + 1) // 2
+
+    def window_level(self, exponent: int) -> int:
+        """The largest m with d^m <= 4^e, for d >= 2 and 0 <= e <= ``headroom(1)``."""
+        if self.d < 2 or not 0 <= exponent <= self.headroom(1):
+            raise LiftlabError("window levels need d >= 2 and an exponent within the norm cap")
+        power = 4 ** exponent
+        m = int(2 * exponent / math.log2(self.d))  # off by at most one either way
+        return m - (self.d ** m > power) + (self.d ** (m + 1) <= power)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +415,9 @@ def dyadic_certificate(lift: Lift, x: LiftVector, trials: int = 40,
 class DyadicBandVector:
     """Vector with entries 2^e/sqrt(nh) confined to one multiplicative band.
 
-    Invariants (checked exactly on the integer exponents): squared norm at
-    most 10, all exponents nonnegative, and the largest nonzero entry at
-    most d times the smallest.
+    Invariants (checked exactly on the integer exponents by
+    ``DyadicScale.check_band``): squared norm at most 10, all exponents
+    nonnegative, and the largest nonzero entry at most d times the smallest.
     """
 
     scale: DyadicScale
@@ -372,16 +431,7 @@ class DyadicBandVector:
         if exps.shape != shape or mask.shape != shape:
             raise NotBandVectorError(f"arrays must have shape {shape}")
         exps = exps * mask
-        if mask.any():
-            live = exps[mask]
-            if (live < 0).any():
-                raise NotBandVectorError("exponents must be nonnegative")
-            # the spread check first bounds the exponent range int_norm_sq counts over
-            spread = int(live.max()) - int(live.min())
-            if 2 ** spread > self.scale.d:
-                raise NotBandVectorError("entries spread beyond one band of width d")
-            if int_norm_sq(exps, mask) > 10 * self.scale.size:
-                raise NotBandVectorError("squared norm exceeds 10")
+        self.scale.check_band(_classes(exps[mask]), NotBandVectorError)
         exps.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "exponents", exps)
@@ -393,22 +443,15 @@ class DyadicBandVector:
 
     @property
     def vector(self) -> LiftVector:
-        vals = np.ldexp(1.0, self.exponents) * self.nonzero / self.scale.root_size
-        return LiftVector(vals)
-
-    def weight(self, exponent: int) -> float:
-        return math.ldexp(1.0, exponent) / self.scale.root_size
+        # 2^e * weight(0) is weight(e) exactly: scaling by 2^e rounds alike
+        return LiftVector(np.ldexp(self.scale.weight(0), self.exponents) * self.nonzero)
 
     def histogram(self) -> dict[tuple[int, int], int]:
-        """Count of entries per (fibre, exponent)."""
-        out: dict[tuple[int, int], int] = {}
-        for i in range(self.scale.h):
-            row_mask = self.nonzero[i]
-            if row_mask.any():
-                exps, counts = np.unique(self.exponents[i][row_mask], return_counts=True)
-                for e, c in zip(exps, counts):
-                    out[(i, int(e))] = int(c)
-        return out
+        """Count of entries per (fibre, exponent), in ascending order."""
+        width = int(self.exponents.max(initial=0)) + 1
+        codes = np.nonzero(self.nonzero)[0] * width + self.exponents[self.nonzero]
+        codes, counts = np.unique(codes, return_counts=True)
+        return {divmod(code, width): c for code, c in zip(codes.tolist(), counts.tolist())}
 
     @classmethod
     def zero(cls, scale: DyadicScale) -> "DyadicBandVector":
@@ -416,18 +459,9 @@ class DyadicBandVector:
         return cls(scale, np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool))
 
 
-def _window_exponents(exps: list[int], d: int) -> list[int]:
-    """Candidate window indices m with d^m <= 4^e < d^(m+2) for some e."""
-    out = set()
-    for e in exps:
-        val = 4 ** int(e)
-        m = 0
-        while d ** (m + 1) <= val:
-            m += 1
-        out.add(m)
-        if m - 1 >= 0:
-            out.add(m - 1)
-    return sorted(out)
+def _classes(exponents: np.ndarray) -> list[tuple[int, int]]:
+    """(exponent, count) for each distinct exponent, ascending."""
+    return list(zip(*(column.tolist() for column in np.unique(exponents, return_counts=True))))
 
 
 def band_select(y: LiftVector, lift: Lift) -> DyadicBandVector:
@@ -437,7 +471,8 @@ def band_select(y: LiftVector, lift: Lift) -> DyadicBandVector:
     per unit of squared norm; the winner keeps at least half the form per
     mass, and the output (rescaled by the largest power of two fitting the
     norm cap, then divided by sqrt(nh)) retains at least 1/(8nh) of the
-    input's comparable-region form.
+    input's comparable-region form. With d = 1 no pair is comparable, and
+    the zero band vector keeps all of that (zero) form.
     """
     check_shape(lift, y)
     if (y.values < 0).any():
@@ -445,27 +480,24 @@ def band_select(y: LiftVector, lift: Lift) -> DyadicBandVector:
     exps, mask = signed_exponents(y)
     if not mask.any():
         raise EmptyVectorError("cannot select a band of an all-zero vector")
-    n, h, d = lift.n, lift.h, lift.d
-    if int_norm_sq(exps, mask) > 10 * n * h:
+    scale = DyadicScale.of(lift)
+    classes = _classes(exps[mask])
+    if not scale.within_cap(classes):
         raise NotBandVectorError("squared norm exceeds 10nh")
-    uniq = [int(e) for e in np.unique(exps[mask])]
-    windows = _window_exponents(uniq, d)
-    best = None
-    for m in windows:
-        in_window = [e for e in uniq if d ** m <= 4 ** e < d ** (m + 2)]
-        wmask = mask & np.isin(exps, in_window)
-        mass = int_norm_sq(exps, wmask)
+    if scale.gap_limit == 0:
+        return DyadicBandVector.zero(scale)
+    levels = {e: scale.window_level(e) for e, _ in classes}
+
+    def score(wmask: np.ndarray) -> float:
         trunc = LiftVector(y.values * wmask)
         form = abs(quad_form_restricted(lift, "centered", trunc, trunc, "comparable"))
-        score = form / mass
-        if best is None or score > best[0]:
-            best = (score, m, wmask, mass)
-    _, m_star, wmask, mass = best
-    k = 0
-    while (4 ** (k + 1)) * mass <= 10 * n * h:
-        k += 1
-    out_exps = (exps + k) * wmask
-    return DyadicBandVector(DyadicScale(n, h, d), out_exps, wmask)
+        return form / int_norm_sq(exps, wmask)
+
+    # window m holds the exponents with d^m <= 4^e < d^(m+2); the first best wins
+    wmask = max((mask & np.isin(exps, [e for e, lv in levels.items() if m <= lv <= m + 1])
+                 for m in sorted({lv - t for lv in levels.values() for t in (0, 1) if lv >= t})),
+                key=score)
+    return DyadicBandVector(scale, (exps + scale.headroom(int_norm_sq(exps, wmask))) * wmask, wmask)
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +526,11 @@ def band_certificate(lift: Lift, trials: int = 40, tol: float = 1e-8,
     rep = spectral or lambda_star(lift, tol=tol, rng=rng).require_converged()
     scale = DyadicScale.of(lift)
     target = rep.lambda_star / 96.0 - 5.0 * math.sqrt(lift.d)
-    nh = lift.n * lift.h
-    if rep.witness.norm_sq == 0.0:
-        zero = DyadicBandVector.zero(scale)
-        return BandCertificateReport(zero, 0.0, target, 0.0 >= target, rep, None)
-    x = rep.witness.scaled(math.sqrt(nh / rep.witness.norm_sq) * (1.0 - 1e-12))
-    cert = dyadic_certificate(lift, x, trials=trials, rng=rng)
-    if not cert.vector.values.any():
+    cert = None
+    if rep.witness.norm_sq != 0.0:
+        x = rep.witness.scaled(math.sqrt(scale.size / rep.witness.norm_sq) * (1.0 - 1e-12))
+        cert = dyadic_certificate(lift, x, trials=trials, rng=rng)
+    if cert is None or not cert.vector.values.any():
         zero = DyadicBandVector.zero(scale)
         return BandCertificateReport(zero, 0.0, target, 0.0 >= target, rep, cert)
     band = band_select(cert.vector, lift)

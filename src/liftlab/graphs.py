@@ -216,7 +216,6 @@ class Lift:
                 raise LiftlabError(f"permutation for edge {e} is not a bijection on 0..{n - 1}")
             arr.setflags(write=False)
             self.perms[e] = arr
-        self._inverse: dict[tuple[int, int], np.ndarray] = {}
         self._neighbour_index: np.ndarray | None = None
 
     @property
@@ -232,14 +231,11 @@ class Lift:
         return self.base.h * self.n
 
     def inverse_perm(self, edge: tuple[int, int]) -> np.ndarray:
-        """Inverse of perms[edge], cached: maps fibre-v positions back to fibre-u."""
-        inv = self._inverse.get(edge)
-        if inv is None:
-            p = self.perms[edge]
-            inv = np.empty_like(p)
-            inv[p] = np.arange(self.n)
-            inv.setflags(write=False)
-            self._inverse[edge] = inv
+        """Inverse of perms[edge], read-only: maps fibre-v positions back to fibre-u."""
+        p = self.perms[edge]
+        inv = np.empty_like(p)
+        inv[p] = np.arange(self.n)
+        inv.setflags(write=False)
         return inv
 
     def neighbour_index(self) -> np.ndarray:
@@ -433,16 +429,6 @@ def _centered_forms_raw(lift: Lift, stack: np.ndarray, sums: np.ndarray) -> list
     return [float(np.vdot(x, y)) for x, y in zip(stack, image)]
 
 
-def centered_self_forms(lift: Lift, vectors: list[LiftVector]) -> list[float]:
-    """<x, C x> under the centered operator C for each vector, from one
-    operator pass over the stacked vectors; each value has the bits of
-    ``np.vdot(x.values, apply_centered(lift, x).values)``."""
-    for x in vectors:
-        check_shape(lift, x)
-    return _centered_forms_raw(lift, np.stack([x.values for x in vectors]),
-                               np.stack([x.fibre_sums for x in vectors]))
-
-
 def apply_operator(lift: Lift, kind: str, x: LiftVector) -> LiftVector:
     if kind == "adjacency":
         return apply_adjacency(lift, x)
@@ -478,19 +464,17 @@ def dense_operator(lift: Lift, kind: str = "adjacency") -> np.ndarray:
 
 
 def induced_adjacency(lift: Lift, vertices: list[tuple[int, int]]) -> np.ndarray:
-    """Dense adjacency of the subgraph induced on the given (fibre, pos) list."""
-    index = {v: k for k, v in enumerate(vertices)}
-    if len(index) != len(vertices):
+    """Dense adjacency of the subgraph induced on the given (fibre, pos) list,
+    gathered through the lift's neighbour index."""
+    if not all(0 <= i < lift.h and 0 <= j < lift.n for i, j in vertices):
+        raise LiftlabError(f"induced subgraph vertices must lie in fibres 0..{lift.h - 1}"
+                           f" at positions 0..{lift.n - 1}")
+    fibre, pos = np.array(vertices, dtype=np.int64).reshape(-1, 2).T
+    where = np.full(lift.num_vertices, -1)
+    where[fibre * lift.n + pos] = np.arange(fibre.size)
+    if np.count_nonzero(where >= 0) != fibre.size:
         raise LiftlabError("induced subgraph vertices must be distinct")
-    m = np.zeros((len(vertices), len(vertices)))
-    for (u, v), p in lift.perms.items():
-        for j in range(lift.n):
-            a = index.get((u, j))
-            if a is None:
-                continue
-            b = index.get((v, int(p[j])))
-            if b is None:
-                continue
-            m[a, b] = 1.0
-            m[b, a] = 1.0
+    nbr = where[lift.neighbour_index()[fibre, :, pos]]  # (k, d) neighbour rows, -1 outside
+    m = np.zeros((fibre.size, fibre.size))
+    m[np.nonzero(nbr >= 0)[0], nbr[nbr >= 0]] = 1.0
     return m

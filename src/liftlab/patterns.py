@@ -70,10 +70,10 @@ def _int64s(values: Callable[[], Iterable], count: int = -1) -> np.ndarray:
 class ClassProfile:
     """Entry counts per (fibre, exponent) class of a norm-capped band vector.
 
-    Validates the class-census invariants: nonnegative integer exponents,
-    per-fibre totals at most n, exact squared norm at most 10 (as the integer
-    sum of count * 4^exponent against 10nh), and all exponents within one
-    band of multiplicative width d.
+    Validates the class-census invariants: per-fibre totals at most n, and
+    the band rules a ``DyadicBandVector`` obeys, through the same
+    ``DyadicScale.check_band``: nonnegative integer exponents within one band
+    of multiplicative width d, and an exact squared norm at most 10.
     """
 
     scale: DyadicScale
@@ -90,26 +90,16 @@ class ClassProfile:
                 continue
             if not 0 <= fibre < self.scale.h:
                 raise InvalidPatternError(f"fibre {fibre} out of range")
-            if exp < 0:
-                raise InvalidPatternError(f"negative exponent at {key}")
-            if 2 * exp > (10 * self.scale.size).bit_length():  # before 4 ** exp is formed
-                raise InvalidPatternError("squared norm exceeds 10")
             cleaned[(int(fibre), int(exp))] = count
         per_fibre: Counter = Counter()
-        norm_int = 0
         for (fibre, exp), count in cleaned.items():
             per_fibre[fibre] += count
-            norm_int += count * (4 ** exp)
         for fibre, total in per_fibre.items():
             if total > self.scale.n:
                 raise InvalidPatternError(
                     f"fibre {fibre} holds {total} entries but n = {self.scale.n}")
-        if norm_int > 10 * self.scale.size:
-            raise InvalidPatternError("squared norm exceeds 10")
-        if cleaned:
-            exps = [exp for (_, exp) in cleaned]
-            if 2 ** (max(exps) - min(exps)) > self.scale.d:
-                raise InvalidPatternError("exponents spread beyond one band of width d")
+        self.scale.check_band([(exp, count) for (_, exp), count in cleaned.items()],
+                              InvalidPatternError)
         ordered = dict(sorted(cleaned.items()))
         object.__setattr__(self, "counts", MappingProxyType(ordered))
 
@@ -118,7 +108,7 @@ class ClassProfile:
         return cls(vec.scale, vec.histogram())
 
     def weight(self, exponent: int) -> float:
-        return math.ldexp(1.0, exponent) / self.scale.root_size
+        return self.scale.weight(exponent)
 
     @property
     def vertices(self) -> tuple[ClassVertex, ...]:
@@ -232,15 +222,13 @@ class ClassGraph:
         size = len(self.vertices)
         self.fibre, self.exponent = np.array(self.vertices, np.int64).reshape(size, 2).T
         self.fibre_neighbours = base.neighbour_index().T
-        # every class of every base-adjacent fibre, in sorted order, then the
-        # band cut: 4 ** |exponent gap| < d just when the gap is below span
-        span = ((pattern.scale.d - 1).bit_length() + 1) // 2
+        # every class of every base-adjacent fibre, in sorted order, then the band cut
         fibres = self.fibre_neighbours[self.fibre]
         spans = np.bincount(self.fibre, minlength=base.h)[fibres]
         first = np.searchsorted(self.fibre, np.arange(base.h))
         cand = _ranges(first[fibres].ravel(), spans.ravel())
         owner = np.repeat(np.arange(size), spans.sum(axis=1))
-        keep = np.abs(self.exponent[owner] - self.exponent[cand]) < span
+        keep = np.abs(self.exponent[owner] - self.exponent[cand]) < pattern.scale.gap_limit
         degree = np.bincount(owner[keep], minlength=size)
         self.valid = np.arange(max(int(degree.max(initial=0)), 1)) < degree[:, None]
         self.nbr = np.zeros(self.valid.shape, np.int64)
@@ -279,7 +267,7 @@ def _deviation(edge: ClassEdge, a: int, b: int, n: int, observed: int,
 
 def edge_deviation(pattern: Pattern, u: ClassVertex, v: ClassVertex) -> EdgeDeviation:
     counts = pattern.profile.counts
-    weight = pattern.profile.weight(u[1]) * pattern.profile.weight(v[1])
+    weight = pattern.scale.weight(u[1]) * pattern.scale.weight(v[1])
     return _deviation(_edge_key(u, v), counts.get(u, 0), counts.get(v, 0),
                       pattern.scale.n, pattern.link(u, v), weight)
 
@@ -297,7 +285,7 @@ class DeviationTable:
     def __init__(self, pattern: Pattern):
         self.graph = g = ClassGraph(pattern)
         counts, n, size = pattern.profile.counts, pattern.scale.n, len(g.vertices)
-        self.weights = {exp: pattern.profile.weight(exp) for exp in sorted({e for _, e in counts})}
+        self.weights = {exp: pattern.scale.weight(exp) for exp in sorted({e for _, e in counts})}
         squares = {exp: w ** 2 for exp, w in self.weights.items()}
         self.count = np.fromiter(counts.values(), np.int64, size)
         self.weight = np.array([self.weights[e] for e in g.exponent.tolist()], dtype=float)
@@ -741,25 +729,19 @@ def enumerate_patterns(n: int, h: int, d: int, max_count: int,
     base = base if base is not None else _default_base(h, d)
     if base.h != h or base.d != d:
         raise DimensionMismatchError("base does not match the stated (h, d)")
-    DyadicScale(n, h, d)  # rejects a non-positive n, h or d
-    cap = 10 * n * h
-    width = d.bit_length() - 1  # widest exponent offset within one band
-    anchors = []
-    exp = 0
-    while 4 ** exp <= cap:
-        anchors.append(exp)
-        exp += 1
+    scale = DyadicScale(n, h, d)  # rejects a non-positive n, h or d
+    top = scale.headroom(1)  # anchors run up to the largest exponent within the norm cap
     size_limit = min(max_count - 1, n)
-    raw = len(anchors) * (size_limit + 1) ** (h * (width + 1))
+    raw = (top + 1) * (size_limit + 1) ** (h * (scale.max_spread + 1))
     if raw > 20 * guard:
         raise TooLargeError("pattern enumeration would take too many steps")
     seen: set = set()
-    for anchor in anchors:
-        exps = [anchor + t for t in range(width + 1) if 4 ** (anchor + t) <= cap]
+    for anchor in range(top + 1):
+        exps = range(anchor, min(anchor + scale.max_spread, top) + 1)
         slots = [(i, e) for i in range(h) for e in exps]
         for sizes in itertools.product(range(size_limit + 1), repeat=len(slots)):
             counts = {slot: c for slot, c in zip(slots, sizes) if c > 0}
-            if sum(c * 4 ** e for (_, e), c in counts.items()) > cap:
+            if not scale.within_cap([(e, c) for (_, e), c in counts.items()]):
                 continue
             per_fibre: Counter = Counter()
             for (i, _), c in counts.items():
@@ -769,7 +751,7 @@ def enumerate_patterns(n: int, h: int, d: int, max_count: int,
             pairs = []
             verts = sorted(counts)
             for u, v in itertools.combinations(verts, 2):
-                if base.are_adjacent(u[0], v[0]) and 4 ** abs(u[1] - v[1]) < d:
+                if base.are_adjacent(u[0], v[0]) and abs(u[1] - v[1]) < scale.gap_limit:
                     pairs.append(((u, v), min(counts[u], counts[v])))
             profile_key = tuple(sorted(counts.items()))
             for link_values in itertools.product(

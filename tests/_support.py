@@ -5,10 +5,26 @@ the neighbour relation, without calling the library's own vectorized
 kernels, so library/oracle agreement is a two-route check.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
+import liftlab
 from liftlab.graphs import BaseGraph, Lift, complete_graph, cycle_graph
+
+
+def run_script(path: str, *args: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """Run a test file as a script in a fresh interpreter that imports this
+    checkout's liftlab, under a 60-second limit, so a call that never returns
+    fails the test instead of hanging the suite."""
+    src = str(Path(liftlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, path, *args], input=stdin, text=True,
+                          capture_output=True, timeout=60, env=env)
 
 
 def oracle_adjacency(lift: Lift) -> np.ndarray:
@@ -22,6 +38,12 @@ def oracle_adjacency(lift: Lift) -> np.ndarray:
             mat[a, b] += 1.0
             mat[b, a] += 1.0
     return mat
+
+
+def oracle_induced(lift: Lift, vertices) -> np.ndarray:
+    """The rows and columns of ``oracle_adjacency`` for the (fibre, pos) list."""
+    flat = [i * lift.n + j for i, j in vertices]
+    return oracle_adjacency(lift)[np.ix_(flat, flat)]
 
 
 def oracle_expected(lift: Lift) -> np.ndarray:

@@ -21,8 +21,11 @@ from liftlab.experiment import (CSV_COLUMNS, CSV_HEADER, EXPLAIN_SPECTRAL_FACTOR
                                 run_experiment)
 import liftlab.dyadic
 from liftlab.dyadic import band_certificate
+from liftlab.eigensolve import symmetric_eigenvalues
 from liftlab.graphs import base_from_name, base_to_text, identity_lift
 from liftlab.sampling import SeededRng, plant_clique, sample_lift
+
+from _support import oracle_induced
 
 K4 = base_from_name("k4")
 
@@ -262,12 +265,8 @@ def test_dense_cells_on_a_bipartite_base_keep_their_recorded_rows(seed, z_value,
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("seed", range(1, 9))
-@pytest.mark.parametrize("name, n", [("k4", 1000), ("petersen", 500)])
-def test_lanczos_cells_keep_their_recorded_rows(monkeypatch, name, n, seed):
-    # the iterative-spectrum cells of the benchmark pool run every stage on
-    # the Lanczos matvec and the certificate kernels; the benchmark's reference
-    # rows and row comparison are read, never written
+def _keeps_its_recorded_row(monkeypatch, name, n, seed):
+    # the benchmark's reference rows and row comparison are read, never written
     monkeypatch.syspath_prepend(str(PERFBENCH))
     checks = importlib.import_module("checks")
     workloads = importlib.import_module("workloads")
@@ -279,6 +278,21 @@ def test_lanczos_cells_keep_their_recorded_rows(monkeypatch, name, n, seed):
     tol = reference["tolerance"]
     assert checks.compare_row(reference["columns"], expected["row"], actual,
                               tol["rtol"], tol["atol"]) == []
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+@pytest.mark.parametrize("name, n", [("k4", 1000), ("petersen", 500)])
+def test_lanczos_cells_keep_their_recorded_rows(monkeypatch, name, n, seed):
+    # the iterative-spectrum cells of the benchmark pool run every stage on
+    # the Lanczos matvec and the certificate kernels
+    _keeps_its_recorded_row(monkeypatch, name, n, seed)
+
+
+@pytest.mark.parametrize("name, n", [("k4", 150), ("k5", 120), ("petersen", 60)])
+def test_dense_cells_keep_their_recorded_rows(monkeypatch, name, n):
+    # seed 1 of each dense pool base other than c6, whose rows the bipartite
+    # test pins: every certificate stage runs band_select and DyadicBandVector
+    _keeps_its_recorded_row(monkeypatch, name, n, 1)
 
 
 def test_explain_star_branch_on_plain_lift():
@@ -317,6 +331,9 @@ def test_explain_forced_witness_surfaces_planted_clique():
     assert report.reduction is not None
     assert report.witness_bounds is not None
     assert report.bound_ok
+    # the gathered induced adjacency gives the entry-by-entry oracle's eigenvalue
+    eigs = symmetric_eigenvalues(oracle_induced(lift, list(report.subgraph_vertices)))
+    assert report.inspected_value == max(float(eigs[0]), 0.0)
 
 
 def test_explain_rejects_weak_reduction_levels():

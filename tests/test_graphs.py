@@ -25,7 +25,6 @@ from liftlab.graphs import (
     base_from_name,
     base_from_text,
     base_to_text,
-    centered_self_forms,
     complete_graph,
     cycle_graph,
     cycle_power_graph,
@@ -35,11 +34,13 @@ from liftlab.graphs import (
     lifted_eigenvector,
     petersen_graph,
     _adjacency_raw,
+    _centered_forms_raw,
     _expected_raw,
 )
 from liftlab.dyadic import quad_form
 
-from _support import lift_with_vector, oracle_adjacency, oracle_centered, oracle_expected, random_lift
+from _support import (lift_with_vector, oracle_adjacency, oracle_centered, oracle_expected,
+                      oracle_induced, random_lift)
 
 
 # --- base graph construction -------------------------------------------------
@@ -141,6 +142,7 @@ def test_inverse_perm():
     e = lift.base.edges[0]
     p, q = lift.perms[e], lift.inverse_perm(e)
     assert np.array_equal(p[q], np.arange(7))
+    assert not q.flags.writeable
 
 
 def test_neighbours_degree():
@@ -375,20 +377,18 @@ def test_centered_self_forms_equal_quad_form_exactly(base):
         shape = (12, lift.h, lift.n)
         cands = [LiftVector(v) for v in
                  np.ldexp(1.0, rng.integers(0, 6, size=shape)) * (rng.random(shape) < 0.6)]
-        forms = centered_self_forms(lift, cands)
+        # with the plain fibre sums the certificate passes, exact for such stacks
+        stack = np.stack([c.values for c in cands])
+        forms = _centered_forms_raw(lift, stack, stack.sum(axis=-1))
         assert forms == [quad_form(lift, "centered", c, c) for c in cands]
     # any vectors: entries over many magnitudes, where a fibre sum other than
     # the cached compensated one would change the bits
     lift = random_lift(base, 64, rng)
     shape = (5, lift.h, lift.n)
     vecs = [LiftVector(v) for v in rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)]
-    assert centered_self_forms(lift, vecs) == [quad_form(lift, "centered", x, x) for x in vecs]
-
-
-def test_centered_self_forms_check_shapes():
-    lift = identity_lift(complete_graph(3), 2)
-    with pytest.raises(DimensionMismatchError):
-        centered_self_forms(lift, [LiftVector(np.ones((3, 2))), LiftVector(np.ones((3, 3)))])
+    forms = _centered_forms_raw(lift, np.stack([x.values for x in vecs]),
+                                np.stack([x.fibre_sums for x in vecs]))
+    assert forms == [quad_form(lift, "centered", x, x) for x in vecs]
 
 
 # --- lifted eigenvectors -----------------------------------------------------
@@ -438,6 +438,27 @@ def test_induced_adjacency_identity_lift():
     assert np.array_equal(sub, complete_graph(3).adjacency())
     mixed = induced_adjacency(lift, [(0, 0), (1, 1)])
     assert np.array_equal(mixed, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("base", STACK_BASES, ids=lambda b: f"h{b.h}d{b.d}")
+def test_induced_adjacency_gather_equals_the_per_edge_loop(base):
+    rng = np.random.default_rng(300 + base.h)
+    for n in (1, 3, 40):
+        lift = random_lift(base, n, rng)
+        grid = [(i, j) for i in range(lift.h) for j in range(n)]
+        for size in (0, 1, len(grid) // 3, len(grid)):
+            chosen = [grid[k] for k in rng.permutation(len(grid))[:size]]
+            sub = induced_adjacency(lift, chosen)
+            assert sub.tobytes() == oracle_induced(lift, chosen).tobytes()
+        with pytest.raises(LiftlabError, match="distinct"):
+            induced_adjacency(lift, [grid[1], grid[0], grid[1]])
+
+
+@pytest.mark.parametrize("bad", [(0, -1), (0, 100), (4, 0), (-1, 0), (0, 2 ** 70)])
+def test_induced_adjacency_rejects_vertices_outside_the_lift(bad):
+    lift = random_lift(complete_graph(4), 100, np.random.default_rng(31))
+    with pytest.raises(LiftlabError, match="must lie in"):
+        induced_adjacency(lift, [(1, 2), bad])
 
 
 # --- operator properties (hypothesis) ----------------------------------------

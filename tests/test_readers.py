@@ -10,16 +10,12 @@ import contextlib
 import copy
 import io
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import liftlab
 from liftlab.cli import main
 from liftlab.dyadic import DyadicScale
 from liftlab.errors import LiftlabError
@@ -28,6 +24,8 @@ from liftlab.graphs import Lift, base_from_text, base_to_text, complete_graph, p
 from liftlab.matching import matching_spec_from_text
 from liftlab.patterns import ClassProfile, Pattern, pattern_from_text, pattern_to_text
 from liftlab.sampling import SeededRng, sample_lift
+
+from _support import run_script
 
 K4 = complete_graph(4)
 
@@ -88,14 +86,9 @@ def _mutate_json(data, text: str) -> str:
 
 
 def _read_in_child(name: str, text: str) -> None:
-    """Read ``text`` with one reader in a fresh interpreter under a time
-    limit, so a reader that never returns fails the test instead of hanging
-    the suite. The child exits 0 only on a LiftlabError (see the end of this
-    file)."""
-    src = str(Path(liftlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, __file__, name], input=text, text=True,
-                           capture_output=True, timeout=60, env=env)
+    """Read ``text`` with one reader in a time-limited child process. The
+    child exits 0 only on a LiftlabError (see the end of this file)."""
+    child = run_script(__file__, name, stdin=text)
     assert child.returncode == 0, child.stderr
 
 

@@ -230,6 +230,14 @@ def test_embed_validation():
         embed_subgraph_witness(big, [])
 
 
+@pytest.mark.parametrize("bad", [(0, -1), (0, 100), (4, 0)])
+def test_embed_rejects_vertices_outside_the_lift(bad):
+    # (0, -1) once embedded position n - 1; the others escaped as IndexError
+    lift = sample_lift(complete_graph(4), 100, SeededRng(2))
+    with pytest.raises(LiftlabError, match="must lie in"):
+        embed_subgraph_witness(lift, [bad])
+
+
 # --- pattern witness bounds --------------------------------------------------------------
 
 
