@@ -57,7 +57,7 @@ class DyadicScale:
 
     - ``weight``: the entry value 2^e/sqrt(nh);
     - ``max_spread``: one band holds exponents at most s apart, 2^s <= d;
-    - ``within_cap``: the squared norm sum(count * 4^e) is at most 10nh;
+    - ``within_cap``: the squared norm sum(count * 4^e) is at most ``norm_cap``, 10nh;
       ``headroom`` gives the largest k with 4^k * mass <= 10nh;
     - ``gap_limit``: two entries are comparable, 4^g < d, when their
       exponent gap g is below it (never when d = 1);
@@ -91,21 +91,22 @@ class DyadicScale:
     def max_spread(self) -> int:
         return self.d.bit_length() - 1
 
-    @property
-    def norm_cap(self) -> int:
-        return 10 * self.size
+    @staticmethod
+    def norm_cap(shape: tuple[int, ...], rounded: bool = False) -> int:
+        """The cap on sum(4^e) over entries 2^e of an (h, n) shape: 10nh, or 5nh if rounded."""
+        return (5 if rounded else 10) * shape[-2] * shape[-1]
 
     def headroom(self, mass: int) -> int:
         """The largest k with 4^k * mass <= 10nh, for an integer mass >= 1; -1
         when the mass alone exceeds the cap."""
-        return ((self.norm_cap // mass).bit_length() - 1) // 2
+        return ((self.norm_cap((self.h, self.n)) // mass).bit_length() - 1) // 2
 
     def within_cap(self, classes: Sequence[tuple[int, int]]) -> bool:
         """sum(count * 4^e) <= 10nh over (exponent, count) pairs with e >= 0 and
         count >= 1; an exponent above ``headroom(1)`` fails before 4^e is formed."""
         top = self.headroom(1)
         return (all(e <= top for e, _ in classes)
-                and sum(c * 4 ** e for e, c in classes) <= self.norm_cap)
+                and sum(c * 4 ** e for e, c in classes) <= self.norm_cap((self.h, self.n)))
 
     def check_band(self, classes: Sequence[tuple[int, int]], error: type[LiftlabError]) -> None:
         """Raise ``error`` unless the (exponent, count >= 1) pairs have nonnegative
@@ -257,7 +258,7 @@ def _norms_sq(stack: np.ndarray) -> np.ndarray | None:
 def is_rounded_vector(x: LiftVector) -> bool:
     """Entries are signed unit-or-larger dyadic and squared norm <= 5nh."""
     norm = _norms_sq(x.values)
-    return norm is not None and bool(norm <= 5 * x.h * x.n)
+    return norm is not None and bool(norm <= DyadicScale.norm_cap(x.values.shape, rounded=True))
 
 
 def _is_candidate_stack(stack: np.ndarray) -> bool:
@@ -265,12 +266,7 @@ def _is_candidate_stack(stack: np.ndarray) -> bool:
     norm <= 10nh, decided with one frexp over the stack."""
     norms = _norms_sq(stack)
     return (norms is not None and not (stack < 0).any()
-            and bool((norms <= 10 * stack.shape[-2] * stack.shape[-1]).all()))
-
-
-def is_candidate_vector(x: LiftVector) -> bool:
-    """Entries are nonnegative unit-or-larger dyadic and squared norm <= 10nh."""
-    return _is_candidate_stack(x.values)
+            and bool((norms <= DyadicScale.norm_cap(stack.shape)).all()))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +313,7 @@ def _check_compatible(yv: np.ndarray, zv: np.ndarray) -> None:
         norm = _norms_sq(v)
         if norm is None:
             raise NotBandVectorError("entries must be zero or have modulus 2^i with i >= 0")
-        if norm > 5 * v.size:
+        if norm > DyadicScale.norm_cap(v.shape, rounded=True):
             raise NotBandVectorError(f"{name} vector exceeds the rounded-class norm cap")
     if ((yv > 0) & (zv < 0)).any() or ((yv < 0) & (zv > 0)).any():
         raise NotSignCompatibleError("entries with opposite signs")
@@ -426,7 +422,10 @@ class DyadicBandVector:
 
     def __post_init__(self):
         shape = (self.scale.h, self.scale.n)
-        exps = np.array(self.exponents, dtype=np.int64)
+        try:
+            exps = np.array(self.exponents, dtype=np.int64)
+        except OverflowError:
+            raise NotBandVectorError("exponents must fit in 64 bits") from None
         mask = np.array(self.nonzero, dtype=bool)
         if exps.shape != shape or mask.shape != shape:
             raise NotBandVectorError(f"arrays must have shape {shape}")

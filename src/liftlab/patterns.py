@@ -10,9 +10,9 @@ class contributes enough deviation to be individually unlikely. A pattern
 keeps its links also as index arrays; each public call builds the class
 graph and deviation table from them once, as numpy arrays over the sorted
 classes, and passes them along. Sums run in the order of a loop over each
-class's sorted neighbours, or through math.fsum, so every result has the
-bits a loop over ``edge_deviation`` gives; the greedy scan drops, in verified
-batches, what a scan of one class per turn drops.
+class's sorted neighbours, or equal math.fsum (``_fsums``: exact bin sums, no
+lists), so every result has the bits a loop over ``edge_deviation`` gives; the
+greedy scan drops, in verified batches, what a scan of one class per turn drops.
 """
 
 from __future__ import annotations
@@ -285,11 +285,11 @@ class DeviationTable:
     def __init__(self, pattern: Pattern):
         self.graph = g = ClassGraph(pattern)
         counts, n, size = pattern.profile.counts, pattern.scale.n, len(g.vertices)
-        self.weights = {exp: pattern.scale.weight(exp) for exp in sorted({e for _, e in counts})}
-        squares = {exp: w ** 2 for exp, w in self.weights.items()}
+        exps, which = np.unique(g.exponent, return_inverse=True)
+        self.weights = {exp: pattern.scale.weight(exp) for exp in exps.tolist()}
         self.count = np.fromiter(counts.values(), np.int64, size)
-        self.weight = np.array([self.weights[e] for e in g.exponent.tolist()], dtype=float)
-        self.square = np.array([squares[e] for e in g.exponent.tolist()], dtype=float)
+        self.weight = np.array(list(self.weights.values()), dtype=float)[which]
+        self.square = np.array([w ** 2 for w in self.weights.values()], dtype=float)[which]
         # each link's count goes to the entries of both its ends, found by
         # (row, neighbour) key among the sorted entry keys and a sentinel
         ends = pattern.link_ends
@@ -315,21 +315,43 @@ def _row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.cumsum(np.where(mask, values, 0.0), axis=-1)[..., -1]
 
 
+def _fsums(values: np.ndarray, rows: np.ndarray | None = None, nrows: int = 1):
+    """math.fsum of the values, or with ``rows`` (each value's row, below ``nrows``)
+    of each row's values, bit for bit: bincount sums each value's top 27 bits and
+    its rest per (row, exponent) bin exactly, and fsum rounds a row's bin sums.
+    Non-finite input, 2^960 or more (fsum may overflow) or 2^26 values go to fsum."""
+    values = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    bits = values.view(np.int64)
+    exp = (bits >> 52) & 0x7FF
+    if values.size >= 1 << 26 or exp.max(initial=0) >= 1023 + 960:
+        groups = [values] if rows is None else [values[rows == r] for r in range(nrows)]
+        sums = np.array([math.fsum(group.tolist()) for group in groups])
+    else:
+        column = np.cumsum(np.bincount(exp, minlength=0x800) > 0) - 1  # the exponents present
+        width = int(column[-1]) + 1
+        high = (bits & -(1 << 26)).view(float)
+        bins = column[exp] if rows is None else rows * width + column[exp]
+        parts = np.concatenate([np.bincount(bins, half, nrows * width)
+                                .reshape(nrows, width) for half in (high, values - high)], axis=1)
+        sums = np.array([math.fsum(part) for part in parts.tolist()])
+    return float(sums[0]) if rows is None else sums
+
+
 def _members_potency(table: DeviationTable, alive: np.ndarray, regime: np.ndarray) -> float:
     both = regime & table.graph.upper & alive[:, None] & alive[table.graph.nbr]
-    return abs(math.fsum(table.term[both].tolist()))
+    return abs(_fsums(table.term[both]))
 
 
 def _peak(terms) -> float:
-    terms = np.asarray(terms, dtype=float)
-    return max(math.fsum(terms[terms > 0].tolist()), -math.fsum(terms[terms < 0].tolist()))
+    positive, negative = _fsums(terms, np.less(terms, 0), 2).tolist()
+    return max(positive, -negative)
 
 
 def potency(pattern: Pattern) -> float:
     """Absolute signed sum of weight * (observed - expected) over the edges
     of the class graph."""
     table = DeviationTable(pattern)
-    return abs(math.fsum(table.term[table.graph.upper].tolist()))
+    return abs(_fsums(table.term[table.graph.upper]))
 
 
 def peak_potency(pattern: Pattern) -> float:
@@ -387,7 +409,8 @@ def _vertex_sums(pattern: Pattern, table: DeviationTable) -> tuple[np.ndarray, .
     root_d = math.sqrt(scale.d)
     # bincount adds each fibre's masses in vertex order, as a loop from 0.0 does
     fibre_mass = np.bincount(g.fibre, weights=table.square * table.count, minlength=scale.h)
-    mass = np.array([math.fsum(row) for row in fibre_mass[g.fibre_neighbours].tolist()])[g.fibre]
+    mass = _fsums(fibre_mass[g.fibre_neighbours], np.arange(scale.h).repeat(scale.d),
+                  scale.h)[g.fibre]
     tilt = (table.square[g.nbr] * table.count[g.nbr]
             * (table.weight[g.nbr] / (table.weight * root_d)[:, None]))
     headroom = np.maximum(mass / (table.count * table.square * scale.d),
@@ -419,18 +442,15 @@ def extract_pattern(vec: DyadicBandVector, lift: Lift) -> tuple[Pattern, dict]:
     if vec.scale != DyadicScale.of(lift):
         raise DimensionMismatchError("vector scale does not match the lift")
     profile = ClassProfile.from_band_vector(vec)
-    links: Counter = Counter()
-    for (u, v), perm in lift.perms.items():
+    links, width = {}, int(vec.exponents.max(initial=0)) + 1
+    for (u, v), perm in lift.perms.items():  # u < v, so ((u, eu), (v, ev)) is canonical
         mask = vec.nonzero[u] & vec.nonzero[v][perm]
-        if not mask.any():
-            continue
-        left = vec.exponents[u][mask]
-        right = vec.exponents[v][perm][mask]
-        for eu, ev in zip(left.tolist(), right.tolist()):
-            links[_edge_key((u, eu), (v, ev))] += 1
+        pairs = vec.exponents[u][mask] * width + vec.exponents[v][perm][mask]
+        for pair, count in zip(*map(np.ndarray.tolist, np.unique(pairs, return_counts=True))):
+            links[(u, pair // width), (v, pair % width)] = count
     witnesses = {(i, e): tuple(np.flatnonzero(vec.nonzero[i] & (vec.exponents[i] == e)).tolist())
                  for i, e in profile.counts}
-    return Pattern(lift.base, profile, dict(links)), witnesses
+    return Pattern(lift.base, profile, links), witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +562,8 @@ def _greedy_reduce(pattern: Pattern, level: float, branch: str,
         removed_potency=math.fsum(r.local_potency for r in removals),
         budget=_BUDGET_FACTOR[branch] * level * math.sqrt(pattern.scale.d),
         potency_before=potency_before,
-        potency_after=_members_potency(table, alive, regime),
+        # with nothing removed, the survivors' sum is the one just taken
+        potency_after=_members_potency(table, alive, regime) if removals else potency_before,
     )
 
 
@@ -597,10 +618,8 @@ def _check_dispatch_guarantees(pattern: Pattern, level: float,
         raise LiftlabError("reduction lost more potency than its guarantee allows")
     n = pattern.scale.n
     gaps, which = np.unique(table.gap[both], return_inverse=True)
-    rates = np.zeros(table.gap.shape)
-    rates[both] = np.array([deviation_rate(gap) for gap in gaps.tolist()], dtype=float)[which]
-    # mu is count * neighbour count / n, and fsum ignores the zeros
-    lhs = [math.fsum(row) for row in (table.mu * rates).tolist()]
+    rates = np.array([deviation_rate(gap) for gap in gaps.tolist()], dtype=float)[which]
+    lhs = _fsums(table.mu[both] * rates, np.nonzero(both)[0], len(g.vertices)).tolist()
     for vertex in np.flatnonzero(kept).tolist():
         count = int(table.count[vertex])
         rhs = (level / 10.0) * count * math.log(math.e * n / count)
@@ -643,7 +662,7 @@ def dominant_neighbours(pattern: Pattern, members: Iterable[ClassVertex],
         cut = level * n / (2.0 * count)
         chosen = gaps * square * d / table.square[others] >= cut
     else:
-        local = abs(math.fsum(table.term[index][pick].tolist()))
+        local = abs(_fsums(table.term[index][pick]))
         nb_mass = float(_vertex_sums(pattern, table)[0][index])
         if nb_mass == 0.0:
             return frozenset()

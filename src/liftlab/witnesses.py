@@ -61,6 +61,8 @@ def clique_witness(lift: Lift, vertices: Sequence[tuple[int, int]]) -> WitnessRe
     pairwise matched (a planted clique), the quotient is exactly s - 1.
     """
     verts = [(int(i), int(j)) for i, j in vertices]
+    if not all(0 <= i < lift.h and 0 <= j < lift.n for i, j in verts):
+        raise LiftlabError("clique vertices must lie in the lift")
     fibres = [i for i, _ in verts]
     if len(set(fibres)) != len(fibres):
         raise FibresNotDistinctError("clique vertices must sit in distinct fibres")
@@ -203,8 +205,8 @@ def pattern_witness_bound(lift: Lift, pattern: Pattern,
     exps = np.zeros((scale.h, scale.n), dtype=np.int64)
     mask = np.zeros((scale.h, scale.n), dtype=bool)
     for (fibre, exp), positions in witnesses.items():
-        if not 0 <= fibre < scale.h:
-            raise WitnessMismatchError(f"fibre {fibre} out of range")
+        if not (0 <= fibre < scale.h and -2 ** 63 <= exp < 2 ** 63):
+            raise WitnessMismatchError(f"class {(fibre, exp)} out of range")
         for j in positions:
             j = int(j)
             if not 0 <= j < scale.n:

@@ -25,9 +25,9 @@ from liftlab.cli import main
 from liftlab.dyadic import DyadicBandVector, DyadicScale
 from liftlab.errors import InvalidPatternError, LiftlabError, NotBandVectorError, WitnessMismatchError
 from liftlab.experiment import run_cell
-from liftlab.graphs import base_from_name, complete_graph, identity_lift
-from liftlab.patterns import ClassProfile, extract_pattern
-from liftlab.witnesses import pattern_witness_bound
+from liftlab.graphs import base_from_name, complete_graph, identity_lift, induced_adjacency
+from liftlab.patterns import ClassProfile, Pattern, extract_pattern
+from liftlab.witnesses import clique_witness, pattern_witness_bound
 
 from _support import run_script
 
@@ -97,6 +97,32 @@ def test_band_vector_and_class_profile_accept_alike(n, h, d, data):
     broken = bool(live) and (min(live) < 0 or 2 ** (max(live) - min(live)) > d
                              or sum(4 ** e for e in live) > 10 * n * h)
     assert (faults[0] is not None) == broken
+
+
+# ints on both sides of the int64 and uint64 limits, and far beyond them
+BEYOND = st.sampled_from([2 ** 63, 2 ** 64, 2 ** 70]).flatmap(
+    lambda limit: st.integers(limit - 2, limit + 2)).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(0, 3) | BEYOND, b=st.integers(0, 3) | BEYOND, c=st.integers(0, 3) | BEYOND)
+def test_integers_beyond_int64_raise_typed_errors(a, b, c):
+    lift = identity_lift(complete_graph(3), 4)
+    scale = DyadicScale.of(lift)
+    pattern, _ = extract_pattern(DyadicBandVector.zero(scale), lift)
+    calls = [
+        lambda: pattern_witness_bound(lift, pattern, {(a, b): (c,)}),
+        lambda: DyadicBandVector(scale, np.full((3, 4), a, dtype=object), np.ones((3, 4), bool)),
+        lambda: DyadicBandVector(scale, [[a, b, c, 0]] * 3, np.eye(3, 4, dtype=bool)),
+        lambda: ClassProfile(scale, {(a, b): c}),
+        lambda: Pattern(lift.base, ClassProfile(scale, {(0, 0): 1, (1, 0): 1}),
+                        {((a, b), (1, 0)): c}),
+        lambda: induced_adjacency(lift, [(a, b)]),
+        lambda: clique_witness(lift, [(a, b)]),
+    ]
+    for call in calls:
+        with contextlib.suppress(LiftlabError):  # anything else escapes and fails
+            call()
 
 
 def _run_in_child(case: str) -> str:

@@ -15,12 +15,12 @@ from liftlab.dyadic import (
     dyadic_certificate,
     dyadic_round,
     int_norm_sq,
-    is_candidate_vector,
     is_rounded_vector,
     polarize,
     quad_form,
     quad_form_restricted,
     signed_exponents,
+    _check_compatible,
     _is_candidate_stack,
 )
 from liftlab.errors import (
@@ -305,7 +305,7 @@ def test_polarize_candidates_valid_and_tenth_guarantee(seed):
     cands = polarize(y, z)
     assert len(cands) == 12
     for c in cands:
-        assert is_candidate_vector(c)
+        assert _is_candidate_stack(c.values)
     cross = abs(quad_form(lift, "centered", y, z))
     best = max(abs(quad_form(lift, "centered", c, c)) for c in cands)
     assert best >= cross / 10 - 1e-12
@@ -400,7 +400,8 @@ def test_certificate_equals_the_per_vector_path_bit_for_bit(name, n, seed):
 
 
 def exact_candidate(arr):
-    """is_candidate_vector by its definition, in integer arithmetic."""
+    """A candidate by its definition, in integer arithmetic: entries 0 or 2^i
+    (i >= 0) with squared norm at most 10nh."""
     if (arr < 0).any():
         return False
     try:
@@ -422,7 +423,7 @@ def test_candidate_stack_rejects_a_non_candidate_entry(bad):
     stack[7, 1, 2] = bad
     assert not _is_candidate_stack(stack)
     assert not exact_candidate(stack[7])
-    assert not is_candidate_vector(LiftVector(stack[7]))
+    assert not _is_candidate_stack(stack[7])
 
 
 def test_candidate_stack_norm_cap_is_exact():
@@ -433,6 +434,19 @@ def test_candidate_stack_norm_cap_is_exact():
     assert _is_candidate_stack(at_cap) and exact_candidate(at_cap[0])
     assert not _is_candidate_stack(over) and not exact_candidate(over[0])
     assert not _is_candidate_stack(np.concatenate([at_cap, over]))
+
+
+def test_rounded_norm_cap_is_exact():
+    # nh = 10, rounded cap 50: 16 + 16 + 4*4 + 2*1 is on the cap, one more 1 over it
+    at_cap = np.array([[4.0, -4.0, 2.0, -2.0, 2.0, 2.0, 1.0, -1.0, 0.0, 0.0]])
+    over = at_cap.copy()
+    over[0, 8] = 1.0
+    assert DyadicScale.norm_cap(at_cap.shape, rounded=True) == 50 == int_norm_sq(
+        *signed_exponents(LiftVector(at_cap)))
+    assert is_rounded_vector(LiftVector(at_cap)) and not is_rounded_vector(LiftVector(over))
+    _check_compatible(at_cap, at_cap)
+    with pytest.raises(NotBandVectorError, match="second vector exceeds the rounded-class"):
+        _check_compatible(at_cap, over)
 
 
 # --- band vectors and band_select ---------------------------------------------------

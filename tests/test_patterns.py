@@ -9,6 +9,7 @@ import hashlib
 import importlib
 import itertools
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,12 @@ from liftlab.errors import (
     TooLargeError,
     VertexNotInUError,
 )
-from liftlab.graphs import BaseGraph, complete_graph, cycle_graph, identity_lift
+from liftlab.graphs import BaseGraph, base_from_name, complete_graph, cycle_graph, identity_lift
 from liftlab.patterns import (
     _BUDGET_FACTOR,
     _branch_floors,
     _deviation,
+    _fsums,
     _greedy_reduce,
     _members_potency,
     _peak,
@@ -65,6 +67,7 @@ from liftlab.patterns import (
     reduce_small,
     reduction_to_text,
 )
+from liftlab.sampling import SeededRng, sample_lift
 
 from _support import SMALL_BASES, random_lift
 
@@ -640,6 +643,31 @@ def test_extract_census_consistency(seed):
     assert recount == dict(pat.links)
 
 
+def pair_loop_pattern(vec, lift):
+    """The census with its links counted pair by pair into a Counter."""
+    links = Counter()
+    for (u, v), perm in lift.perms.items():
+        for j in range(lift.n):
+            jp = int(perm[j])
+            if vec.nonzero[u, j] and vec.nonzero[v, jp]:
+                links[(u, int(vec.exponents[u, j])), (v, int(vec.exponents[v, jp]))] += 1
+    return Pattern(lift.base, ClassProfile.from_band_vector(vec), dict(links))
+
+
+@pytest.mark.parametrize("name", ["k4", "c6", "petersen"])
+def test_extract_counts_links_as_the_pair_loop(name):
+    rng = np.random.default_rng(len(name))
+    for n in (1, 3, 40, 150):
+        lift = sample_lift(base_from_name(name), n, SeededRng(n))
+        for density in (0.0, 0.1, 0.5):
+            vec = random_band_vector(DyadicScale.of(lift), rng, density)
+            pattern, loop = extract_pattern(vec, lift)[0], pair_loop_pattern(vec, lift)
+            assert list(pattern.links.items()) == list(loop.links.items())
+            assert pattern.link_ends.tobytes() == loop.link_ends.tobytes()
+            assert pattern.link_counts.tobytes() == loop.link_counts.tobytes()
+            assert pattern == loop
+
+
 # --- aggregates -----------------------------------------------------------------------
 
 
@@ -1006,6 +1034,81 @@ def test_census_transcripts_keep_their_recorded_digests(monkeypatch):
         assert (transcript_digest(reduce_pattern(pattern)),
                 transcript_digest(reduce_general(pattern, level=workloads.CENSUS_LEVEL))) == (
             recorded["reduce_pattern"], recorded["reduce_general"])
+
+
+def test_reductions_that_remove_nothing_report_a_recounted_potency_after(large_regime_pattern):
+    # the large branch keeps every simplex class, so potency_after is not summed
+    # again; it must still be the fsum of the branch's terms over the kept set.
+    # Without the link (0, 0)-(1, 0), one edge sits in the small regime.
+    simplex = large_regime_pattern
+    cut = Pattern(simplex.base, simplex.profile,
+                  {pair: c for pair, c in simplex.links.items() if pair != ((0, 0), (1, 0))})
+    for pattern in (simplex, cut):
+        counts, n, terms = pattern.profile.counts, pattern.scale.n, ref_terms(pattern)
+        large = [term for (u, v), term in terms.items()
+                 if pattern.links.get((u, v), 0) * n / (counts[u] * counts[v]) - 1.0
+                 > LARGE_DEVIATION_CUTOFF]
+        assert len(large) == len(terms) - (pattern is cut)
+        for report in (reduce_pattern(pattern), reduce_large(pattern)):
+            assert report.removals == () and len(report.kept) == 452
+            assert report.potency_after == abs(math.fsum(large)) > 0.0
+
+
+def fsum_or_error(call):
+    try:
+        return call()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def same_sums(got, want):
+    """Equal floats by float.hex (so -0.0 differs from 0.0, NaN equals NaN), or the same error."""
+    if isinstance(got, type) or isinstance(want, type):
+        return got is want
+    return [float(x).hex() for x in np.atleast_1d(got)] == [
+        float(x).hex() for x in np.atleast_1d(want)]
+
+
+FSUM_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.0 ** -1000, max_value=2.0 ** -1000),  # subnormals included
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 1023)),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(950, 1023)),
+    st.sampled_from([0.0, -0.0, 2.0 ** -1074, -2.0 ** -1074, 1.0, 2.0 ** 53, -(2.0 ** 53), 0.1]),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_fsums_equals_math_fsum(data):
+    finite = data.draw(st.booleans())
+    values = data.draw(st.lists(FSUM_VALUES if finite else FSUM_VALUES | st.sampled_from(
+        [math.inf, -math.inf, math.nan]), max_size=60))
+    nrows = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.integers(0, nrows - 1), min_size=len(values),
+                              max_size=len(values)))
+    array = np.array(values, dtype=float)
+    assert same_sums(fsum_or_error(lambda: _fsums(array)),
+                     fsum_or_error(lambda: math.fsum(values)))
+    # the row sums raise what the first row that raises raises
+    want = fsum_or_error(lambda: [math.fsum(v for v, r in zip(values, rows) if r == k)
+                                  for k in range(nrows)])
+    got = fsum_or_error(lambda: _fsums(array, np.array(rows, np.int64), nrows))
+    assert same_sums(got, want)
+    assert isinstance(_fsums(array[:0]), float) and _fsums(array[:0]) == 0.0
+
+
+def test_fsums_near_the_float_limits():
+    # signed zeros, subnormals, sums that overflow in one order only, the fallback
+    # cut at 2^960, non-finite values, and ties broken by a far-off partial
+    cases = [[], [-0.0], [-0.0, -0.0], [2.0 ** -1074] * 3 + [-(2.0 ** -1073)],
+             [1e308, 1e308, -1e308], [1e308, -1e308, 1e308],
+             [2.0 ** 1000, 2.0 ** -1000, -(2.0 ** 1000)], [2.0 ** 959.5, 2.0 ** 959.5],
+             [2.0 ** 960, -(2.0 ** 960), 1.0], [math.inf, -math.inf], [math.inf, 1.0],
+             [math.nan, 1.0], [0.1] * 10, [1.0, 2.0 ** -53, 2.0 ** -106]]
+    for values in cases:
+        assert same_sums(fsum_or_error(lambda: _fsums(np.array(values, dtype=float))),
+                         fsum_or_error(lambda: math.fsum(values))), values
 
 
 def test_kept_rows_peak_equals_peak_of_the_restricted_pattern():
