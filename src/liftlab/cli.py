@@ -29,7 +29,7 @@ from .patterns import (extract_pattern, pattern_to_text, reduce_general,
                        reduce_large, reduce_pattern, reduce_small,
                        reduction_to_text)
 from .sampling import SeededRng, plant_clique, sample_lift
-from .spectra import lambda_star, new_spectrum
+from .spectra import _lambda_star, new_spectrum
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -65,9 +65,11 @@ def cmd_gen(args) -> int:
 
 def cmd_spectrum(args) -> int:
     lift = _load_lift(args.lift)
-    rep = lambda_star(lift, tol=args.tol, method=args.method)
+    rep, spectrum = _lambda_star(lift, args.tol, None, args.method)
     count = args.list if args.list > 0 else 10 if args.method == "dense" else 0
-    values = new_spectrum(lift)[:count] if count else []
+    if count and spectrum is None:
+        spectrum = new_spectrum(lift)
+    values = spectrum[:count] if count else []
     print(f"lambda_top {rep.lambda_top!r}")
     print(f"lambda_star {rep.lambda_star!r}")
     print(f"method {rep.method}")
@@ -84,12 +86,11 @@ def cmd_spectrum(args) -> int:
 def cmd_certify(args) -> int:
     lift = _load_lift(args.lift)
     rep = band_certificate(lift, trials=args.trials, rng=SeededRng(args.seed))
-    met = rep.certificate.met if rep.certificate is not None else rep.met
     print(f"lambda_star {rep.spectral.lambda_star!r}")
     print(f"target {rep.target!r}")
     print(f"achieved {rep.achieved!r}")
     print(f"band-met {int(rep.met)}")
-    print(f"dyadic-met {int(met)}")
+    print(f"dyadic-met {int(rep.dyadic_met)}")
     return 0
 
 

@@ -41,7 +41,7 @@ from .errors import (
     NotSignCompatibleError,
     TooLargeError,
 )
-from .graphs import Lift, LiftVector, _centered_forms_raw, apply_operator, check_shape
+from .graphs import Lift, LiftVector, _centered_forms_raw, _int64s, apply_operator, check_shape
 from .sampling import SeededRng
 from .spectra import SpectralReport, lambda_star
 
@@ -422,11 +422,10 @@ class DyadicBandVector:
 
     def __post_init__(self):
         shape = (self.scale.h, self.scale.n)
-        try:
-            exps = np.array(self.exponents, dtype=np.int64)
-        except OverflowError:
-            raise NotBandVectorError("exponents must fit in 64 bits") from None
-        mask = np.array(self.nonzero, dtype=bool)
+        exps = _int64s(self.exponents, NotBandVectorError, "exponents must be integers")
+        mask = np.array(self.nonzero)
+        if mask.dtype != bool:
+            raise NotBandVectorError("the nonzero mask must hold booleans")
         if exps.shape != shape or mask.shape != shape:
             raise NotBandVectorError(f"arrays must have shape {shape}")
         exps = exps * mask
@@ -513,6 +512,11 @@ class BandCertificateReport:
     met: bool
     spectral: SpectralReport
     certificate: CertificateReport | None
+
+    @property
+    def dyadic_met(self) -> bool:
+        """Whether the dyadic certificate met its target; with none, whether the band did."""
+        return self.certificate.met if self.certificate is not None else self.met
 
 
 def band_certificate(lift: Lift, trials: int = 40, tol: float = 1e-8,

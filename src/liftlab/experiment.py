@@ -18,7 +18,7 @@ from .dyadic import band_certificate
 from .eigensolve import symmetric_eigenvalues
 from .errors import ConfigError, LiftlabError
 from .graphs import BaseGraph, Lift, base_from_name, base_from_text, induced_adjacency
-from .patterns import (Pattern, ReductionReport, extract_pattern, reduce_general,
+from .patterns import (ReductionReport, _check_level, extract_pattern, reduce_general,
                        reduce_pattern)
 from .sampling import SeededRng, sample_lift
 from .spectra import SpectralReport, lambda_star
@@ -179,8 +179,7 @@ def run_cell(base: BaseGraph, n: int, seed: int,
         cert = band_certificate(lift, trials=trials, rng=SeededRng(seed, 202),
                                 spectral=rep)
         if "certificate" in stages:
-            met = cert.certificate.met if cert.certificate is not None else cert.met
-            row = replace(row, dyprop_met=met, z_value=cert.achieved)
+            row = replace(row, dyprop_met=cert.dyadic_met, z_value=cert.achieved)
         if {"reduction", "witnesses"} & set(stages):
             pattern, found = extract_pattern(cert.vector, lift)
             reduction = reduce_pattern(pattern)
@@ -275,6 +274,7 @@ def explain_pipeline(lift: Lift, level: float = EXPLAIN_LEVEL,
     unless force_witness asks for the subgraph anyway (useful for inspecting
     where the extreme lives even when the bound is trivially met).
     """
+    _check_level(level)
     rng = rng if rng is not None else SeededRng(0)
     rep = lambda_star(lift, tol=tolerance, rng=rng).require_converged()
     d = lift.d

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,24 @@ from .errors import (
 )
 
 DENSE_GUARD = 2000
+
+
+def _int64s(values, error: type[LiftlabError], message: str) -> np.ndarray:
+    """The values, which must all be integers (a bool array is not), as an int64 array of
+    their shape, else ``error(message)``. An integer beyond int64 is clipped to
+    +-2**62, where it fails the range checks it fails unclipped."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise error(message) from None
+    kind = array.dtype.kind
+    if array.size == 0 or kind == "i" or kind == "u" and array.itemsize < 8:
+        return array.astype(np.int64)
+    flat = array.ravel().tolist()  # floats, bools, strings, objects, or uint64
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in flat):
+        raise error(message)
+    return np.array([max(-2 ** 62, min(int(x), 2 ** 62)) for x in flat],
+                    np.int64).reshape(array.shape)
 
 
 @dataclass(frozen=True)
@@ -55,18 +74,21 @@ class BaseGraph:
         seen = set()
         deg = [0] * self.h
         canon = []
-        for (u, v) in self.edges:
-            if u == v:
-                raise SelfLoopError(f"edge ({u},{v}) is a loop")
-            if not (0 <= u < self.h and 0 <= v < self.h):
-                raise LiftlabError(f"edge ({u},{v}) out of range for h={self.h}")
-            e = (min(u, v), max(u, v))
-            if e in seen:
-                raise DuplicateEdgeError(f"edge {e} repeated")
-            seen.add(e)
-            deg[u] += 1
-            deg[v] += 1
-            canon.append(e)
+        try:
+            for (u, v) in self.edges:
+                if u == v:
+                    raise SelfLoopError(f"edge ({u},{v}) is a loop")
+                if not (0 <= u < self.h and 0 <= v < self.h):
+                    raise LiftlabError(f"edge ({u},{v}) out of range for h={self.h}")
+                e = (min(u, v), max(u, v))
+                if e in seen:
+                    raise DuplicateEdgeError(f"edge {e} repeated")
+                seen.add(e)
+                deg[u] += 1  # only an integer indexes the list
+                deg[v] += 1
+                canon.append(e)
+        except (TypeError, ValueError):  # an edge that is not a pair of integer vertices
+            raise LiftlabError("edges must be pairs of integer vertices") from None
         if len(set(deg)) > 1:
             raise NonRegularError(f"degrees {sorted(set(deg))} differ")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
@@ -211,7 +233,7 @@ class Lift:
             raise LiftlabError("permutation keys do not match base edges")
         self.perms: dict[tuple[int, int], np.ndarray] = {}
         for e, p in perms.items():
-            arr = np.asarray(p, dtype=np.int64)
+            arr = _int64s(p, LiftlabError, f"permutation for edge {e} must list integers")
             if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
                 raise LiftlabError(f"permutation for edge {e} is not a bijection on 0..{n - 1}")
             arr.setflags(write=False)
@@ -271,13 +293,7 @@ class Lift:
             doc = json.loads(text)
             base = BaseGraph(_json_int(doc["base"]["h"]),
                              tuple(tuple(_json_int(t) for t in e) for e in doc["base"]["edges"]))
-            perms = {}
-            for key, arr in doc["perms"].items():
-                u, v = _edge_key(key)
-                perm = np.asarray(arr)
-                if perm.dtype.kind not in "iu":
-                    raise TypeError(f"permutation {key!r} must list integers")
-                perms[(u, v)] = perm
+            perms = {_edge_key(key): arr for key, arr in doc["perms"].items()}
             return cls(base, _json_int(doc["n"]), perms)
         except KeyError as exc:
             raise ConfigError(f"malformed lift JSON: missing key {exc}") from exc

@@ -229,31 +229,22 @@ class MonteCarloEstimate:
 
 def monte_carlo_probability(spec: MatchingSpec, samples: int,
                             rng: SeededRng | None = None) -> MonteCarloEstimate:
-    """Empirical frequency over uniform matchings.
-
-    Work is split into up to 8 shards with independent child streams, so the
-    result is reproducible for a given seed no matter how shards are scheduled.
-    """
+    """Empirical frequency over uniform matchings, drawn from one stream of
+    the seed, so the result is reproducible for a given seed."""
     if samples < 1:
         raise ConfigError("need at least one sample")
-    rng = rng if rng is not None else SeededRng(0)
-    shards = min(8, samples)
+    gen = (rng if rng is not None else SeededRng(0)).generator()
     label_a = np.array(_labels(spec.a))
     label_b = np.array(_labels(spec.b))
     target = np.array(spec.e)
     rows, cols = target.shape
     hits = 0
-    per_shard = [samples // shards] * shards
-    for k in range(samples % shards):
-        per_shard[k] += 1
-    for shard, count in enumerate(per_shard):
-        gen = rng.generator(shard)
-        for _ in range(count):
-            perm = gen.permutation(spec.n)
-            counts = np.zeros((rows, cols), dtype=np.int64)
-            np.add.at(counts, (label_a, label_b[perm]), 1)
-            if np.array_equal(counts, target):
-                hits += 1
+    for _ in range(samples):
+        perm = gen.permutation(spec.n)
+        counts = np.zeros((rows, cols), dtype=np.int64)
+        np.add.at(counts, (label_a, label_b[perm]), 1)
+        if np.array_equal(counts, target):
+            hits += 1
     estimate = hits / samples
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / samples)
     return MonteCarloEstimate(estimate, std_error, hits, samples)

@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
     TooLargeError,
     VertexNotInUError,
 )
-from .graphs import BaseGraph, Lift, complete_graph, cycle_graph
+from .graphs import BaseGraph, Lift, _int64s, complete_graph, cycle_graph
 
 ClassVertex = tuple[int, int]  # (fibre, weight exponent)
 ClassEdge = tuple[ClassVertex, ClassVertex]
@@ -58,57 +58,57 @@ _LINK_ERRORS = ("negative link count at {}", "duplicate link {}", "link {} touch
                 "link {} exceeds the smaller class size")
 
 
-def _int64s(values: Callable[[], Iterable], count: int = -1) -> np.ndarray:
-    """int() of each value as int64, clipped to +-2**62, where it fails the checks it failed."""
-    try:
-        return np.fromiter(values(), np.int64, count)
-    except OverflowError:
-        return np.fromiter((max(-2 ** 62, min(int(x), 2 ** 62)) for x in values()), np.int64, count)
+def _check_level(level: float) -> None:
+    if not 20.0 <= level < math.inf:
+        raise ConfigError(f"reduction level must be finite and at least 20, not {level!r}")
 
 
 @dataclass(frozen=True)
 class ClassProfile:
     """Entry counts per (fibre, exponent) class of a norm-capped band vector.
 
-    Validates the class-census invariants: per-fibre totals at most n, and
-    the band rules a ``DyadicBandVector`` obeys, through the same
-    ``DyadicScale.check_band``: nonnegative integer exponents within one band
-    of multiplicative width d, and an exact squared norm at most 10.
+    Validates the class-census invariants: integer keys and counts, per-fibre
+    totals at most n, and the band rules a ``DyadicBandVector`` obeys, through
+    the same ``DyadicScale.check_band``: nonnegative exponents within one band
+    of multiplicative width d, and an exact squared norm at most 10. Keeps the
+    populated classes in sorted order, as ``counts`` and as the read-only
+    ``fibre``, ``exponent`` and ``count`` arrays.
     """
 
     scale: DyadicScale
     counts: Mapping[ClassVertex, int]
 
     def __post_init__(self):
-        cleaned: dict[ClassVertex, int] = {}
-        for key, value in self.counts.items():
-            fibre, exp = key
-            count = int(value)
-            if count < 0:
-                raise InvalidPatternError(f"negative count at {key}")
-            if count == 0:
-                continue
-            if not 0 <= fibre < self.scale.h:
-                raise InvalidPatternError(f"fibre {fibre} out of range")
-            cleaned[(int(fibre), int(exp))] = count
-        per_fibre: Counter = Counter()
-        for (fibre, exp), count in cleaned.items():
-            per_fibre[fibre] += count
-        for fibre, total in per_fibre.items():
-            if total > self.scale.n:
-                raise InvalidPatternError(
-                    f"fibre {fibre} holds {total} entries but n = {self.scale.n}")
-        self.scale.check_band([(exp, count) for (_, exp), count in cleaned.items()],
-                              InvalidPatternError)
-        ordered = dict(sorted(cleaned.items()))
-        object.__setattr__(self, "counts", MappingProxyType(ordered))
+        message = "a class is not a (fibre, exponent) pair of integers with an integer count"
+        keys = _int64s(list(self.counts) or np.zeros((0, 2), np.int64), InvalidPatternError, message)
+        count = _int64s(list(self.counts.values()), InvalidPatternError, message)
+        if keys.shape != (count.size, 2) or count.ndim != 1:
+            raise InvalidPatternError(message)
+        fibre, exp = keys.T
+        bad = (count < 0) | (count > 0) & ((fibre < 0) | (fibre >= self.scale.h))
+        if bad.any():
+            key = next(itertools.islice(self.counts, int(np.argmax(bad)), None))
+            raise InvalidPatternError(f"negative count at {key}" if self.counts[key] < 0
+                                      else f"fibre {key[0]} out of range")
+        live = np.flatnonzero(count > 0)
+        live = live[np.lexsort((exp[live], fibre[live]))]
+        fibre, exp, count = fibre[live], exp[live], count[live]
+        totals = np.bincount(fibre, count, self.scale.h)
+        if (totals > self.scale.n).any():
+            over = int(np.argmax(totals > self.scale.n))
+            raise InvalidPatternError(
+                f"fibre {over} holds {int(totals[over])} entries but n = {self.scale.n}")
+        exps, sizes = exp.tolist(), count.tolist()
+        self.scale.check_band(list(zip(exps, sizes)), InvalidPatternError)
+        for name, array in (("fibre", fibre), ("exponent", exp), ("count", count)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "counts", MappingProxyType(
+            dict(zip(zip(fibre.tolist(), exps), sizes))))
 
     @classmethod
     def from_band_vector(cls, vec: DyadicBandVector) -> "ClassProfile":
         return cls(vec.scale, vec.histogram())
-
-    def weight(self, exponent: int) -> float:
-        return self.scale.weight(exponent)
 
     @property
     def vertices(self) -> tuple[ClassVertex, ...]:
@@ -118,15 +118,6 @@ class ClassProfile:
     def total(self) -> int:
         """Number of entries across all classes."""
         return sum(self.counts.values())
-
-    def fibre_total(self, fibre: int) -> int:
-        return sum(c for (i, _), c in self.counts.items() if i == fibre)
-
-    def weights_per_fibre(self) -> dict[int, int]:
-        out: Counter = Counter()
-        for (fibre, _) in self.counts:
-            out[fibre] += 1
-        return dict(out)
 
 
 @dataclass(frozen=True)
@@ -146,13 +137,17 @@ class Pattern:
         if self.base.d != self.profile.scale.d:
             raise DimensionMismatchError("profile and base disagree on the degree")
         vertices, size, h = self.profile.vertices, len(self.links), self.base.h
+        message = "a link is not a pair of (fibre, exponent) classes with an integer count"
         chain = itertools.chain.from_iterable
-        flat = _int64s(lambda: chain(chain(self.links)))
-        if flat.size != 4 * size:
-            raise InvalidPatternError("a link key is not a pair of (fibre, exponent) classes")
-        count = _int64s(self.links.values, size)
+        try:
+            flat = _int64s(list(chain(chain(self.links))), InvalidPatternError, message)
+        except TypeError:  # a key or a class that is not a sequence
+            raise InvalidPatternError(message) from None
+        count = _int64s(list(self.links.values()), InvalidPatternError, message)
+        if flat.shape != (4 * size,) or count.shape != (size,):
+            raise InvalidPatternError(message)
         # each end's index among the sorted classes; an end outside them reads -1
-        vfibre, vexp = np.array(vertices, np.int64).reshape(-1, 2).T
+        vfibre, vexp = self.profile.fibre, self.profile.exponent
         index = np.full((h + 1, int(vexp.max(initial=0)) + 2), -1)
         index[vfibre, vexp] = np.arange(len(vertices))
         fibre, exp = flat.reshape(size, 2, 2).transpose(2, 0, 1)
@@ -166,7 +161,7 @@ class Pattern:
         edges = (np.arange(h) * h + self.base.neighbour_index()).T.ravel()
         pairs = vfibre[lo[live]] * h + vfibre[hi[live]]
         apart[live] = edges[np.searchsorted(edges, pairs).clip(max=edges.size - 1)] != pairs
-        sizes = np.fromiter(self.profile.counts.values(), np.int64, len(vertices))
+        sizes = self.profile.count
         over[live] = count[live] > np.minimum(sizes[lo[live]], sizes[hi[live]])
         problem = np.select([count < 0, repeat, (count > 0) & (lo < 0), apart, over],
                             [1, 2, 3, 4, 5])
@@ -220,7 +215,7 @@ class ClassGraph:
         self.vertices: tuple[ClassVertex, ...] = pattern.profile.vertices
         self.index = {v: i for i, v in enumerate(self.vertices)}
         size = len(self.vertices)
-        self.fibre, self.exponent = np.array(self.vertices, np.int64).reshape(size, 2).T
+        self.fibre, self.exponent = pattern.profile.fibre, pattern.profile.exponent
         self.fibre_neighbours = base.neighbour_index().T
         # every class of every base-adjacent fibre, in sorted order, then the band cut
         fibres = self.fibre_neighbours[self.fibre]
@@ -284,10 +279,10 @@ class DeviationTable:
 
     def __init__(self, pattern: Pattern):
         self.graph = g = ClassGraph(pattern)
-        counts, n, size = pattern.profile.counts, pattern.scale.n, len(g.vertices)
+        n, size = pattern.scale.n, len(g.vertices)
         exps, which = np.unique(g.exponent, return_inverse=True)
         self.weights = {exp: pattern.scale.weight(exp) for exp in exps.tolist()}
-        self.count = np.fromiter(counts.values(), np.int64, size)
+        self.count = pattern.profile.count
         self.weight = np.array(list(self.weights.values()), dtype=float)[which]
         self.square = np.array([w ** 2 for w in self.weights.values()], dtype=float)[which]
         # each link's count goes to the entries of both its ends, found by
@@ -372,39 +367,12 @@ def deviation_rate(gap: float) -> float:
     return (1.0 + gap) * math.log1p(gap) - gap
 
 
-# ---------------------------------------------------------------------------
-# per-vertex aggregates
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    """Aggregates at one class vertex.
-
-    neighbour_mass: squared-weight mass held by classes in fibres adjacent
-        to this one (no band restriction).
-    tilted_mass: mass on class-graph neighbours, tilted by the weight ratio
-        over sqrt(d) so near-maximal ratios count fully.
-    headroom: how much larger the available neighbour mass or the expected
-        occupancy is than this class uses; always at least e.
-    headroom_log: log(headroom) / headroom.
-    local_*: absolute signed term sums over the vertex's class-graph
-        neighbours, split by deviation regime.
-    """
-
-    vertex: ClassVertex
-    count: int
-    weight: float
-    neighbour_mass: float
-    tilted_mass: float
-    headroom: float
-    headroom_log: float
-    local_potency: float
-    local_large: float
-    local_small: float
-
-
 def _vertex_sums(pattern: Pattern, table: DeviationTable) -> tuple[np.ndarray, ...]:
-    """Every vertex's neighbour_mass, tilted_mass, headroom and headroom_log."""
+    """Every vertex's neighbour mass (the squared-weight mass of the classes in
+    base-adjacent fibres), tilted mass (the mass on its class-graph neighbours,
+    tilted by their weight ratio over sqrt(d)), headroom (how much larger the
+    neighbour mass or the expected occupancy is than the class uses; at least
+    e) and log(headroom) / headroom."""
     g, scale = table.graph, pattern.scale
     root_d = math.sqrt(scale.d)
     # bincount adds each fibre's masses in vertex order, as a loop from 0.0 does
@@ -417,16 +385,6 @@ def _vertex_sums(pattern: Pattern, table: DeviationTable) -> tuple[np.ndarray, .
                           math.e * scale.n / table.count)
     return (mass, _row_sums(tilt, g.valid), headroom,
             np.array([math.log(x) / x for x in headroom.tolist()], dtype=float))
-
-
-def aggregates(pattern: Pattern) -> Mapping[ClassVertex, AggregateRow]:
-    """Per-vertex aggregates over the class graph, keyed by class vertex in sorted order."""
-    table = DeviationTable(pattern)
-    large, small = _row_sums(table.term, table.large), _row_sums(table.term, table.small)
-    fields = zip(table.graph.vertices, table.count.tolist(), table.weight.tolist(),
-                 *(column.tolist() for column in _vertex_sums(pattern, table)),
-                 np.abs(large + small).tolist(), np.abs(large).tolist(), np.abs(small).tolist())
-    return MappingProxyType({values[0]: AggregateRow(*values) for values in fields})
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +471,11 @@ def _branch_floors(table: DeviationTable, sums: tuple[np.ndarray, ...], level: f
 
 def _greedy_reduce(pattern: Pattern, level: float, branch: str,
                    table: DeviationTable | None = None,
-                   potency_before: float | None = None) -> ReductionReport:
-    if level < 20.0:
-        raise ConfigError("reduction level must be at least 20")
+                   potency_before: float | None = None,
+                   total: float | None = None) -> ReductionReport:
+    """One greedy reduction; given the pattern's ``total`` potency, it also
+    checks ``reduce_pattern``'s survivor guarantees."""
+    _check_level(level)
     table = table if table is not None else DeviationTable(pattern)
     g = table.graph
     labels, floors = _branch_floors(table, _vertex_sums(pattern, table), level,
@@ -555,6 +515,8 @@ def _greedy_reduce(pattern: Pattern, level: float, branch: str,
         window = 2 * window if done == turn.size else 1
     if potency_before is None:
         potency_before = _members_potency(table, np.ones_like(alive), regime)
+    if total is not None:
+        _check_dispatch_guarantees(pattern, level, alive, total, table)
     return ReductionReport(
         branch=branch,
         kept=tuple(v for v, keep in zip(g.vertices, alive.tolist()) if keep),
@@ -597,18 +559,13 @@ def reduce_pattern(pattern: Pattern, level: float = 20.0) -> ReductionReport:
     total = _members_potency(table, everything, table.graph.valid)
     heavy = _members_potency(table, everything, table.large)
     branch = "large" if heavy >= total / 2.0 else "small"
-    report = _greedy_reduce(pattern, level, branch, table,
-                            heavy if branch == "large" else None)
-    _check_dispatch_guarantees(pattern, level, report, total, table)
-    return report
+    return _greedy_reduce(pattern, level, branch, table,
+                          heavy if branch == "large" else None, total)
 
 
-def _check_dispatch_guarantees(pattern: Pattern, level: float,
-                               report: ReductionReport, total: float,
-                               table: DeviationTable) -> None:
+def _check_dispatch_guarantees(pattern: Pattern, level: float, kept: np.ndarray,
+                               total: float, table: DeviationTable) -> None:
     g = table.graph
-    kept = np.zeros(len(g.vertices), dtype=bool)
-    kept[[g.index[v] for v in report.kept]] = True
     both = g.valid & kept[:, None] & kept[g.nbr]
     floor = total / 2.0 - 55.0 * level * math.sqrt(pattern.scale.d)
     # the kept sub-pattern's class graph is the induced subgraph and its
@@ -698,8 +655,7 @@ def pattern_probability_bound(pattern: Pattern, kept: Iterable[ClassVertex],
     """Natural log of the occurrence-probability bound for the sub-pattern
     on the kept set: sum of (d/4) log(count) plus (1 - level/10) times the
     log binomial(n, count clipped to n/2), via log-gamma."""
-    if level < 20.0:
-        raise ConfigError("level must be at least 20")
+    _check_level(level)
     n = pattern.scale.n
     d = pattern.scale.d
     total = 0.0

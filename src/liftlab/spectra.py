@@ -117,6 +117,12 @@ def lambda_star(lift: Lift, tol: float = 1e-8, rng: SeededRng | None = None,
     extreme. ``method`` is "auto", "iterative", or "dense" (dense requires
     nh within the dense guard). The iteration stops after 10nh steps.
     """
+    return _lambda_star(lift, tol, rng, method)[0]
+
+
+def _lambda_star(lift: Lift, tol: float, rng: SeededRng | None,
+                 method: str) -> tuple[SpectralReport, np.ndarray | None]:
+    """``lambda_star``'s report, and the balanced spectrum when the dense path computed it."""
     if not 0.0 < tol < math.inf:
         raise ConfigError(f"tol must be positive and finite, not {tol!r}")
     n, h = lift.n, lift.h
@@ -125,7 +131,7 @@ def lambda_star(lift: Lift, tol: float = 1e-8, rng: SeededRng | None = None,
         rng = SeededRng(0, 991)
     if n == 1:
         return SpectralReport(lam_top, 0.0, "iterative", 0, 0.0,
-                              LiftVector(np.zeros((h, 1))), True)
+                              LiftVector(np.zeros((h, 1))), True), None
 
     if method == "dense" or (method == "auto" and n * h <= 600):
         vals = new_spectrum(lift)
@@ -134,7 +140,7 @@ def lambda_star(lift: Lift, tol: float = 1e-8, rng: SeededRng | None = None,
         ray = centered_rayleigh(lift, witness)
         resid_vec = apply_centered(lift, witness).values - theta * witness.values
         resid = float(np.linalg.norm(resid_vec)) / math.sqrt(witness.norm_sq)
-        return SpectralReport(lam_top, abs(ray), "dense", 1, resid, witness, True)
+        return SpectralReport(lam_top, abs(ray), "dense", 1, resid, witness, True), vals
 
     project = _balance_flat(h, n)
 
@@ -147,7 +153,7 @@ def lambda_star(lift: Lift, tol: float = 1e-8, rng: SeededRng | None = None,
     witness = LiftVector(out.vector.reshape(h, n))
     ray = centered_rayleigh(lift, witness)
     return SpectralReport(lam_top, abs(ray), "iterative", out.iterations,
-                          out.residual, witness, out.converged)
+                          out.residual, witness, out.converged), None
 
 
 def _dense_witness(lift: Lift, theta: float) -> LiftVector:

@@ -25,7 +25,8 @@ from liftlab.cli import main
 from liftlab.dyadic import DyadicBandVector, DyadicScale
 from liftlab.errors import InvalidPatternError, LiftlabError, NotBandVectorError, WitnessMismatchError
 from liftlab.experiment import run_cell
-from liftlab.graphs import base_from_name, complete_graph, identity_lift, induced_adjacency
+from liftlab.graphs import (BaseGraph, Lift, base_from_name, complete_graph, identity_lift,
+                            induced_adjacency)
 from liftlab.patterns import ClassProfile, Pattern, extract_pattern
 from liftlab.witnesses import clique_witness, pattern_witness_bound
 
@@ -123,6 +124,30 @@ def test_integers_beyond_int64_raise_typed_errors(a, b, c):
     for call in calls:
         with contextlib.suppress(LiftlabError):  # anything else escapes and fails
             call()
+
+
+K3, K3_SCALE = complete_graph(3), DyadicScale(4, 3, 2)
+
+
+@pytest.mark.parametrize("build, error", [
+    pytest.param(lambda: DyadicBandVector(K3_SCALE, np.full((3, 4), 1.7), np.ones((3, 4), bool)),
+                 NotBandVectorError, id="band-exponents"),
+    pytest.param(lambda: DyadicBandVector(K3_SCALE, np.zeros((3, 4), np.int64), np.full((3, 4), 2)),
+                 NotBandVectorError, id="band-mask"),
+    pytest.param(lambda: Lift(K3, 2, {e: [0.2, 1.9] for e in K3.edges}), LiftlabError,
+                 id="lift-permutation"),
+    pytest.param(lambda: BaseGraph(3, ((0, 1.5), (1, 2), (0, 2))), LiftlabError, id="base-edge"),
+    pytest.param(lambda: ClassProfile(K3_SCALE, {(0, 1.5): 2.7, (1.9, 0): 1}), InvalidPatternError,
+                 id="class-key"),
+    pytest.param(lambda: ClassProfile(K3_SCALE, {(0, 0): 2.0}), InvalidPatternError,
+                 id="class-count"),
+    pytest.param(lambda: ClassProfile(K3_SCALE, {(0,): 1}), InvalidPatternError, id="class-key-short"),
+    pytest.param(lambda: Pattern(K3, ClassProfile(K3_SCALE, {(0, 0): 1, (1, 0): 1}),
+                                 {((0, 0), (1, 0)): 0.5}), InvalidPatternError, id="link-count"),
+])
+def test_non_integers_raise_typed_errors(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def _run_in_child(case: str) -> str:

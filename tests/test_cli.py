@@ -8,10 +8,12 @@ import pytest
 
 import liftlab.dyadic
 import liftlab.experiment
+import liftlab.spectra
 from liftlab.cli import main
 from liftlab.graphs import Lift, base_from_name
 from liftlab.matching import MatchingSpec, exact_log_probability, matching_spec_to_text
 from liftlab.patterns import pattern_from_text
+from liftlab.spectra import new_spectrum
 
 
 def run(capsys, argv):
@@ -77,6 +79,17 @@ def test_spectrum_methods_agree(lift_file, capsys):
     assert listing, "dense run should list leading balanced eigenvalues"
     assert abs(listing[0]) <= dense_star + 1e-9
     assert float(grab(dense_out, "lambda_top")) == pytest.approx(3.0, abs=1e-6)
+
+
+def test_dense_spectrum_solves_once(lift_file, monkeypatch, capsys):
+    real, shapes = liftlab.spectra.symmetric_eigenvalues, []
+    monkeypatch.setattr(liftlab.spectra, "symmetric_eigenvalues",
+                        lambda mat: shapes.append(mat.shape) or real(mat))
+    code, out, _ = run(capsys, ["spectrum", "--lift", lift_file, "--method", "dense"])
+    assert code == 0 and len(shapes) == 1
+    values = new_spectrum(Lift.from_json(open(lift_file).read()))[:10]
+    assert [ln for ln in out.splitlines() if ln.startswith("eigenvalue ")] == [
+        f"eigenvalue {float(v)!r}" for v in values]
 
 
 def test_certify_reports_targets(lift_file, capsys):
@@ -203,6 +216,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     pytest.param(["reduce", "--seed", "-1"], id="reduce-seed-negative"),
     pytest.param(["reduce", "--trials", "0"], id="reduce-trials-zero"),
     pytest.param(["explain", "--seed", "-1"], id="explain-seed-negative"),
+    pytest.param(["reduce", "--trials", "4", "--level", "nan"], id="reduce-level-nan"),
+    pytest.param(["reduce", "--trials", "4", "--level", "inf"], id="reduce-level-inf"),
+    pytest.param(["explain", "--level", "nan"], id="explain-level-nan"),
+    pytest.param(["explain", "--level", "inf"], id="explain-level-inf"),
+    pytest.param(["explain", "--level", "10"], id="explain-level-low"),
 ])
 def test_bad_seed_tol_or_trials_exits_two(lift_file, capsys, argv):
     code, out, err = run(capsys, [argv[0], "--lift", lift_file, *argv[1:]])

@@ -338,8 +338,9 @@ def test_explain_forced_witness_surfaces_planted_clique():
 
 def test_explain_rejects_weak_reduction_levels():
     lift = sample_lift(K4, 20, SeededRng(1))
-    with pytest.raises(ConfigError):
-        explain_pipeline(lift, level=10.0, force_witness=True, trials=4)
+    for level, force in ((10.0, True), (10.0, False), (math.nan, False), (math.inf, True)):
+        with pytest.raises(ConfigError):
+            explain_pipeline(lift, level=level, force_witness=force, trials=4)
 
 
 def test_explain_report_text_layout():

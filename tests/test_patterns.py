@@ -48,7 +48,6 @@ from liftlab.patterns import (
     Pattern,
     Removal,
     ReductionReport,
-    aggregates,
     deviation_rate,
     dominant_neighbours,
     edge_deviation,
@@ -288,9 +287,10 @@ def test_profile_basics():
     prof = ClassProfile(scale, {(0, 0): 3, (0, 2): 1, (2, 1): 5, (1, 0): 0})
     assert prof.vertices == ((0, 0), (0, 2), (2, 1))
     assert prof.total == 9
-    assert prof.fibre_total(0) == 4 and prof.fibre_total(1) == 0
-    assert prof.weight(3) == pytest.approx(8 / math.sqrt(24))
-    assert prof.weights_per_fibre() == {0: 2, 2: 1}
+    assert [prof.fibre.tolist(), prof.exponent.tolist(), prof.count.tolist()] == [
+        [0, 0, 2], [0, 2, 1], [3, 1, 5]]
+    for array in (prof.fibre, prof.exponent, prof.count):
+        assert array.dtype == np.int64 and not array.flags.writeable
 
 
 def test_profile_rejects_fibre_overflow():
@@ -338,7 +338,7 @@ def test_profile_weight_classes_per_fibre_bounded(seed):
     rng = np.random.default_rng(seed)
     pattern = random_pattern(rng)
     d = pattern.scale.d
-    for fibre, distinct in pattern.profile.weights_per_fibre().items():
+    for distinct in Counter(fibre for fibre, _ in pattern.profile.counts).values():
         assert distinct <= math.log2(2 * d)
 
 
@@ -510,7 +510,7 @@ def test_empty_pattern_everything_trivial():
     base = complete_graph(3)
     pat = Pattern(base, ClassProfile(DyadicScale(5, 3, 2), {}), {})
     assert potency(pat) == 0.0 and peak_potency(pat) == 0.0
-    assert aggregates(pat) == {}
+    assert all(column.size == 0 for column in _vertex_sums(pat, DeviationTable(pat)))
     for reducer in (reduce_large, reduce_small, reduce_general, reduce_pattern):
         report = reducer(pat, 20.0)
         assert report.kept == () and report.removals == ()
@@ -668,30 +668,32 @@ def test_extract_counts_links_as_the_pair_loop(name):
             assert pattern == loop
 
 
-# --- aggregates -----------------------------------------------------------------------
+# --- per-vertex sums --------------------------------------------------------------------
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_aggregates_match_reference(seed):
+    """The reduction's per-vertex sums (``_vertex_sums``, and ``_row_sums`` of
+    the terms by regime) against loops over class pairs."""
     rng = np.random.default_rng(seed)
     pattern = random_pattern(rng)
-    rows = aggregates(pattern)
-    assert list(rows) == list(pattern.profile.counts)
-    with pytest.raises(TypeError):
-        rows[(0, 0)] = None
-    for vertex, row in rows.items():
+    table = DeviationTable(pattern)
+    vertices = table.graph.vertices
+    assert vertices == tuple(pattern.profile.counts)
+    local = {regimes: np.abs(_row_sums(table.term, mask)).tolist() for regimes, mask in (
+        (("large",), table.large), (("small",), table.small),
+        (("large", "small"), table.graph.valid))}
+    for i, (vertex, mass, tilted_mass, room, room_log) in enumerate(zip(
+            vertices, *(column.tolist() for column in _vertex_sums(pattern, table)))):
         nb, tilted, headroom = ref_aggregate(pattern, vertex)
-        assert row.neighbour_mass == pytest.approx(nb, rel=1e-12, abs=1e-15)
-        assert row.tilted_mass == pytest.approx(tilted, rel=1e-12, abs=1e-15)
-        assert row.headroom == pytest.approx(headroom, rel=1e-12)
-        assert row.headroom_log == pytest.approx(
-            math.log(headroom) / headroom, rel=1e-12)
-        for regimes, value in [(("large",), row.local_large),
-                               (("small",), row.local_small),
-                               (("large", "small"), row.local_potency)]:
-            ref = ref_local_potency(pattern, set(rows), vertex, regimes)
-            assert value == pytest.approx(ref, rel=1e-9, abs=1e-15)
+        assert mass == pytest.approx(nb, rel=1e-12, abs=1e-15)
+        assert tilted_mass == pytest.approx(tilted, rel=1e-12, abs=1e-15)
+        assert room == pytest.approx(headroom, rel=1e-12)
+        assert room_log == pytest.approx(math.log(headroom) / headroom, rel=1e-12)
+        for regimes, values in local.items():
+            ref = ref_local_potency(pattern, set(vertices), vertex, regimes)
+            assert values[i] == pytest.approx(ref, rel=1e-9, abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -699,9 +701,9 @@ def test_aggregates_match_reference(seed):
 def test_headroom_bounds(seed):
     rng = np.random.default_rng(seed)
     pattern = random_pattern(rng)
-    for row in aggregates(pattern).values():
-        assert row.headroom >= math.e
-        assert row.headroom_log <= 1.18 * row.headroom ** (-2.0 / 3.0)
+    _, _, headroom, headroom_log = _vertex_sums(pattern, DeviationTable(pattern))
+    assert (headroom >= math.e).all()
+    assert (headroom_log <= 1.18 * headroom ** (-2.0 / 3.0)).all()
 
 
 # --- reductions -----------------------------------------------------------------------
@@ -789,9 +791,12 @@ def test_reduce_is_deterministic():
 
 def test_reduce_rejects_low_level():
     pat = Pattern(complete_graph(3), ClassProfile(DyadicScale(5, 3, 2), {}), {})
-    for reducer in (reduce_large, reduce_small, reduce_general, reduce_pattern):
+    for level in (19.0, math.nan, math.inf):
+        for reducer in (reduce_large, reduce_small, reduce_general, reduce_pattern):
+            with pytest.raises(ConfigError):
+                reducer(pat, level)
         with pytest.raises(ConfigError):
-            reducer(pat, 19.0)
+            pattern_probability_bound(pat, (), level)
 
 
 def test_reduce_dispatch_picks_dominant_regime():
@@ -1143,7 +1148,7 @@ def test_deviation_table_lists_rows_per_vertex_in_neighbour_order():
                     assert field[i, k] == field[back]
         assert not (table.term[~g.valid].any() or table.large[~g.valid].any()
                     or table.small[~g.valid].any())
-        assert all(table.weights[e] == pattern.profile.weight(e)
+        assert all(table.weights[e] == pattern.scale.weight(e)
                    for _, e in pattern.profile.counts)
 
 
@@ -1153,7 +1158,7 @@ def test_deviation_rows_equal_the_per_edge_deviation():
         h = int(rng.integers(6, 16))
         base = SMALL_BASES[k % len(SMALL_BASES)] if k % 2 else complete_graph(h)
         pattern = random_pattern(rng, base=base, n=int(rng.integers(4, 500)))
-        counts, weight = pattern.profile.counts, pattern.profile.weight
+        counts, weight = pattern.profile.counts, pattern.scale.weight
         table = DeviationTable(pattern)
         g = table.graph
         assert class_pairs(g, g.upper) == ref_gamma_edges(pattern)
