@@ -17,6 +17,7 @@ A vector computes its fibre sums and squared norm on first use.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -37,29 +38,49 @@ from .errors import (
 DENSE_GUARD = 2000
 
 
-def _int64s(values, error: type[LiftlabError], message: str) -> np.ndarray:
-    """The values, which must all be integers (a bool array is not), as an int64 array of
-    their shape, else ``error(message)``. An integer beyond int64 is clipped to
-    +-2**62, where it fails the range checks it fails unclipped."""
+def _read_int64s(values) -> tuple[np.ndarray | None, bool]:
+    """The values as an int64 array of their shape, or None unless all are integers
+    (not bools), and whether they came as nested tuples or lists of Python ints,
+    read level by level, by the types and lengths of each level's entries. An integer
+    beyond int64 is clipped to +-2**62, where it fails the range checks it fails unclipped."""
+    shape, level = [], [values]
+    while set(map(type, level)) <= {tuple, list} and len(lengths := set(map(len, level))) == 1:
+        shape.append(lengths.pop())
+        level = list(itertools.chain.from_iterable(level))
+    if set(map(type, level)) == {int}:
+        try:
+            return np.fromiter(level, np.int64, len(level)).reshape(shape), True
+        except OverflowError:  # beyond int64: clipped below
+            pass
     try:
         array = np.asarray(values)
     except ValueError:  # ragged nesting
-        raise error(message) from None
+        return None, False
     kind = array.dtype.kind
-    if array.size == 0 or kind == "i" or kind == "u" and array.itemsize < 8:
-        return array.astype(np.int64)
-    flat = array.ravel().tolist()  # floats, bools, strings, objects, or uint64
-    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in flat):
+    integer = array.size == 0 or kind == "i" or kind == "u" and array.itemsize < 8
+    if isinstance(values, np.ndarray) and integer:
+        return array.astype(np.int64), False
+    for _ in range(array.ndim - len(shape)):  # below where the walk stopped, as in an array
+        level = list(itertools.chain.from_iterable(level))
+    if not all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, level))):
+        return None, False
+    return (array if integer else array.astype(object).clip(-2 ** 62, 2 ** 62)).astype(np.int64), False
+
+
+def _int64s(values, error: type[LiftlabError], message: str) -> np.ndarray:
+    """``_read_int64s``' array, else ``error(message)``."""
+    array = _read_int64s(values)[0]
+    if array is None:
         raise error(message)
-    return np.array([max(-2 ** 62, min(int(x), 2 ** 62)) for x in flat],
-                    np.int64).reshape(array.shape)
+    return array
 
 
 @dataclass(frozen=True)
 class BaseGraph:
     """A simple d-regular graph on vertices 0..h-1.
 
-    Edges are stored as sorted tuples (u, v) with u < v, in sorted order.
+    Edges are stored as sorted tuples (u, v) with u < v, in sorted order; a
+    tuple already in that form is kept as given.
     """
 
     h: int
@@ -71,36 +92,39 @@ class BaseGraph:
             raise LiftlabError("base graph needs at least one vertex")
         if 2 * len(self.edges) < self.h:  # checked before anything is sized by h
             raise NonRegularError("degree must be at least 1")
-        seen = set()
-        deg = [0] * self.h
-        canon = []
-        try:
-            for (u, v) in self.edges:
-                if u == v:
-                    raise SelfLoopError(f"edge ({u},{v}) is a loop")
-                if not (0 <= u < self.h and 0 <= v < self.h):
-                    raise LiftlabError(f"edge ({u},{v}) out of range for h={self.h}")
-                e = (min(u, v), max(u, v))
-                if e in seen:
-                    raise DuplicateEdgeError(f"edge {e} repeated")
-                seen.add(e)
-                deg[u] += 1  # only an integer indexes the list
-                deg[v] += 1
-                canon.append(e)
-        except (TypeError, ValueError):  # an edge that is not a pair of integer vertices
-            raise LiftlabError("edges must be pairs of integer vertices") from None
-        if len(set(deg)) > 1:
-            raise NonRegularError(f"degrees {sorted(set(deg))} differ")
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
-        object.__setattr__(self, "degree", deg[0])
-        nbrs = [[] for _ in range(self.h)]
-        for (u, v) in self.edges:  # sorted edges list each vertex's neighbours ascending
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        index = np.ascontiguousarray(np.array(nbrs, dtype=np.int64).T)
-        index.setflags(write=False)
+        edges, h = tuple(self.edges), self.h
+        pairs, plain = _read_int64s(edges)
+        if np.shape(pairs) != (len(edges), 2):  # the edges before the first malformed one decide first
+            cut = next((i for i, e in enumerate(edges) if np.shape(_read_int64s(e)[0]) != (2,)), len(edges))
+            pairs, plain = _read_int64s(edges[:cut] or np.zeros((0, 2), np.int64))
+        u, v = pairs.T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        inside = (lo >= 0) & (hi < h)
+        key = np.where(inside & (lo < hi), lo.clip(0, h - 1) * h + hi.clip(0, h - 1), -1)
+        order = np.argsort(key, kind="stable")
+        repeat = np.zeros(key.size, dtype=bool)
+        repeat[order[1:]] = (key[order[1:]] == key[order[:-1]]) & (key[order[1:]] >= 0)
+        problem = np.select([u == v, ~inside, repeat], [1, 2, 3])
+        if problem.any():
+            first = int(np.flatnonzero(problem)[0])
+            a, b = edges[first]
+            raise (SelfLoopError(f"edge ({a},{b}) is a loop"),
+                   LiftlabError(f"edge ({a},{b}) out of range for h={h}"),
+                   DuplicateEdgeError(f"edge {(min(a, b), max(a, b))} repeated"))[problem[first] - 1]
+        if len(pairs) < len(edges):
+            raise LiftlabError("edges must be pairs of integer vertices")
+        degrees = np.bincount(pairs.ravel(), minlength=h)
+        if (degrees != degrees[0]).any():
+            raise NonRegularError(f"degrees {np.unique(degrees).tolist()} differ")
+        if not (plain and type(self.edges) is tuple and (u < v).all() and (key[1:] > key[:-1]).all()
+                and set(map(type, edges)) == {tuple}):
+            order = np.argsort(key)
+            object.__setattr__(self, "edges", tuple(zip(lo[order].tolist(), hi[order].tolist())))
+        object.__setattr__(self, "degree", int(degrees[0]))
+        ends, others = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+        index = np.ascontiguousarray(others[np.lexsort((others, ends))].reshape(h, -1).T)
+        index.setflags(write=False)  # column u lists u's neighbours ascending
         object.__setattr__(self, "_neighbour_index", index)
-        object.__setattr__(self, "_edge_set", frozenset(self.edges))
 
     @property
     def d(self) -> int:
@@ -119,7 +143,7 @@ class BaseGraph:
         return a
 
     def are_adjacent(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_set
+        return 0 <= u < self.h and v in self._neighbour_index[:, u]
 
 
 def complete_graph(k: int) -> BaseGraph:
@@ -138,11 +162,7 @@ def cycle_power_graph(h: int, k: int) -> BaseGraph:
     """Cycle on h vertices with edges to the k nearest on each side (degree 2k)."""
     if h < 2 * k + 1:
         raise LiftlabError("cycle power needs h >= 2k+1")
-    edges = set()
-    for i in range(h):
-        for j in range(1, k + 1):
-            edges.add(tuple(sorted((i, (i + j) % h))))
-    return BaseGraph(h, tuple(sorted(edges)))
+    return BaseGraph(h, tuple((i, (i + j) % h) for i in range(h) for j in range(1, k + 1)))
 
 
 def petersen_graph() -> BaseGraph:
@@ -150,7 +170,7 @@ def petersen_graph() -> BaseGraph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
-    return BaseGraph(10, tuple(tuple(sorted(e)) for e in edges))
+    return BaseGraph(10, tuple(edges))
 
 
 def base_from_name(name: str) -> BaseGraph:

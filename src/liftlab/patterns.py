@@ -38,7 +38,7 @@ from .errors import (
     TooLargeError,
     VertexNotInUError,
 )
-from .graphs import BaseGraph, Lift, _int64s, complete_graph, cycle_graph
+from .graphs import BaseGraph, Lift, _int64s, _read_int64s, complete_graph, cycle_graph
 
 ClassVertex = tuple[int, int]  # (fibre, weight exponent)
 ClassEdge = tuple[ClassVertex, ClassVertex]
@@ -137,21 +137,17 @@ class Pattern:
         if self.base.d != self.profile.scale.d:
             raise DimensionMismatchError("profile and base disagree on the degree")
         vertices, size, h = self.profile.vertices, len(self.links), self.base.h
-        message = "a link is not a pair of (fibre, exponent) classes with an integer count"
-        chain = itertools.chain.from_iterable
-        try:
-            flat = _int64s(list(chain(chain(self.links))), InvalidPatternError, message)
-        except TypeError:  # a key or a class that is not a sequence
-            raise InvalidPatternError(message) from None
-        count = _int64s(list(self.links.values()), InvalidPatternError, message)
-        if flat.shape != (4 * size,) or count.shape != (size,):
-            raise InvalidPatternError(message)
+        ends, plain = _read_int64s(list(self.links) or np.zeros((0, 2, 2), np.int64))
+        count, plain_counts = _read_int64s(list(self.links.values()))
+        if np.shape(ends) != (size, 2, 2) or np.shape(count) != (size,):
+            raise InvalidPatternError(
+                "a link is not a pair of (fibre, exponent) classes with an integer count")
         # each end's index among the sorted classes; an end outside them reads -1
         vfibre, vexp = self.profile.fibre, self.profile.exponent
         index = np.full((h + 1, int(vexp.max(initial=0)) + 2), -1)
         index[vfibre, vexp] = np.arange(len(vertices))
-        fibre, exp = flat.reshape(size, 2, 2).transpose(2, 0, 1)
-        lo, hi = np.sort(index[fibre.clip(-1, h), exp.clip(-1, index.shape[1] - 1)], axis=1).T
+        given = index[ends[..., 0].clip(-1, h), ends[..., 1].clip(-1, index.shape[1] - 1)]
+        lo, hi = np.sort(given, axis=1).T
         # every earlier link is valid when one is checked, so a repeat can
         # only be of a live link between populated classes
         live = np.flatnonzero((lo >= 0) & (count > 0))
@@ -169,12 +165,15 @@ class Pattern:
             first = int(np.flatnonzero(problem)[0])
             raise InvalidPatternError(_LINK_ERRORS[problem[first] - 1].format(
                 next(itertools.islice(self.links, first, None))))
+        canonical = (plain and plain_counts and order.size == size and (order == np.arange(size)).all()
+                     and (given[:, 0] < given[:, 1]).all())
         ends, count = np.stack((lo[order], hi[order]), axis=1), count[order]
         for name, array in (("link_ends", ends), ("link_counts", count)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        keys = zip(*(map(vertices.__getitem__, column) for column in ends.T.tolist()))
-        object.__setattr__(self, "links", MappingProxyType(dict(zip(keys, count.tolist()))))
+        links = (dict(self.links) if canonical else  # canonical input: the copy reuses its keys
+                 dict(zip(zip(*(map(vertices.__getitem__, c) for c in ends.T.tolist())), count.tolist())))
+        object.__setattr__(self, "links", MappingProxyType(links))
 
     def link(self, u: ClassVertex, v: ClassVertex) -> int:
         return self.links.get(_edge_key(u, v), 0)

@@ -5,9 +5,11 @@ the neighbour relation, without calling the library's own vectorized
 kernels, so library/oracle agreement is a two-route check.
 """
 
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,23 @@ def run_script(path: str, *args: str, stdin: str = "") -> subprocess.CompletedPr
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, path, *args], input=stdin, text=True,
                           capture_output=True, timeout=60, env=env)
+
+
+def peak_mb(build):
+    """(build(), the most memory in MB that build held at once above what was
+    allocated before it), counted by tracemalloc, which is deterministic."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, (tracemalloc.get_traced_memory()[1] - before) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def oracle_adjacency(lift: Lift) -> np.ndarray:

@@ -150,6 +150,35 @@ def test_non_integers_raise_typed_errors(build, error):
         build()
 
 
+K3_PAIR = ClassProfile(K3_SCALE, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: BaseGraph(2, ((False, True),)), LiftlabError,
+                 "edges must be pairs of integer vertices", id="base-edge"),
+    pytest.param(lambda: BaseGraph(3, ((0, 1), (True, 2), (0, 2))), LiftlabError,
+                 "edges must be pairs of integer vertices", id="base-edge-mixed"),
+    pytest.param(lambda: Pattern(K3, K3_PAIR, {((0, 0), (True, 0)): 1}), InvalidPatternError,
+                 "a link is not a pair", id="link-key"),
+    pytest.param(lambda: Pattern(K3, K3_PAIR, {((0, 0), (1, 0)): True, ((0, 0), (2, 0)): 1}),
+                 InvalidPatternError, "a link is not a pair", id="link-count"),
+    pytest.param(lambda: ClassProfile(K3_SCALE, {(True, 0): 1, (0, 0): 1}), InvalidPatternError,
+                 "a class is not a", id="class-key"),
+    pytest.param(lambda: ClassProfile(K3_SCALE, {(0, 0): True, (1, 0): 1}), InvalidPatternError,
+                 "a class is not a", id="class-count"),
+    pytest.param(lambda: Lift(K3, 2, {e: [True, 0] for e in K3.edges}), LiftlabError,
+                 "must list integers", id="lift-permutation"),
+    pytest.param(lambda: Lift(K3, 2, {e: [np.True_, 0] for e in K3.edges}), LiftlabError,
+                 "must list integers", id="lift-permutation-numpy-bool"),
+    pytest.param(lambda: DyadicBandVector(K3_SCALE, [[True, 0, 0, 0]] * 3, np.ones((3, 4), bool)),
+                 NotBandVectorError, "exponents must be integers", id="band-exponents"),
+])
+def test_bools_raise_typed_errors(build, error, message):
+    # a bool mixed with ints converts to an int array; it must not pass as 0 or 1
+    with pytest.raises(error, match=message):
+        build()
+
+
 def _run_in_child(case: str) -> str:
     """Run one case in a time-limited child process, which caps its own
     address space; return what it printed."""

@@ -240,6 +240,8 @@ def _rename_perm_key(doc):
     pytest.param(lambda doc: doc.update(perms=[]), id="perms-is-a-list"),
     pytest.param(lambda doc: doc["perms"].update({"0-1": [0.5] * 100}), id="perm-of-floats"),
     pytest.param(lambda doc: doc["perms"].update({"0-1": [0] * 100}), id="perm-not-a-bijection"),
+    pytest.param(lambda doc: doc["perms"].update({"0-1": [x == 1 or x for x in doc["perms"]["0-1"]]}),
+                 id="perm-with-a-boolean"),
     pytest.param(_rename_perm_key, id="malformed-edge-key"),
 ])
 def test_malformed_lift_json_exits_two(lift_file, tmp_path, capsys, mutate):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -39,7 +40,7 @@ from liftlab.graphs import (
 )
 from liftlab.dyadic import quad_form
 
-from _support import (lift_with_vector, oracle_adjacency, oracle_centered, oracle_expected,
+from _support import (lift_with_vector, peak_mb, oracle_adjacency, oracle_centered, oracle_expected,
                       oracle_induced, random_lift)
 
 
@@ -102,6 +103,115 @@ def test_base_readers_raise_config_errors():
 def test_base_text_round_trip():
     g = petersen_graph()
     assert base_from_text(base_to_text(g)).edges == g.edges
+
+
+# --- base graph construction: the edge-by-edge rules, decided on arrays -------
+
+# (h, edges, error type, message) as an edge-by-edge check gives them: the first
+# offending edge in input order decides, as a loop, out of range, or a repeat
+EDGE_ERRORS = {
+    "self-loop": (3, ((0, 1), (1, 1), (0, 2)), SelfLoopError, "edge (1,1) is a loop"),
+    "negative-vertex": (3, ((0, 1), (-1, 2), (0, 2)), LiftlabError, "edge (-1,2) out of range for h=3"),
+    "vertex-at-h": (3, ((0, 1), (1, 3), (0, 2)), LiftlabError, "edge (1,3) out of range for h=3"),
+    "duplicate-reversed": (3, ((0, 1), (1, 0), (0, 2)), DuplicateEdgeError, "edge (0, 1) repeated"),
+    "wrong-arity": (3, ((0, 1, 2), (1, 2, 0), (0, 2, 1)), LiftlabError,
+                    "edges must be pairs of integer vertices"),
+    "ragged": (3, ((0, 1), (1, 2, 0), (0, 2)), LiftlabError, "edges must be pairs of integer vertices"),
+    "non-integer": (3, ((0, 1), (1, 2.5), (0, 2)), LiftlabError, "edges must be pairs of integer vertices"),
+    "string-vertex": (3, (("a", 1), (1, 2), (0, 2)), LiftlabError, "edges must be pairs of integer vertices"),
+    "not-a-pair": (3, (5, (1, 2), (0, 2)), LiftlabError, "edges must be pairs of integer vertices"),
+    "beyond-int64": (3, ((0, 2 ** 70), (1, 2), (0, 2)), LiftlabError,
+                     f"edge (0,{2 ** 70}) out of range for h=3"),
+    "numpy-loop": (3, ((np.int64(2), np.int64(2)), (0, 1), (0, 2)), SelfLoopError, "edge (2,2) is a loop"),
+    "non-regular": (4, ((0, 1), (1, 2), (2, 3)), NonRegularError, "degrees [1, 2] differ"),
+    "no-vertex": (0, (), LiftlabError, "base graph needs at least one vertex"),
+    "too-few-edges": (5, ((0, 1), (1, 2)), NonRegularError, "degree must be at least 1"),
+    "loop-then-ragged": (3, ((0, 0), (1, 2, 3)), SelfLoopError, "edge (0,0) is a loop"),
+    "ragged-then-loop": (3, ((0, 1, 2), (0, 0)), LiftlabError, "edges must be pairs of integer vertices"),
+    "range-then-duplicate": (3, ((0, 1), (0, 5), (1, 0)), LiftlabError, "edge (0,5) out of range for h=3"),
+    "duplicate-then-loop": (3, ((0, 1), (1, 0), (2, 2)), DuplicateEdgeError, "edge (0, 1) repeated"),
+    "non-integer-then-range": (3, ((0, 1.5), (0, 7)), LiftlabError,
+                               "edges must be pairs of integer vertices"),
+    "range-then-non-integer": (3, ((0, 7), (0, 1.5)), LiftlabError, "edge (0,7) out of range for h=3"),
+    "loop-out-of-range": (3, ((5, 5), (0, 1)), SelfLoopError, "edge (5,5) is a loop"),
+    "negative-loop-then-duplicate": (3, ((0, 1), (-1, -1), (1, 0)), SelfLoopError, "edge (-1,-1) is a loop"),
+}
+
+
+@pytest.mark.parametrize("h, edges, error, message", EDGE_ERRORS.values(), ids=EDGE_ERRORS)
+def test_base_graph_errors_follow_the_first_bad_edge(h, edges, error, message):
+    with pytest.raises(LiftlabError) as caught:
+        BaseGraph(h, edges)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+# each named family's edges, written out independently of its constructor
+FAMILIES = {
+    "k5": (5, list(itertools.combinations(range(5), 2))),
+    "k9": (9, list(itertools.combinations(range(9), 2))),
+    "c3": (3, [(i, (i + 1) % 3) for i in range(3)]),
+    "c6": (6, [(i, (i + 1) % 6) for i in range(6)]),
+    "c9p2": (9, [(i, (i + j) % 9) for i in range(9) for j in (1, 2)]),
+    "c11p3": (11, [(i, (i + j) % 11) for i in range(11) for j in (1, 2, 3)]),
+    "petersen": (10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+}
+
+
+def _edge_loop(h, edges):
+    """Sorted (u, v), u < v, edges and the (d, h) neighbour index that lists each
+    vertex's neighbours as a loop over the sorted edges appends them."""
+    canon = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+    nbrs = [[] for _ in range(h)]
+    for u, v in canon:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return canon, np.array(nbrs).T
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_edges_and_neighbour_index_match_the_edge_loop(name):
+    h, raw = FAMILIES[name]
+    edges, index = _edge_loop(h, raw)
+    base = base_from_name(name)
+    reversed_text = f"{h} {len(raw)}\n" + "".join(f"{v} {u}\n" for u, v in reversed(raw))
+    lift = random_lift(base, 3, np.random.default_rng(1))
+    for graph in (base, BaseGraph(h, raw), BaseGraph(h, [list(e) for e in raw]),
+                  base_from_text(reversed_text), base_from_text(base_to_text(base)),
+                  Lift.from_json(lift.to_json()).base):
+        assert type(graph.edges) is tuple and graph.edges == edges
+        assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int for e in graph.edges)
+        assert graph.neighbour_index().dtype == np.int64
+        assert np.array_equal(graph.neighbour_index(), index)
+        assert graph.d == index.shape[0]
+
+
+def test_canonical_edges_are_kept_and_others_rebuilt_as_python_ints():
+    edges = tuple(itertools.combinations(range(6), 2))
+    assert BaseGraph(6, edges).edges is edges
+    for given in (list(edges), edges[::-1], tuple((v, u) for u, v in edges), np.array(edges),
+                  tuple((np.int64(u), v) for u, v in edges)):
+        graph = BaseGraph(6, given)
+        assert graph.edges == edges and graph.edges is not given
+        assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int for e in graph.edges)
+
+
+@pytest.mark.parametrize("name", ("k5", "c6", "c9p2", "petersen"))
+def test_are_adjacent_reads_the_adjacency(name):
+    base = base_from_name(name)
+    adjacency = base.adjacency()
+    for u, v in itertools.product(range(-1, base.h + 1), repeat=2):
+        inside = 0 <= u < base.h and 0 <= v < base.h
+        assert base.are_adjacent(u, v) is (inside and bool(adjacency[u, v] == 1.0))
+
+
+def test_complete_graph_peak_memory():
+    # K452 has 101,926 edges; checking and indexing them must not copy them
+    # into Python sets and lists
+    edges = tuple(itertools.combinations(range(452), 2))
+    graph, peak = peak_mb(lambda: BaseGraph(452, edges))
+    assert peak <= 15.0
+    assert graph.edges is edges and graph.d == 451
 
 
 # --- lift construction and serialization ------------------------------------

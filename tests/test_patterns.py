@@ -68,7 +68,7 @@ from liftlab.patterns import (
 )
 from liftlab.sampling import SeededRng, sample_lift
 
-from _support import SMALL_BASES, random_lift
+from _support import SMALL_BASES, peak_mb, random_lift
 
 
 # --- reference implementations ------------------------------------------------------
@@ -370,6 +370,54 @@ def test_pattern_rejects_bad_links():
         Pattern(base, prof, {((0, 0), (1, 0)): -1})
     with pytest.raises(InvalidPatternError):
         Pattern(base, prof, {((0, 0), (1, 0)): 1, ((1, 0), (0, 0)): 1})
+
+
+@pytest.mark.parametrize("key", [
+    pytest.param(((0, 0, 1), (0,)), id="three-then-one"),
+    pytest.param(((0,), (0, 1, 0)), id="one-then-three"),
+    pytest.param(((0, 0), (1, 0), ()), id="three-ends"),
+    pytest.param(((0, 0, 1, 0),), id="one-end-of-four"),
+    pytest.param((((0, 0), (1, 0)),), id="nested-once-more"),
+    pytest.param(((0, 0), 5), id="end-not-a-pair"),
+])
+def test_pattern_rejects_keys_that_are_not_pairs_of_pairs(key):
+    # each flattens to integers that read as the link (0, 0)-(1, 0), or fails to
+    scale = DyadicScale(4, 3, 2)
+    prof = ClassProfile(scale, {(0, 0): 1, (1, 0): 1})
+    with pytest.raises(InvalidPatternError, match="a link is not a pair"):
+        Pattern(complete_graph(3), prof, {key: 1})
+    with pytest.raises(InvalidPatternError, match="a link is not a pair"):
+        Pattern(complete_graph(3), prof, {((0, 0), (1, 0)): 1, key: 0})
+
+
+def test_canonical_links_are_kept_and_others_rebuilt():
+    base, scale = complete_graph(5), DyadicScale(40, 5, 4)
+    prof = ClassProfile(scale, {(i, e): 2 for i in range(5) for e in (0, 1)})
+    canon = {(u, v): 1 + (u[1] + v[0]) % 2 for u, v in itertools.combinations(prof.vertices, 2)
+             if u[0] != v[0]}
+    pattern = Pattern(base, prof, canon)
+    assert all(a is b for a, b in zip(pattern.links, canon))  # the keys are reused
+    assert list(pattern.links.items()) == list(canon.items())
+    for links in (dict(reversed(canon.items())), {(v, u): c for (u, v), c in canon.items()},
+                  {((np.int64(u[0]), u[1]), v): c for (u, v), c in canon.items()},
+                  {key: np.int64(c) for key, c in canon.items()},
+                  {((0, 0), (0, 1)): 0, **canon}, {**canon, ((4, 0), (4, 1)): 0}):
+        again = Pattern(base, prof, links)
+        assert list(again.links.items()) == list(canon.items())
+        assert all(type(x) is int for key, c in again.links.items() for x in (*key[0], *key[1], c))
+        assert np.array_equal(again.link_ends, pattern.link_ends)
+        assert np.array_equal(again.link_counts, pattern.link_counts)
+
+
+def test_simplex_pattern_peak_memory():
+    # the K452 simplex has 101,926 links; a canonical dict is copied, not rebuilt
+    h = 452
+    base = complete_graph(h)
+    prof = ClassProfile(DyadicScale(1000, h, h - 1), {(i, 0): 1 for i in range(h)})
+    links = {((i, 0), (j, 0)): 1 for i, j in itertools.combinations(range(h), 2)}
+    pattern, peak = peak_mb(lambda: Pattern(base, prof, links))
+    assert peak <= 22.0
+    assert len(pattern.links) == len(links)
 
 
 def test_pattern_dimension_checks():
