@@ -1,8 +1,10 @@
 """Symmetric eigensolvers.
 
-Dense path: Householder reduction to tridiagonal form followed by the
-implicit-shift QL iteration (eigenvalues only), whose scalar sweeps run on
-Python floats. Iterative path: thick-restart Lanczos in a fixed basis of
+Dense path: LAPACK (``numpy.linalg.eigvalsh``) gives the eigenvalues. A
+repeated extreme modulus (+-theta on a bipartite base) takes Householder
+reduction and implicit-shift QL, its sweeps on Python floats, instead: the
+bits of theta pick the witness's eigenspace there, and the recorded rows
+carry QL's bits. Iterative path: thick-restart Lanczos in a fixed basis of
 48 vectors, driven by a caller-supplied matvec, with full
 reorthogonalization that takes a second Gram-Schmidt pass only when the
 DGKS test asks for it; the Ritz pairs of the small projected matrix come
@@ -122,9 +124,14 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense symmetric matrix, sorted descending."""
-    d, e = householder_tridiagonalize(mat)
-    return tridiagonal_eigenvalues(d, e)
+    """All eigenvalues of a dense symmetric matrix, sorted descending: LAPACK's,
+    or Householder + QL's when the extreme modulus is repeated (within 1e-9 of
+    it, relative), as the witness's eigenspace, and the recorded rows, hang on their bits."""
+    vals = np.linalg.eigvalsh(mat)[::-1]
+    top = np.abs(vals).max(initial=0.0)
+    if np.count_nonzero(np.abs(vals) >= top - 1e-9 * max(1.0, top)) > 1:
+        return tridiagonal_eigenvalues(*householder_tridiagonalize(mat))
+    return vals
 
 
 # ---------------------------------------------------------------------------

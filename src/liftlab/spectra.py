@@ -125,6 +125,8 @@ def _lambda_star(lift: Lift, tol: float, rng: SeededRng | None,
     """``lambda_star``'s report, and the balanced spectrum when the dense path computed it."""
     if not 0.0 < tol < math.inf:
         raise ConfigError(f"tol must be positive and finite, not {tol!r}")
+    if method not in ("auto", "dense", "iterative"):
+        raise ConfigError(f"method must be auto, dense or iterative, not {method!r}")
     n, h = lift.n, lift.h
     lam_top = adjacency_rayleigh(lift, LiftVector(np.ones((h, n))))
     if rng is None:

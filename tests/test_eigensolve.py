@@ -10,6 +10,7 @@ import liftlab.eigensolve as eigensolve
 import liftlab.spectra as spectra
 from liftlab.eigensolve import (householder_tridiagonalize, lanczos_extreme,
                                 symmetric_eigenvalues, tridiagonal_eigenvalues)
+from liftlab.experiment import run_cell
 from liftlab.graphs import base_from_name, complete_graph
 from liftlab.sampling import SeededRng, sample_lift
 from liftlab.spectra import lambda_star
@@ -80,6 +81,62 @@ def test_householder_bits_are_pinned(base, n, seed, digest, monkeypatch):
     # tridiagonal form of two sweep cells' restrictions is pinned exactly
     d, e = householder_tridiagonalize(_balanced_restriction(base, n, seed, monkeypatch))
     assert hashlib.sha256(d.tobytes() + e.tobytes()).hexdigest() == digest
+
+
+def _with_spectrum(vals, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(vals.size, vals.size)))
+    m = (q * vals) @ q.T
+    return (m + m.T) / 2
+
+
+def _count_householder(monkeypatch):
+    calls = []
+    real = eigensolve.householder_tridiagonalize
+    monkeypatch.setattr(eigensolve, "householder_tridiagonalize",
+                        lambda m: calls.append(m) or real(m))
+    return calls
+
+
+@pytest.mark.parametrize("m", [
+    random_symmetric(60, 11),
+    _with_spectrum(np.array([3.0, -3.0 * (1 - 1e-6), 1.0, 0.5, -1.5, 0.0]), 3),
+    _with_spectrum(np.array([-4.0, 3.999, 1.0, 2.0]), 3),
+], ids=["random", "near-tie-1e-6", "negative-extreme"])
+def test_simple_extreme_takes_the_lapack_values(m, monkeypatch):
+    calls = _count_householder(monkeypatch)
+    assert np.array_equal(symmetric_eigenvalues(m), np.linalg.eigvalsh(m)[::-1])
+    assert calls == []
+
+
+@pytest.mark.parametrize("vals", [
+    [3.0, -3.0, 1.0, 0.5, -1.5, 0.0],
+    [3.0, 3.0, 1.0, -2.0],
+    [-2.0, -2.0, 2.0, 2.0, 0.0],
+    [3.0, -3.0 * (1 - 1e-11), 1.0, 0.5],
+], ids=["plus-minus", "repeated", "fourfold", "tie-within-1e-9"])
+def test_repeated_extreme_modulus_takes_the_ql_values(vals, monkeypatch):
+    # the witness's eigenspace hangs on the bits of theta, which the recorded
+    # rows took from Householder + QL
+    m = _with_spectrum(np.array(vals), 3)
+    calls = _count_householder(monkeypatch)
+    mine = symmetric_eigenvalues(m)
+    assert len(calls) == 1
+    assert np.array_equal(mine, tridiagonal_eigenvalues(*householder_tridiagonalize(m)))
+
+
+def test_a_simple_extreme_dense_cell_never_tridiagonalizes(monkeypatch):
+    def refuse(mat):
+        raise AssertionError("Householder ran on a simple extreme")
+
+    monkeypatch.setattr(eigensolve, "householder_tridiagonalize", refuse)
+    row = run_cell(base_from_name("k4"), 150, 1)
+    assert row.lambda_star > 0.0
+
+
+def test_a_bipartite_dense_cell_tridiagonalizes_once(monkeypatch):
+    calls = _count_householder(monkeypatch)
+    run_cell(base_from_name("c6"), 100, 1)
+    assert len(calls) == 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -211,12 +268,6 @@ def test_lanczos_iteration_count_is_pinned():
     assert rep.method == "iterative"
     assert rep.converged
     assert rep.iterations == 272
-
-
-def _with_spectrum(vals, seed):
-    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(vals.size, vals.size)))
-    m = (q * vals) @ q.T
-    return (m + m.T) / 2
 
 
 def test_lanczos_abs_finds_a_negative_extreme_across_thick_restarts():

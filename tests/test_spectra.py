@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftlab.errors import TooLargeError
+from liftlab.errors import ConfigError, TooLargeError
 from liftlab.graphs import (
     LiftVector,
     complete_graph,
@@ -149,6 +149,15 @@ def test_lambda_star_dense_method_agrees():
     iterative = lambda_star(lift, tol=1e-10, method="iterative")
     assert dense.method == "dense"
     assert dense.lambda_star == pytest.approx(iterative.lambda_star, abs=1e-6)
+
+
+@pytest.mark.parametrize("method", ["bogus", "Dense", ""])
+@pytest.mark.parametrize("n", [1, 20])
+def test_lambda_star_rejects_an_unknown_method(method, n):
+    # a single-fibre lift returns early, so the method is checked before that
+    lift = random_lift(complete_graph(4), n, np.random.default_rng(6))
+    with pytest.raises(ConfigError, match="method"):
+        lambda_star(lift, method=method)
 
 
 def test_lambda_star_bounded_by_degree():
