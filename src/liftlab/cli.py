@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 for usage problems (bad flags, unreadable or
 malformed inputs), 3 when a computation fails a numeric guard or an
-explanation check.
+explanation check, or runs out of memory.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
             InvalidMarginalsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except LiftlabError as exc:
+    except (LiftlabError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
 

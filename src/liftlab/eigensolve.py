@@ -164,13 +164,13 @@ def _ritz_pairs(t: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray, int]
 
 def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
                     tol: float = 1e-8, max_iter: int | None = None,
-                    project=None, max_basis: int = 48) -> IterativeResult:
+                    max_basis: int = 48) -> IterativeResult:
     """Extreme eigenpair of a symmetric operator given only matvec.
 
     ``which`` selects "max" (most positive), "min" (most negative), or
-    "abs" (largest modulus). ``project``, when given, is applied to the
-    start vector and to every new Krylov direction, restricting the whole
-    computation to an invariant subspace of the operator.
+    "abs" (largest modulus). The Krylov space stays in any invariant
+    subspace of the operator that holds the start vector, so a start vector
+    taken in such a subspace restricts the whole computation to it.
 
     Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22(2),
     2000) in a basis of m = ``max_basis`` vectors. Each step takes one
@@ -193,8 +193,6 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
     v = np.array(start, dtype=np.float64).reshape(-1)
     if v.shape != (dim,):
         raise ValueError("start vector has wrong length")
-    if project is not None:
-        v = project(v)
     nv = math.sqrt(float(v @ v))
     if nv == 0.0:
         return IterativeResult(0.0, v, 0, 0.0, True, 0)
@@ -209,8 +207,6 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
     while True:
         q = basis[k]
         w = matvec(q)
-        if project is not None:
-            w = project(w)
         a = float(q @ w)
         t[k, k] = a
         w = w - a * q

@@ -17,7 +17,8 @@ from pathlib import Path
 from .dyadic import band_certificate
 from .eigensolve import symmetric_eigenvalues
 from .errors import ConfigError, LiftlabError
-from .graphs import BaseGraph, Lift, base_from_name, base_from_text, induced_adjacency
+from .graphs import (BaseGraph, Lift, _json_int, base_from_name, base_from_text,
+                     induced_adjacency)
 from .patterns import (ReductionReport, _check_level, extract_pattern, reduce_general,
                        reduce_pattern)
 from .sampling import SeededRng, sample_lift
@@ -113,10 +114,22 @@ class ExperimentConfig:
             raise ConfigError("trials must be positive")
 
 
+def _json_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 # optional config key -> (ExperimentConfig field, parser)
-_CONFIG_OPTIONS = {"tolerance": ("tolerance", float), "out": ("out_csv", str),
+_CONFIG_OPTIONS = {"tolerance": ("tolerance", _json_number), "out": ("out_csv", _json_str),
                    "stages": ("stages", lambda v: tuple(str(s) for s in v)),
-                   "trials": ("trials", int)}
+                   "trials": ("trials", _json_int)}
 _CONFIG_KEYS = {"base", "base_file", "n", "seeds", *_CONFIG_OPTIONS}
 
 
@@ -141,8 +154,8 @@ def config_from_json(text: str) -> ExperimentConfig:
         else:
             base = base_from_text(Path(doc["base_file"]).read_text())
         n_raw = doc.get("n", [])
-        n_values = tuple(int(n) for n in (n_raw if isinstance(n_raw, list) else [n_raw]))
-        seeds = tuple(int(s) for s in doc.get("seeds", []))
+        n_values = tuple(_json_int(n) for n in (n_raw if isinstance(n_raw, list) else [n_raw]))
+        seeds = tuple(_json_int(s) for s in doc.get("seeds", []))
         kwargs = {name: parse(doc[key])
                   for key, (name, parse) in _CONFIG_OPTIONS.items() if key in doc}
     except (TypeError, ValueError, OverflowError, OSError) as exc:
@@ -213,8 +226,9 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full (n, seed) grid.
 
-    Failed cells become bare rows (identity columns only) plus an entry in
-    failures; whatever finished is flushed to the CSV even on interrupt.
+    Failed cells, including those that run out of memory, become bare rows
+    (identity columns only) plus an entry in failures; whatever finished is
+    flushed to the CSV even on interrupt.
     """
     done: dict[tuple[int, int], ResultRow] = {}
     failures: list[str] = []
@@ -224,7 +238,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 try:
                     row = run_cell(config.base, n, seed, stages=config.stages,
                                    tolerance=config.tolerance, trials=config.trials)
-                except LiftlabError as exc:
+                except (LiftlabError, MemoryError) as exc:
                     row = ResultRow(seed=seed, h=config.base.h, d=config.base.d, n=n)
                     failures.append(f"n={n} seed={seed}: {exc}")
                 done[(n, seed)] = row

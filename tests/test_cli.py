@@ -265,6 +265,22 @@ def test_numeric_guards_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_fibre_size_beyond_memory_exits_three(tmp_path, capsys):
+    # 10**18 int64 entries exceed any address space, so nothing is allocated
+    code, out, err = run(capsys, ["gen", "--base", "k4", "--n", str(10 ** 18),
+                                  "--out", str(tmp_path / "huge.json")])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "huge.json").exists()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"base": "k4", "n": [10 ** 18], "seeds": [1]}))
+    code, out, err = run(capsys, ["experiment", "--config", str(config)])
+    assert code == 3
+    assert out.startswith("rows 1 ")
+    assert err.startswith(f"failed n={10 ** 18} seed=1: ")
+
+
 def test_spectrum_list_over_the_dense_guard_prints_nothing(tmp_path, capsys):
     big = tmp_path / "big.json"
     assert main(["gen", "--base", "k4", "--n", "600", "--seed", "1",
@@ -303,6 +319,7 @@ def test_unconverged_spectrum_exits_three(lift_file, monkeypatch, capsys, argv):
     pytest.param({"base": "k1"}, id="degree-zero"),
     pytest.param({"base": 4}, id="base-not-a-string"),
     pytest.param({"base": "k4", "n": ["a"]}, id="n-not-a-number"),
+    pytest.param({"base": "k4", "n": [10.7]}, id="n-not-an-integer"),
     pytest.param({"base": "k4", "seeds": 1}, id="seeds-not-a-list"),
     pytest.param({"base": "k4", "seeds": [2, -1]}, id="seed-negative"),
     pytest.param({"base": "k4", "tolerance": "tight"}, id="tolerance-not-a-number"),

@@ -77,9 +77,10 @@ def test_config_from_json_named_base():
 def test_config_from_json_scalar_n_and_base_file(tmp_path):
     path = tmp_path / "base.txt"
     path.write_text(base_to_text(K4))
-    cfg = config_from_json('{"base_file": "%s", "n": 12, "seeds": [1, 2]}' % path)
+    cfg = config_from_json('{"base_file": "%s", "n": 12, "seeds": [1, 2], "tolerance": 1}' % path)
     assert cfg.base == K4
     assert cfg.n_values == (12,)
+    assert cfg.tolerance == 1.0  # a JSON integer is a number
 
 
 def test_config_from_json_rejects_bad_documents():
@@ -103,7 +104,21 @@ def test_config_from_json_raises_config_errors_for_bad_values(tmp_path):
                 '{"base": "k4", "n": [10], "seeds": [1], "stages": 3}',
                 '{"base_file": %s, "n": [10], "seeds": [1]}' % json.dumps(str(bad_base)),
                 '{"base_file": 7, "n": [10], "seeds": [1]}',
-                '{"base": "k4", "n": [10], "seeds": [1],'):
+                '{"base": "k4", "n": [10], "seeds": [1],',
+                # read as given or refused, never coerced
+                '{"base": "k4", "n": [10.7], "seeds": [1]}',
+                '{"base": "k4", "n": 10.0, "seeds": [1]}',
+                '{"base": "k4", "n": "12", "seeds": [1]}',
+                '{"base": "k4", "n": [true], "seeds": [1]}',
+                '{"base": "k4", "n": [10], "seeds": [2.9]}',
+                '{"base": "k4", "n": [10], "seeds": [false]}',
+                '{"base": "k4", "n": [10], "seeds": ["1"]}',
+                '{"base": "k4", "n": [10], "seeds": [1], "trials": 40.5}',
+                '{"base": "k4", "n": [10], "seeds": [1], "trials": true}',
+                '{"base": "k4", "n": [10], "seeds": [1], "tolerance": "1e-8"}',
+                '{"base": "k4", "n": [10], "seeds": [1], "tolerance": true}',
+                '{"base": "k4", "n": [10], "seeds": [1], "out": 5}',
+                '{"base": "k4", "n": [10], "seeds": [1], "out": null}'):
         with pytest.raises(ConfigError):
             config_from_json(doc)
 
@@ -229,6 +244,17 @@ def test_unconverged_spectrum_fails_the_cell(monkeypatch):
     assert len(result.failures) == 1
     assert result.failures[0].startswith("n=13 seed=1: ")
     assert "did not converge" in result.failures[0]
+
+
+def test_a_fibre_size_beyond_memory_fails_its_cell():
+    # 10**18 int64 entries exceed any address space, so nothing is allocated
+    cfg = ExperimentConfig(K4, (12, 10 ** 18), (1,), stages=("spectrum",))
+    result = run_experiment(cfg)
+    good, bare = result.rows
+    assert good.lambda_star is not None
+    assert bare == ResultRow(seed=1, h=4, d=3, n=10 ** 18)
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith(f"n={10 ** 18} seed=1: ")
 
 
 def test_unconverged_spectrum_stops_explain_and_certificate(monkeypatch):

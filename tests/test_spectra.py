@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from liftlab.errors import ConfigError, TooLargeError
 from liftlab.graphs import (
     LiftVector,
+    apply_centered,
+    base_from_name,
     complete_graph,
     identity_lift,
     lifted_eigenvector,
@@ -197,3 +201,25 @@ def test_lambda_top_is_degree():
     lift = random_lift(complete_graph(6), 15, np.random.default_rng(10))
     rep = lambda_star(lift, tol=1e-6)
     assert rep.lambda_top == pytest.approx(5.0, abs=1e-12)
+
+
+# --- balanced starts --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["k4", "k5", "c6", "petersen"])
+def test_centered_operator_is_zero_on_fibre_constant_vectors(name):
+    # why each solver balances only its start vector: rounding drift towards
+    # fibre-constant vectors lands in the centered operator's kernel
+    base = base_from_name(name)
+    lift = sample_lift(base, 50, SeededRng(3))
+    x = lifted_eigenvector(lift, np.random.default_rng(3).normal(size=base.h))
+    image = apply_centered(lift, x).values
+    assert np.abs(image).max() <= 1e-12 * math.sqrt(x.norm_sq)
+
+
+@pytest.mark.parametrize("name,n,method", [("k4", 1000, "iterative"), ("c6", 100, "dense")])
+def test_witness_from_a_balanced_start_stays_balanced(name, n, method):
+    lift = sample_lift(base_from_name(name), n, SeededRng(1))
+    rep = lambda_star(lift, rng=SeededRng(1, 101))
+    assert rep.method == method
+    assert np.abs(rep.witness.fibre_sums).max() <= 1e-12
