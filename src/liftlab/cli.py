@@ -46,8 +46,8 @@ def _load_lift(path: str) -> Lift:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
+    if not 1 <= args.n < 2**63:
+        raise ConfigError("--n must be at least 1 and below 2**63")
     base = _load_base(args)
     fibres = args.plant.split(",") if args.plant else []
     if not all(t.strip().isdecimal() and int(t) < base.h for t in fibres):

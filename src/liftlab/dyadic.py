@@ -255,12 +255,6 @@ def _norms_sq(stack: np.ndarray) -> np.ndarray | None:
         return (stack * stack).sum(axis=(-2, -1))
 
 
-def is_rounded_vector(x: LiftVector) -> bool:
-    """Entries are signed unit-or-larger dyadic and squared norm <= 5nh."""
-    norm = _norms_sq(x.values)
-    return norm is not None and bool(norm <= DyadicScale.norm_cap(x.values.shape, rounded=True))
-
-
 def _is_candidate_stack(stack: np.ndarray) -> bool:
     """Every (h, n) slice is nonnegative unit-or-larger dyadic with squared
     norm <= 10nh, decided with one frexp over the stack."""

@@ -57,14 +57,6 @@ class DeviationDomainError(LiftlabError, ValueError):
     """Argument below -1 passed to the deviation rate function."""
 
 
-class VertexNotInUError(LiftlabError):
-    """The anchor class is not a member of the candidate set."""
-
-
-class EmptyInputError(LiftlabError):
-    """A selection routine was called with no weights."""
-
-
 class InvalidMarginalsError(LiftlabError):
     """Matching-spec block sizes and edge counts are inconsistent."""
 

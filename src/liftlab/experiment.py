@@ -99,8 +99,8 @@ class ExperimentConfig:
     trials: int = 40
 
     def __post_init__(self):
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ConfigError("every n must be at least 1")
+        if not self.n_values or any(not 1 <= n < 2**63 for n in self.n_values):
+            raise ConfigError("every n must be at least 1 and below 2**63")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError("need at least one seed, all non-negative")
         if not self.stages:

@@ -196,12 +196,6 @@ def base_from_name(name: str) -> BaseGraph:
 # base graph text serialization: first line "h m", then one "u v" per edge
 
 
-def base_to_text(base: BaseGraph) -> str:
-    lines = [f"{base.h} {len(base.edges)}"]
-    lines += [f"{u} {v}" for (u, v) in base.edges]
-    return "\n".join(lines) + "\n"
-
-
 def base_from_text(text: str) -> BaseGraph:
     rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     try:
@@ -320,10 +314,6 @@ class Lift:
         except (TypeError, ValueError, AttributeError, LiftlabError) as exc:
             raise ConfigError(f"malformed lift JSON: {exc}") from exc
 
-    def canonical_key(self) -> tuple:
-        """Hashable identity used when counting distinct lifts."""
-        return tuple((e, tuple(int(x) for x in self.perms[e])) for e in self.base.edges)
-
 
 def identity_lift(base: BaseGraph, n: int) -> Lift:
     """The lift in which every matching is the identity (n disjoint copies of H)."""
@@ -355,13 +345,6 @@ class LiftVector:
     def zeros(cls, lift: Lift) -> "LiftVector":
         return cls(np.zeros((lift.h, lift.n)))
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, h: int, n: int) -> "LiftVector":
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (h * n,):
-            raise DimensionMismatchError(f"expected flat length {h * n}")
-        return cls(flat.reshape(h, n))
-
     @property
     def h(self) -> int:
         return self.values.shape[0]
@@ -383,10 +366,6 @@ class LiftVector:
                                         dtype=float)
             self._fibre_sums.setflags(write=False)
         return self._fibre_sums
-
-    def is_balanced(self, tol: float = 1e-9) -> bool:
-        scale = max(1.0, math.sqrt(self.norm_sq))
-        return bool(np.all(np.abs(self.fibre_sums) <= tol * scale))
 
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)

@@ -130,10 +130,6 @@ class AsymptoticForm:
     log_prefactor: float
     exponent: float
 
-    @property
-    def log_value(self) -> float:
-        return self.log_prefactor - self.exponent
-
 
 def asymptotic_form(spec: MatchingSpec) -> AsymptoticForm:
     """Prefactor chi = n^{-1/2} (prod a prod b / prod nonzero e)^{1/2} and the
@@ -248,15 +244,6 @@ def monte_carlo_probability(spec: MatchingSpec, samples: int,
     estimate = hits / samples
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / samples)
     return MonteCarloEstimate(estimate, std_error, hits, samples)
-
-
-def matching_spec_to_text(spec: MatchingSpec) -> str:
-    lines = ["matching-spec",
-             f"n {spec.n}",
-             "a " + " ".join(str(x) for x in spec.a),
-             "b " + " ".join(str(x) for x in spec.b),
-             "e " + " ".join(str(x) for row in spec.e for x in row)]
-    return "\n".join(lines) + "\n"
 
 
 def matching_spec_from_text(text: str) -> MatchingSpec:

@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -31,19 +31,15 @@ from .errors import (
     ConfigError,
     DeviationDomainError,
     DimensionMismatchError,
-    EmptyInputError,
     InvalidPatternError,
     LiftlabError,
     NotBandVectorError,
     TooLargeError,
-    VertexNotInUError,
 )
 from .graphs import BaseGraph, Lift, _int64s, _read_int64s, complete_graph, cycle_graph
 
 ClassVertex = tuple[int, int]  # (fibre, weight exponent)
 ClassEdge = tuple[ClassVertex, ClassVertex]
-
-REGIMES = ("large", "small")
 
 # Deviations above this cutoff count as "large"; at or below, "small".
 LARGE_DEVIATION_CUTOFF = math.e ** 2 - 1.0
@@ -212,7 +208,6 @@ class ClassGraph:
     def __init__(self, pattern: Pattern):
         base = pattern.base
         self.vertices: tuple[ClassVertex, ...] = pattern.profile.vertices
-        self.index = {v: i for i, v in enumerate(self.vertices)}
         size = len(self.vertices)
         self.fibre, self.exponent = pattern.profile.fibre, pattern.profile.exponent
         self.fibre_neighbours = base.neighbour_index().T
@@ -584,90 +579,7 @@ def _check_dispatch_guarantees(pattern: Pattern, level: float, kept: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# selection helpers
-
-
-def dominant_neighbours(pattern: Pattern, members: Iterable[ClassVertex],
-                        vertex: ClassVertex, regime: str,
-                        level: float = 20.0) -> frozenset:
-    """Neighbours of a vertex, within a member set, that carry the dominant
-    share of its local potency in the chosen regime.
-
-    In the large regime the cut is an absolute one on the gap-weight ratio;
-    in the small regime it is relative to the vertex's own local potency.
-    """
-    member_set = set(members)
-    if vertex not in member_set:
-        raise VertexNotInUError(f"{vertex} is not in the member set")
-    if regime not in REGIMES:
-        raise ConfigError(f"regime must be one of {REGIMES}")
-    table = DeviationTable(pattern)
-    g = table.graph
-    index = g.index[vertex]
-    members = np.zeros(len(g.vertices), dtype=bool)
-    members[[g.index[v] for v in member_set if v in g.index]] = True
-    pick = (table.large if regime == "large" else table.small)[index] & members[g.nbr[index]]
-    if not pick.any():
-        return frozenset()
-    others, gaps = g.nbr[index][pick], table.gap[index][pick]
-    count, weight, square = (int(table.count[index]), float(table.weight[index]),
-                             float(table.square[index]))
-    n = pattern.scale.n
-    d = pattern.scale.d
-    if regime == "large":
-        cut = level * n / (2.0 * count)
-        chosen = gaps * square * d / table.square[others] >= cut
-    else:
-        local = abs(_fsums(table.term[index][pick]))
-        nb_mass = float(_vertex_sums(pattern, table)[0][index])
-        if nb_mass == 0.0:
-            return frozenset()
-        cut = local / (2.0 * square * count * nb_mass)
-        chosen = np.abs(gaps) / (weight * table.weight[others] * n) >= cut
-    return frozenset(g.vertices[j] for j in others[chosen].tolist())
-
-
-def measure_select(triples: Sequence[tuple[float, float, float]],
-                   threshold: float) -> tuple[int, ...]:
-    """Indices whose density ratio h/g is at least threshold times the
-    measure-averaged ratio; the selected h-mass is then at least
-    (1 - threshold) of the total h-mass."""
-    if len(triples) == 0:
-        raise EmptyInputError("no triples supplied")
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError("threshold must lie strictly between 0 and 1")
-    for mu, hv, gv in triples:
-        if mu <= 0 or hv <= 0 or gv <= 0:
-            raise LiftlabError("all triple entries must be positive")
-    top = math.fsum(hv * mu for mu, hv, _ in triples)
-    bottom = math.fsum(gv * mu for mu, _, gv in triples)
-    cut = threshold * top / bottom
-    return tuple(k for k, (mu, hv, gv) in enumerate(triples) if hv / gv >= cut)
-
-
-# ---------------------------------------------------------------------------
-# probability and counting bounds
-
-
-def pattern_probability_bound(pattern: Pattern, kept: Iterable[ClassVertex],
-                              level: float = 20.0) -> float:
-    """Natural log of the occurrence-probability bound for the sub-pattern
-    on the kept set: sum of (d/4) log(count) plus (1 - level/10) times the
-    log binomial(n, count clipped to n/2), via log-gamma."""
-    _check_level(level)
-    n = pattern.scale.n
-    d = pattern.scale.d
-    total = 0.0
-    for vertex in kept:
-        count = pattern.profile.counts.get(vertex)
-        if count is None:
-            raise InvalidPatternError(f"{vertex} is not a populated class")
-        total += (d / 4.0) * math.log(count)
-        clipped = min(count, n // 2)
-        log_choose = (math.lgamma(n + 1) - math.lgamma(clipped + 1)
-                      - math.lgamma(n - clipped + 1))
-        total += (1.0 - level / 10.0) * log_choose
-    return total
+# counting bounds
 
 
 def pattern_count_bound(n: int, h: int, d: int, max_count: int) -> float:

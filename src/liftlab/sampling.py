@@ -1,4 +1,4 @@
-"""Seeded sampling of uniform random lifts, exhaustive enumeration, planting.
+"""Seeded sampling of uniform random lifts, and clique planting.
 
 Each base edge gets its own RNG stream derived from (seed, stream, edge
 index), so the permutations are independent and the result does not depend
@@ -8,13 +8,11 @@ on the order in which edges are processed.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, FibresNotAdjacentError, FibresNotDistinctError,
-                     LiftlabError, TooLargeError)
+from .errors import ConfigError, FibresNotAdjacentError, FibresNotDistinctError, LiftlabError
 from .graphs import BaseGraph, Lift
 
 
@@ -40,27 +38,12 @@ def sample_lift(base: BaseGraph, n: int, rng: SeededRng) -> Lift:
     position in the sorted edge list, so samples are deterministic in
     (seed, stream) and independent across edges.
     """
-    if n < 1:
-        raise LiftlabError("n must be at least 1")
+    if not 1 <= n < 2**63:
+        raise ConfigError("n must be at least 1 and below 2**63")
     perms = {}
     for k, e in enumerate(base.edges):
         perms[e] = rng.generator(k).permutation(n)
     return Lift(base, n, perms)
-
-
-def enumerate_lifts(base: BaseGraph, n: int, guard: float = 1e7):
-    """Yield every n-lift of the base exactly once, in lexicographic order.
-
-    The total count is (n!)^m over the m base edges; refuses to start when
-    that exceeds the guard.
-    """
-    m = len(base.edges)
-    total = float(math.factorial(n)) ** m
-    if total > guard:
-        raise TooLargeError(f"{total:.3g} lifts exceeds guard {guard:.3g}")
-    all_perms = [np.array(p, dtype=np.int64) for p in itertools.permutations(range(n))]
-    for combo in itertools.product(all_perms, repeat=m):
-        yield Lift(base, n, dict(zip(base.edges, combo)))
 
 
 def plant_clique(lift: Lift, fibres: list[int]) -> Lift:

@@ -1,4 +1,5 @@
-"""Shared test helpers: independent dense oracles and hypothesis strategies.
+"""Shared test helpers: independent dense oracles, writers for the library's
+text readers, and hypothesis strategies.
 
 The oracles here deliberately re-derive every operator entry by entry from
 the neighbour relation, without calling the library's own vectorized
@@ -6,6 +7,8 @@ kernels, so library/oracle agreement is a two-route check.
 """
 
 import gc
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +19,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 import liftlab
-from liftlab.graphs import BaseGraph, Lift, complete_graph, cycle_graph
+from liftlab.graphs import BaseGraph, Lift, LiftVector, complete_graph, cycle_graph
+from liftlab.matching import MatchingSpec
 
 
 def run_script(path: str, *args: str, stdin: str = "") -> subprocess.CompletedProcess:
@@ -80,6 +84,51 @@ def oracle_expected(lift: Lift) -> np.ndarray:
 
 def oracle_centered(lift: Lift) -> np.ndarray:
     return oracle_adjacency(lift) - oracle_expected(lift)
+
+
+def enumerate_lifts(base: BaseGraph, n: int):
+    """Yield every n-lift of the base exactly once: all (n!)^m choices of
+    one permutation per base edge, in lexicographic order."""
+    all_perms = [np.array(p, dtype=np.int64) for p in itertools.permutations(range(n))]
+    for combo in itertools.product(all_perms, repeat=len(base.edges)):
+        yield Lift(base, n, dict(zip(base.edges, combo)))
+
+
+def lift_key(lift: Lift) -> tuple:
+    """A hashable identity of a lift, for counting distinct lifts."""
+    return tuple((e, tuple(int(x) for x in lift.perms[e])) for e in lift.base.edges)
+
+
+def is_balanced(x: LiftVector, tol: float = 1e-9) -> bool:
+    """Every fibre sum is at most tol * max(1, |x|)."""
+    scale = max(1.0, math.sqrt(x.norm_sq))
+    return bool(np.all(np.abs(x.fibre_sums) <= tol * scale))
+
+
+def is_rounded_vector(x: LiftVector) -> bool:
+    """Every entry is 0 or +-2^e with e >= 0, and the squared norm is at most
+    5nh, decided entry by entry in exact integers."""
+    mags = [abs(v) for v in x.values.ravel().tolist() if v != 0.0]
+    if any(m < 1.0 or math.frexp(m)[0] != 0.5 for m in mags):
+        return False
+    return sum(int(m) ** 2 for m in mags) <= 5 * x.values.size
+
+
+def base_to_text(base: BaseGraph) -> str:
+    """The text ``base_from_text`` reads: "h m", then one "u v" per edge."""
+    lines = [f"{base.h} {len(base.edges)}"]
+    lines += [f"{u} {v}" for (u, v) in base.edges]
+    return "\n".join(lines) + "\n"
+
+
+def matching_spec_to_text(spec: MatchingSpec) -> str:
+    """The text ``matching_spec_from_text`` reads."""
+    lines = ["matching-spec",
+             f"n {spec.n}",
+             "a " + " ".join(str(x) for x in spec.a),
+             "b " + " ".join(str(x) for x in spec.b),
+             "e " + " ".join(str(x) for row in spec.e for x in row)]
+    return "\n".join(lines) + "\n"
 
 
 def random_lift(base: BaseGraph, n: int, rng: np.random.Generator) -> Lift:

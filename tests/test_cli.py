@@ -11,9 +11,11 @@ import liftlab.experiment
 import liftlab.spectra
 from liftlab.cli import main
 from liftlab.graphs import Lift, base_from_name
-from liftlab.matching import MatchingSpec, exact_log_probability, matching_spec_to_text
+from liftlab.matching import MatchingSpec, exact_log_probability
 from liftlab.patterns import pattern_from_text
 from liftlab.spectra import new_spectrum
+
+from _support import lift_key, matching_spec_to_text
 
 
 def run(capsys, argv):
@@ -49,7 +51,7 @@ def test_gen_writes_a_loadable_reproducible_lift(tmp_path, capsys):
                  "--out", str(second)]) == 0
     a = Lift.from_json(first.read_text())
     b = Lift.from_json(second.read_text())
-    assert a.canonical_key() == b.canonical_key()
+    assert lift_key(a) == lift_key(b)
 
 
 def test_gen_can_plant_a_clique(tmp_path, capsys):
@@ -320,6 +322,8 @@ def test_unconverged_spectrum_exits_three(lift_file, monkeypatch, capsys, argv):
     pytest.param({"base": 4}, id="base-not-a-string"),
     pytest.param({"base": "k4", "n": ["a"]}, id="n-not-a-number"),
     pytest.param({"base": "k4", "n": [10.7]}, id="n-not-an-integer"),
+    pytest.param({"base": "k4", "n": [2 ** 63]}, id="n-beyond-int64"),
+    pytest.param({"base": "k4", "n": [10 ** 30]}, id="n-far-beyond-int64"),
     pytest.param({"base": "k4", "seeds": 1}, id="seeds-not-a-list"),
     pytest.param({"base": "k4", "seeds": [2, -1]}, id="seed-negative"),
     pytest.param({"base": "k4", "tolerance": "tight"}, id="tolerance-not-a-number"),
@@ -350,6 +354,8 @@ def test_malformed_base_file_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     pytest.param(["--base", "k4", "--n", "0"], id="n-zero"),
     pytest.param(["--base", "k4", "--n", "-3"], id="n-negative"),
+    pytest.param(["--base", "k4", "--n", str(2 ** 63)], id="n-beyond-int64"),
+    pytest.param(["--base", "k4", "--n", str(10 ** 30)], id="n-far-beyond-int64"),
     pytest.param(["--base", "k1", "--n", "5"], id="degree-zero"),
     pytest.param(["--base", "zz", "--n", "5"], id="unknown-family"),
     pytest.param(["--base", "k4", "--n", "5", "--plant", "a,b"], id="plant-not-integer"),

@@ -15,7 +15,6 @@ from liftlab.dyadic import (
     dyadic_certificate,
     dyadic_round,
     int_norm_sq,
-    is_rounded_vector,
     polarize,
     quad_form,
     quad_form_restricted,
@@ -34,7 +33,7 @@ from liftlab.graphs import LiftVector, balance, base_from_name, complete_graph, 
 from liftlab.sampling import SeededRng, plant_clique, sample_lift
 from liftlab.spectra import lambda_star
 
-from _support import oracle_adjacency, oracle_centered, oracle_expected, random_lift
+from _support import is_rounded_vector, oracle_adjacency, oracle_centered, oracle_expected, random_lift
 
 
 # --- independent restricted-form oracle (exact rational pair classification) --

@@ -22,10 +22,10 @@ from liftlab.experiment import (CSV_COLUMNS, CSV_HEADER, EXPLAIN_SPECTRAL_FACTOR
 import liftlab.dyadic
 from liftlab.dyadic import band_certificate
 from liftlab.eigensolve import symmetric_eigenvalues
-from liftlab.graphs import base_from_name, base_to_text, identity_lift
+from liftlab.graphs import base_from_name, identity_lift
 from liftlab.sampling import SeededRng, plant_clique, sample_lift
 
-from _support import oracle_induced
+from _support import base_to_text, oracle_induced
 
 K4 = base_from_name("k4")
 

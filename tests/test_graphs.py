@@ -25,7 +25,6 @@ from liftlab.graphs import (
     balance,
     base_from_name,
     base_from_text,
-    base_to_text,
     complete_graph,
     cycle_graph,
     cycle_power_graph,
@@ -40,8 +39,8 @@ from liftlab.graphs import (
 )
 from liftlab.dyadic import quad_form
 
-from _support import (lift_with_vector, peak_mb, oracle_adjacency, oracle_centered, oracle_expected,
-                      oracle_induced, random_lift)
+from _support import (base_to_text, is_balanced, lift_with_vector, peak_mb, oracle_adjacency,
+                      oracle_centered, oracle_expected, oracle_induced, random_lift)
 
 
 # --- base graph construction -------------------------------------------------
@@ -268,7 +267,7 @@ def test_vector_norm_and_fibre_sums():
     v = LiftVector(np.array([[1.0, 2.0], [3.0, -3.0]]))
     assert v.norm_sq == pytest.approx(1 + 4 + 9 + 9)
     assert v.fibre_sums == pytest.approx([3.0, 0.0])
-    assert not v.is_balanced()
+    assert not is_balanced(v)
 
 
 def test_lazy_norm_and_fibre_sums_keep_the_eager_bits():
@@ -285,19 +284,7 @@ def test_lazy_norm_and_fibre_sums_keep_the_eager_bits():
 def test_balance_projects_to_zero_fibre_sums():
     rng = np.random.default_rng(4)
     v = balance(LiftVector(rng.normal(size=(3, 5))))
-    assert v.is_balanced()
-
-
-def test_from_flat_fibre_major():
-    flat = np.arange(6, dtype=float)
-    v = LiftVector.from_flat(flat, 2, 3)
-    assert v.values[1, 0] == 3.0
-    assert np.array_equal(v.flat(), flat)
-
-
-def test_from_flat_wrong_length():
-    with pytest.raises(DimensionMismatchError):
-        LiftVector.from_flat(np.zeros(5), 2, 3)
+    assert is_balanced(v)
 
 
 def test_vector_is_read_only():
@@ -599,7 +586,7 @@ def test_adjacency_row_sums_are_degree(case):
 def test_balanced_subspace_invariant_under_adjacency(case):
     lift, vals = case
     x = balance(LiftVector(vals))
-    assert apply_adjacency(lift, x).is_balanced(tol=1e-10)
+    assert is_balanced(apply_adjacency(lift, x), tol=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -620,4 +607,4 @@ def test_operators_are_symmetric(case):
 def test_centered_image_is_balanced(case):
     lift, vals = case
     y = apply_centered(lift, LiftVector(vals))
-    assert y.is_balanced(tol=1e-10)
+    assert is_balanced(y, tol=1e-10)

@@ -23,12 +23,10 @@ from liftlab.errors import (
     ConfigError,
     DeviationDomainError,
     DimensionMismatchError,
-    EmptyInputError,
     InvalidPatternError,
     LiftlabError,
     NotBandVectorError,
     TooLargeError,
-    VertexNotInUError,
 )
 from liftlab.graphs import BaseGraph, base_from_name, complete_graph, cycle_graph, identity_lift
 from liftlab.patterns import (
@@ -49,14 +47,11 @@ from liftlab.patterns import (
     Removal,
     ReductionReport,
     deviation_rate,
-    dominant_neighbours,
     edge_deviation,
     enumerate_patterns,
     extract_pattern,
-    measure_select,
     pattern_count_bound,
     pattern_from_text,
-    pattern_probability_bound,
     pattern_to_text,
     peak_potency,
     potency,
@@ -162,7 +157,8 @@ def class_pairs(graph, mask):
 
 def slot(graph, u, v):
     """Row and column of neighbour v in class u's row."""
-    i, j = graph.index[u], graph.index[v]
+    index = {w: k for k, w in enumerate(graph.vertices)}
+    i, j = index[u], index[v]
     (k,) = np.flatnonzero(graph.valid[i] & (graph.nbr[i] == j))
     return i, k
 
@@ -222,16 +218,6 @@ def ref_verify_reduction(pattern, report, level, branch):
         ref_branch_total(pattern, alive, regimes), rel=1e-9, abs=1e-12)
     assert report.removed_potency <= report.budget + 1e-9
     assert report.potency_after >= report.retention_floor - 1e-9
-
-
-def ref_probability_bound(pattern, kept, level):
-    n, d = pattern.scale.n, pattern.scale.d
-    total = 0.0
-    for vertex in kept:
-        a = pattern.profile.counts[vertex]
-        total += (d / 4.0) * math.log(a)
-        total += (1.0 - level / 10.0) * math.log(math.comb(n, min(a, n // 2)))
-    return total
 
 
 def random_pattern(rng, base=None, n=None):
@@ -843,8 +829,6 @@ def test_reduce_rejects_low_level():
         for reducer in (reduce_large, reduce_small, reduce_general, reduce_pattern):
             with pytest.raises(ConfigError):
                 reducer(pat, level)
-        with pytest.raises(ConfigError):
-            pattern_probability_bound(pat, (), level)
 
 
 def test_reduce_dispatch_picks_dominant_regime():
@@ -1317,7 +1301,8 @@ def test_deviation_arrays_from_the_cached_links_equal_the_dict_lookups(seed):
     pattern = random_pattern(rng, base=base)
     table = DeviationTable(pattern)
     g = table.graph
-    ends = np.array([[g.index[a], g.index[b]] for a, b in pattern.links], np.int64).reshape(-1, 2)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = np.array([[index[a], index[b]] for a, b in pattern.links], np.int64).reshape(-1, 2)
     assert pattern.link_ends.tobytes() == ends.tobytes()
     counts = np.array(list(pattern.links.values()), np.int64)
     assert pattern.link_counts.tobytes() == counts.tobytes()
@@ -1326,7 +1311,7 @@ def test_deviation_arrays_from_the_cached_links_equal_the_dict_lookups(seed):
     observed = np.zeros(g.nbr.shape, np.int64)
     for (a, b), count in pattern.links.items():
         for x, y in ((a, b), (b, a)):
-            i, j = g.index[x], g.index[y]
+            i, j = index[x], index[y]
             observed[i, g.valid[i] & (g.nbr[i] == j)] = count
     products = table.count[:, None] * table.count[g.nbr]
     mu = products / pattern.scale.n
@@ -1338,151 +1323,7 @@ def test_deviation_arrays_from_the_cached_links_equal_the_dict_lookups(seed):
         assert mine.tobytes() == theirs.tobytes()
 
 
-# --- neighbour selection ---------------------------------------------------------------
-
-
-def test_dominant_neighbours_validation():
-    base = complete_graph(3)
-    prof = ClassProfile(DyadicScale(5, 3, 2), {(0, 0): 1, (1, 0): 1})
-    pat = Pattern(base, prof, {})
-    with pytest.raises(VertexNotInUError):
-        dominant_neighbours(pat, {(1, 0)}, (0, 0), "large")
-    with pytest.raises(ConfigError):
-        dominant_neighbours(pat, {(0, 0)}, (0, 0), "weird")
-
-
-def test_dominant_neighbours_no_candidates():
-    base = complete_graph(3)
-    prof = ClassProfile(DyadicScale(5, 3, 2), {(0, 0): 1, (1, 0): 1})
-    pat = Pattern(base, prof, {})
-    assert dominant_neighbours(pat, {(0, 0)}, (0, 0), "large") == frozenset()
-    # single-member set: the only class has no neighbours inside it
-    assert dominant_neighbours(pat, {(0, 0)}, (0, 0), "small") == frozenset()
-
-
-def test_dominant_neighbours_large_regime(large_regime_pattern):
-    pat = large_regime_pattern
-    members = set(ClassGraph(pat).vertices)
-    picked = dominant_neighbours(pat, members, (0, 0), "large")
-    assert len(picked) == 451  # every neighbour clears the absolute gap cut
-    terms = ref_terms(pat)
-    selected_sum = sum(t for (u, v), t in terms.items()
-                       if (u == (0, 0) and v in picked) or (v == (0, 0) and u in picked))
-    lp = ref_local_potency(pat, members, (0, 0), ("large",))
-    assert abs(selected_sum) >= lp / 2.0
-
-
-def test_dominant_neighbours_small_regime(small_regime_pattern):
-    pat = small_regime_pattern
-    members = set(ClassGraph(pat).vertices)
-    picked = dominant_neighbours(pat, members, (0, 0), "small")
-    assert len(picked) == 599
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_dominant_neighbours_small_keeps_half_the_potency(seed):
-    rng = np.random.default_rng(seed)
-    pattern = random_pattern(rng)
-    graph = ClassGraph(pattern)
-    if not graph.vertices:
-        return
-    vertex = graph.vertices[int(rng.integers(len(graph.vertices)))]
-    members = {v for v in graph.vertices if rng.random() < 0.7}
-    members.add(vertex)
-    picked = dominant_neighbours(pattern, members, vertex, "small")
-    terms = ref_terms(pattern)
-    cutoff = math.e ** 2 - 1.0
-    n = pattern.scale.n
-    counts = pattern.profile.counts
-    total = 0.0
-    selected = 0.0
-    for (u, v), term in terms.items():
-        other = v if u == vertex else (u if v == vertex else None)
-        if other is None or other not in members:
-            continue
-        gap = pattern.links.get((u, v), 0) * n / (counts[u] * counts[v]) - 1.0
-        if gap <= cutoff:
-            total += term
-            if other in picked:
-                selected += term
-    assert abs(selected) >= abs(total) / 2.0 - 1e-12
-
-
-# --- measure-based selection -----------------------------------------------------------
-
-
-def test_measure_select_validation():
-    with pytest.raises(EmptyInputError):
-        measure_select([], 0.5)
-    with pytest.raises(ConfigError):
-        measure_select([(1.0, 1.0, 1.0)], 0.0)
-    with pytest.raises(ConfigError):
-        measure_select([(1.0, 1.0, 1.0)], 1.0)
-    with pytest.raises(LiftlabError):
-        measure_select([(1.0, -1.0, 1.0)], 0.5)
-
-
-def test_measure_select_uniform_and_tiny_threshold():
-    triples = [(2.0, 3.0, 4.0)] * 5
-    assert measure_select(triples, 0.5) == (0, 1, 2, 3, 4)
-    rng = np.random.default_rng(3)
-    triples = [tuple(rng.uniform(0.1, 5.0, size=3)) for _ in range(8)]
-    assert measure_select(triples, 1e-9) == tuple(range(8))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_measure_select_mass_guarantee(seed):
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, 12))
-    triples = [tuple(rng.uniform(0.05, 10.0, size=3)) for _ in range(k)]
-    threshold = float(rng.uniform(0.05, 0.95))
-    chosen = measure_select(triples, threshold)
-    total = sum(hv * mu for mu, hv, _ in triples)
-    kept = sum(triples[i][1] * triples[i][0] for i in chosen)
-    assert kept >= (1.0 - threshold) * total - 1e-12
-
-
-# --- probability and counting bounds ----------------------------------------------------
-
-
-def test_probability_bound_trivial_cases():
-    base = complete_graph(3)
-    scale = DyadicScale(100, 3, 2)
-    prof = ClassProfile(scale, {(0, 0): 1})
-    pat = Pattern(base, prof, {})
-    assert pattern_probability_bound(pat, [], 20.0) == 0.0
-    assert pattern_probability_bound(pat, [(0, 0)], 20.0) == pytest.approx(
-        -math.log(100))
-    with pytest.raises(ConfigError):
-        pattern_probability_bound(pat, [(0, 0)], 10.0)
-    with pytest.raises(InvalidPatternError):
-        pattern_probability_bound(pat, [(1, 0)], 20.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_probability_bound_matches_comb_oracle(seed):
-    rng = np.random.default_rng(seed)
-    pattern = random_pattern(rng)
-    verts = list(pattern.profile.counts)
-    if not verts:
-        return
-    kept = [v for v in verts if rng.random() < 0.7]
-    level = float(rng.uniform(20.0, 60.0))
-    got = pattern_probability_bound(pattern, kept, level)
-    want = ref_probability_bound(pattern, kept, level)
-    assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
-
-
-def test_probability_bound_decreases_with_level():
-    rng = np.random.default_rng(17)
-    pattern = random_pattern(rng)
-    kept = list(pattern.profile.counts)
-    if kept:
-        assert (pattern_probability_bound(pattern, kept, 40.0)
-                <= pattern_probability_bound(pattern, kept, 20.0))
+# --- counting bounds --------------------------------------------------------------------
 
 
 def test_count_bound_example_and_monotonicity():

@@ -20,12 +20,12 @@ from liftlab.cli import main
 from liftlab.dyadic import DyadicScale
 from liftlab.errors import LiftlabError
 from liftlab.experiment import config_from_json
-from liftlab.graphs import Lift, base_from_text, base_to_text, complete_graph, petersen_graph
+from liftlab.graphs import Lift, base_from_text, complete_graph, petersen_graph
 from liftlab.matching import matching_spec_from_text
 from liftlab.patterns import ClassProfile, Pattern, pattern_from_text, pattern_to_text
 from liftlab.sampling import SeededRng, sample_lift
 
-from _support import run_script
+from _support import base_to_text, run_script
 
 K4 = complete_graph(4)
 

@@ -25,7 +25,7 @@ from liftlab.spectra import (
     new_spectrum,
 )
 
-from _support import oracle_adjacency, oracle_centered, random_lift
+from _support import is_balanced, oracle_adjacency, oracle_centered, random_lift
 
 
 def multiset_close(a, b, tol=1e-8):
@@ -177,7 +177,7 @@ def test_lambda_star_witness_rayleigh_consistency():
     rep = lambda_star(lift, tol=tol, method="iterative")
     ray = abs(centered_rayleigh(lift, rep.witness))
     assert rep.lambda_star - 10 * tol <= ray <= rep.lambda_star + 1e-12
-    assert rep.witness.is_balanced(tol=1e-8)
+    assert is_balanced(rep.witness, tol=1e-8)
 
 
 def test_lambda_star_planted_clique_lower_bound():

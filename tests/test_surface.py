@@ -1,0 +1,87 @@
+"""The library keeps no surface that only its tests call.
+
+Every public top-level function or class under ``src/liftlab`` is used by
+other library code or cited there in a docstring as a double-backquoted name,
+is exported in ``liftlab.__all__``, or is named below with the reason it
+stays; and no module imports a name it does not use.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import liftlab
+
+PACKAGE = Path(liftlab.__file__).resolve().parent
+
+# public names that no library code calls but that stay, one reason each
+KEPT = {
+    "brute_force_probability": "acceptance criteria check exact probabilities against it",
+    "enumerate_patterns": "acceptance criteria check the pattern count bound against it",
+    "pattern_count_bound": "acceptance criteria check it against enumerate_patterns",
+    "pattern_from_text": "the only reader of the format `reduce --show-pattern` writes",
+}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _used_names(node):
+    """Every name that the node reads, as a bare name or an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _cited_names(node):
+    """Every double-backquoted name that a docstring in the node cites."""
+    return {name for sub in ast.walk(node)
+            if isinstance(sub, ast.Expr) and isinstance(sub.value, ast.Constant)
+            and isinstance(sub.value.value, str)
+            for name in re.findall(r"``(\w+)``", sub.value.value)}
+
+
+def test_every_public_definition_has_a_library_caller():
+    modules = _modules()
+    unused = []
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name in liftlab.__all__ or node.name in KEPT:
+                continue
+            # uses in the module's other statements and in every other module
+            callers = [other for other in tree.body if other is not node]
+            callers += [t for s, t in modules.items() if s != stem]
+            if not any(node.name in _used_names(c) | _cited_names(c) for c in callers):
+                unused.append(f"{stem}.{node.name}")
+    assert unused == []
+
+
+def test_the_kept_names_still_exist_and_are_not_exported():
+    defined = {node.name for tree in _modules().values() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(KEPT) <= defined
+    assert not set(KEPT) & set(liftlab.__all__)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for stem, tree in _modules().items():
+        exported = set(liftlab.__all__) if stem == "__init__" else set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            rest = _used_names(ast.Module([s for s in tree.body if s is not node], []))
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in rest and bound not in exported:
+                    unused.append(f"{stem}: {bound}")
+    assert unused == []
