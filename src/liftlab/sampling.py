@@ -42,7 +42,12 @@ def sample_lift(base: BaseGraph, n: int, rng: SeededRng) -> Lift:
         raise ConfigError("n must be at least 1 and below 2**63")
     perms = {}
     for k, e in enumerate(base.edges):
-        perms[e] = rng.generator(k).permutation(n)
+        try:  # numpy refuses n * 8 bytes, or near 2**63 wraps that count to a short array
+            perms[e] = rng.generator(k).permutation(n)
+        except ValueError:
+            perms[e] = ()
+        if len(perms[e]) < n:
+            raise MemoryError(f"no array holds a permutation of n = {n}")
     return Lift(base, n, perms)
 
 

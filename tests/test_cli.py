@@ -267,20 +267,35 @@ def test_numeric_guards_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_a_fibre_size_beyond_memory_exits_three(tmp_path, capsys):
-    # 10**18 int64 entries exceed any address space, so nothing is allocated
-    code, out, err = run(capsys, ["gen", "--base", "k4", "--n", str(10 ** 18),
-                                  "--out", str(tmp_path / "huge.json")])
+def assert_fibre_size_exits_three(tmp_path, capsys, n) -> str:
+    """gen's error line for a fibre size n that no array can hold."""
+    code, out, gen_err = run(capsys, ["gen", "--base", "k4", "--n", str(n),
+                                      "--out", str(tmp_path / "huge.json")])
     assert code == 3
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert gen_err.startswith("error: ") and gen_err.count("\n") == 1
     assert not (tmp_path / "huge.json").exists()
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"base": "k4", "n": [10 ** 18], "seeds": [1]}))
+    config.write_text(json.dumps({"base": "k4", "n": [n], "seeds": [1]}))
     code, out, err = run(capsys, ["experiment", "--config", str(config)])
     assert code == 3
     assert out.startswith("rows 1 ")
-    assert err.startswith(f"failed n={10 ** 18} seed=1: ")
+    assert err.startswith(f"failed n={n} seed=1: ")
+    return gen_err
+
+
+def test_a_fibre_size_beyond_memory_exits_three(tmp_path, capsys):
+    # 10**18 int64 entries exceed any address space, so nothing is allocated
+    assert_fibre_size_exits_three(tmp_path, capsys, 10 ** 18)
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(2 ** 62, id="array-too-big"),
+    pytest.param(2 ** 63 - 1, id="byte-count-wraps"),
+])
+def test_a_fibre_size_no_array_holds_exits_three(tmp_path, capsys, n):
+    # numpy refuses the first and returns an empty permutation for the second
+    assert f"permutation of n = {n}" in assert_fibre_size_exits_three(tmp_path, capsys, n)
 
 
 def test_spectrum_list_over_the_dense_guard_prints_nothing(tmp_path, capsys):

@@ -24,7 +24,6 @@ from liftlab.dyadic import (
 )
 from liftlab.errors import (
     EmptyVectorError,
-    LiftlabError,
     NormTooLargeError,
     NotBandVectorError,
     NotSignCompatibleError,

@@ -285,6 +285,23 @@ def test_lanczos_iteration_counts_of_the_sweep_pool_are_pinned(name, n, seed, it
     assert rep.iterations == iterations
 
 
+@pytest.mark.parametrize("name,n,seed,iterations", [
+    (name, n, seed, its) for name, n, counts in (
+        ("k4", 150, (136, 128, 136, 136, 136, 128, 112, 152)),
+        ("k5", 120, (120, 104, 128, 104, 112, 104, 112, 120)),
+        ("c6", 100, (336, 328, 344, 336, 336, 312, 344, 304)),
+        ("petersen", 60, (136, 128, 136, 112, 152, 144, 136, 136)))
+    for seed, its in zip(range(1, 9), counts)])
+def test_dense_iteration_counts_of_the_sweep_pool_are_pinned(name, n, seed, iterations):
+    # the sweep pool's 32 dense cells take their witness from Lanczos aimed at
+    # the exact spectrum's extreme end; pinned like the Lanczos cells above
+    lift = sample_lift(base_from_name(name), n, SeededRng(seed))
+    rep = lambda_star(lift, rng=SeededRng(seed, 101))
+    assert rep.method == "dense"
+    assert rep.converged
+    assert rep.iterations == iterations
+
+
 def test_lanczos_abs_finds_a_negative_extreme_across_thick_restarts():
     m = _with_spectrum(np.linspace(-6.0, 5.0, 300), 13)
     ref = np.linalg.eigvalsh(m)

@@ -9,7 +9,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import liftlab.experiment as exp

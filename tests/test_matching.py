@@ -1,7 +1,6 @@
 """Matching-probability checks: closed form vs. exhaustive scans, the
 asymptotic shape inside its Stirling window, and Monte Carlo agreement."""
 
-import itertools
 import math
 import random
 from fractions import Fraction

@@ -25,6 +25,12 @@ def test_a_fibre_size_outside_int64_is_a_config_error(n):
         sample_lift(complete_graph(4), n, SeededRng(0))
 
 
+@pytest.mark.parametrize("n", [2 ** 62, 2 ** 63 - 1])
+def test_a_fibre_size_no_array_holds_is_a_memory_error(n):
+    with pytest.raises(MemoryError, match=f"permutation of n = {n}$"):
+        sample_lift(complete_graph(4), n, SeededRng(0))
+
+
 def test_same_seed_same_serialization():
     a = sample_lift(petersen_graph(), 9, SeededRng(42, 3))
     b = sample_lift(petersen_graph(), 9, SeededRng(42, 3))

@@ -9,6 +9,7 @@ from liftlab.errors import ConfigError, TooLargeError
 from liftlab.graphs import (
     LiftVector,
     apply_centered,
+    balance,
     base_from_name,
     complete_graph,
     identity_lift,
@@ -17,7 +18,6 @@ from liftlab.graphs import (
 )
 from liftlab.sampling import SeededRng, plant_clique, sample_lift
 from liftlab.spectra import (
-    SpectralReport,
     balanced_basis,
     centered_rayleigh,
     dense_spectrum,
@@ -223,3 +223,45 @@ def test_witness_from_a_balanced_start_stays_balanced(name, n, method):
     rep = lambda_star(lift, rng=SeededRng(1, 101))
     assert rep.method == method
     assert np.abs(rep.witness.fibre_sums).max() <= 1e-12
+
+
+# --- the dense path's witness -------------------------------------------------------
+
+
+def _theta_and_projection(lift):
+    """theta, the new spectrum's extreme, and the projection of the dense path's
+    balanced default_rng(7) start onto theta's eigenspace, by eigh of the dense
+    centered operator."""
+    vals = new_spectrum(lift)
+    theta = float(vals[np.argmax(np.abs(vals))])
+    w, v = np.linalg.eigh(oracle_centered(lift))
+    space = v[:, np.abs(w - theta) <= 1e-9 * max(1.0, abs(theta))]
+    start = balance(LiftVector(np.random.default_rng(7).normal(size=(lift.h, lift.n)))).flat()
+    return theta, space @ (space.T @ start), space.shape[1]
+
+
+@pytest.mark.parametrize("name,n,seed,multiplicity", [("c6", 100, 1, 4), ("k4", 150, 1, 1)])
+def test_dense_witness_is_its_start_projected_onto_the_extreme_eigenspace(
+        name, n, seed, multiplicity):
+    # a Krylov space holds, within each eigenspace, only the start's projection
+    # onto it, so Lanczos aimed at theta's end returns that projection
+    lift = sample_lift(base_from_name(name), n, SeededRng(seed))
+    theta, projection, found = _theta_and_projection(lift)
+    assert found == multiplicity
+    rep = lambda_star(lift, rng=SeededRng(seed, 101))
+    assert rep.method == "dense"
+    x = rep.witness.flat()
+    assert 1.0 - abs(x @ projection) / (np.linalg.norm(x) * np.linalg.norm(projection)) <= 1e-12
+    assert abs(centered_rayleigh(lift, rep.witness) - theta) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_dense_witness_takes_the_sign_of_theta_on_a_bipartite_tie(seed):
+    # on c6 both +-theta are extreme; the exact spectrum's theta picks the end
+    lift = sample_lift(base_from_name("c6"), 100, SeededRng(seed))
+    vals = new_spectrum(lift)
+    theta = float(vals[np.argmax(np.abs(vals))])
+    assert np.min(np.abs(vals + theta)) <= 1e-9
+    rep = lambda_star(lift, rng=SeededRng(seed, 101))
+    assert rep.method == "dense"
+    assert np.sign(centered_rayleigh(lift, rep.witness)) == np.sign(theta)

@@ -3,7 +3,8 @@
 Every public top-level function or class under ``src/liftlab`` is used by
 other library code or cited there in a docstring as a double-backquoted name,
 is exported in ``liftlab.__all__``, or is named below with the reason it
-stays; and no module imports a name it does not use.
+stays; and no module of the library or of its tests imports a name it does
+not use.
 """
 
 import ast
@@ -13,6 +14,7 @@ from pathlib import Path
 import liftlab
 
 PACKAGE = Path(liftlab.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # public names that no library code calls but that stay, one reason each
 KEPT = {
@@ -23,8 +25,8 @@ KEPT = {
 }
 
 
-def _modules():
-    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+def _modules(root=PACKAGE):
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(root.glob("*.py"))}
 
 
 def _used_names(node):
@@ -72,8 +74,10 @@ def test_the_kept_names_still_exist_and_are_not_exported():
 
 def test_no_module_imports_a_name_it_does_not_use():
     unused = []
-    for stem, tree in _modules().items():
-        exported = set(liftlab.__all__) if stem == "__init__" else set()
+    modules = [(f"liftlab.{stem}", tree) for stem, tree in _modules().items()]
+    modules += [(f"tests.{stem}", tree) for stem, tree in _modules(TESTS).items()]
+    for name, tree in modules:
+        exported = set(liftlab.__all__) if name == "liftlab.__init__" else set()
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
@@ -83,5 +87,5 @@ def test_no_module_imports_a_name_it_does_not_use():
             for alias in node.names:
                 bound = (alias.asname or alias.name).split(".")[0]
                 if bound not in rest and bound not in exported:
-                    unused.append(f"{stem}: {bound}")
+                    unused.append(f"{name}: {bound}")
     assert unused == []

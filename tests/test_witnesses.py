@@ -20,7 +20,6 @@ from liftlab.errors import (
     WitnessMismatchError,
 )
 from liftlab.graphs import (
-    LiftVector,
     apply_adjacency,
     complete_graph,
     cycle_graph,
