@@ -18,9 +18,10 @@ the band boundary are resolved in exact rational arithmetic, so a ratio
 of exactly sqrt(d) (possible when d is a power of four) is excluded
 deterministically.
 
-``dyadic_round`` and ``polarize`` wrap array functions that the certificate
-search calls directly. A candidate's entries are 0 or 2^i (i >= 0), with
-squared norm <= 10nh: its fibre sums are integers below 2^53, exact in any order.
+``dyadic_round`` and ``polarize`` check their inputs and wrap array functions
+that the certificate search calls unchecked (``_polarize`` proves its candidates
+valid): entries 0 or 2^i (i >= 0), squared norm <= 10nh, so fibre sums are
+integers below 2^53, exact in any order.
 """
 
 from __future__ import annotations
@@ -244,25 +245,6 @@ def int_norm_sq(exponents: np.ndarray, nonzero: np.ndarray) -> int:
     return sum(c * 4 ** (low + e) for e, c in enumerate(counts) if c)
 
 
-def _norms_sq(stack: np.ndarray) -> np.ndarray | None:
-    """Squared norm of each (h, n) slice of an array whose entries are all 0 or
-    +-2^i with i >= 0, else None. A sum of integers, it is exact up to 2^53;
-    a larger one (inf if a square overflows) never rounds down below a cap."""
-    mant, expo = np.frexp(np.abs(stack))
-    if ((stack != 0.0) & ((mant != 0.5) | (expo < 1))).any():
-        return None
-    with np.errstate(over="ignore"):
-        return (stack * stack).sum(axis=(-2, -1))
-
-
-def _is_candidate_stack(stack: np.ndarray) -> bool:
-    """Every (h, n) slice is nonnegative unit-or-larger dyadic with squared
-    norm <= 10nh, decided with one frexp over the stack."""
-    norms = _norms_sq(stack)
-    return (norms is not None and not (stack < 0).any()
-            and bool((norms <= DyadicScale.norm_cap(stack.shape)).all()))
-
-
 # ---------------------------------------------------------------------------
 # randomized rounding
 
@@ -303,23 +285,18 @@ def _round(values: np.ndarray, gen: np.random.Generator) -> np.ndarray:
 def _check_compatible(yv: np.ndarray, zv: np.ndarray) -> None:
     if yv.shape != zv.shape:
         raise NotSignCompatibleError("shape mismatch")
+    classes = []
     for v, name in ((yv, "first"), (zv, "second")):
-        norm = _norms_sq(v)
-        if norm is None:
-            raise NotBandVectorError("entries must be zero or have modulus 2^i with i >= 0")
-        if norm > DyadicScale.norm_cap(v.shape, rounded=True):
+        exps, mask = signed_exponents(LiftVector(v))
+        if int_norm_sq(exps, mask) > DyadicScale.norm_cap(v.shape, rounded=True):
             raise NotBandVectorError(f"{name} vector exceeds the rounded-class norm cap")
+        classes.append((exps, mask))
+    (ey, my), (ez, mz) = classes
     if ((yv > 0) & (zv < 0)).any() or ((yv < 0) & (zv > 0)).any():
         raise NotSignCompatibleError("entries with opposite signs")
-    both = (yv != 0) & (zv != 0)
-    if both.any():
-        _, ey = np.frexp(np.abs(yv[both]))
-        _, ez = np.frexp(np.abs(zv[both]))
-        if (np.abs(ey - ez) > 1).any():
-            raise NotSignCompatibleError("entries from different rounding brackets")
-    lone_y = (yv == 0) & (np.abs(zv) > 1.0)
-    lone_z = (zv == 0) & (np.abs(yv) > 1.0)
-    if lone_y.any() or lone_z.any():
+    if (np.abs(ey - ez)[my & mz] > 1).any():
+        raise NotSignCompatibleError("entries from different rounding brackets")
+    if ((~my & (ez > 0)) | (~mz & (ey > 0))).any():
         raise NotSignCompatibleError("zero paired with an entry above one")
 
 
@@ -331,12 +308,23 @@ def polarize(y: LiftVector, z: LiftVector) -> list[LiftVector]:
     on the diagonal (a sign-splitting argument over positive/negative
     parts and their differences).
     """
+    _check_compatible(y.values, z.values)
     return [LiftVector(c) for c in _polarize(y.values, z.values)]
 
 
 def _polarize(yv: np.ndarray, zv: np.ndarray) -> np.ndarray:
-    """The twelve candidates of ``polarize`` as one (12, h, n) stack."""
-    _check_compatible(yv, zv)
+    """The twelve candidates of ``polarize`` as one (12, h, n) stack, unchecked.
+
+    Two roundings of one x with |x|^2 <= nh(1 + 1e-9) make every candidate valid.
+    They share x's signs; where both are nonzero their exponents differ by at most
+    1, and a zero pairs only with 0 or 1. An entry squares to at most max(4x^2, 1),
+    so each integer squared norm is within 5nh + 4e-9 nh: 5nh while nh < 2.5e8.
+    Sums join disjoint supports and a difference entry is 0, 1 or 2^j, so every
+    candidate has entries 0 or 2^i (i >= 0) and squared norm <= 10nh. The one that
+    leaves the search is checked exactly by ``band_select`` (nonnegative,
+    ``signed_exponents``, ``within_cap``) before anything derived from it reaches
+    a CSV row or stdout.
+    """
     yp = np.maximum(yv, 0.0)
     ym = np.maximum(-yv, 0.0)
     zp = np.maximum(zv, 0.0)
@@ -345,11 +333,8 @@ def _polarize(yv: np.ndarray, zv: np.ndarray) -> np.ndarray:
     w1m = np.maximum(zp - yp, 0.0)
     w2p = np.maximum(ym - zm, 0.0)
     w2m = np.maximum(zm - ym, 0.0)
-    stack = np.stack([yp, ym, zp, zm, yp + zm, ym + zp,
-                      w1p, w1m, w1p + w1m, w2p, w2m, w2p + w2m])
-    if not _is_candidate_stack(stack):
-        raise LiftlabError("internal: polarization produced an invalid candidate")
-    return stack
+    return np.stack([yp, ym, zp, zm, yp + zm, ym + zp,
+                     w1p, w1m, w1p + w1m, w2p, w2m, w2p + w2m])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Symmetric eigensolvers.
 
-Dense path: LAPACK (``numpy.linalg.eigvalsh``) gives the eigenvalues. A
-repeated extreme modulus (+-theta on a bipartite base) takes Householder
-reduction and implicit-shift QL, its sweeps on Python floats, instead: the
-bits of theta pick the witness's eigenspace there, and the recorded rows
-carry QL's bits. Iterative path: thick-restart Lanczos in a fixed basis of
+Dense path: LAPACK (``numpy.linalg.eigvalsh``) gives the eigenvalues.
+Householder reduction and implicit-shift QL, its sweeps on Python floats,
+serve only ``spectra.new_spectrum``, which takes their bits on a repeated
+extreme modulus. Iterative path: thick-restart Lanczos in a fixed basis of
 48 vectors, driven by a caller-supplied matvec, with full
 reorthogonalization that takes a second Gram-Schmidt pass only when the
 DGKS test asks for it; the Ritz pairs of the small projected matrix come
@@ -34,8 +33,6 @@ def householder_tridiagonalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     a = np.array(mat, dtype=np.float64)
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
     scratch = np.empty(n * n)  # holds each rank-one update
     for k in range(n - 2):
         x = a[k + 1:, k]
@@ -43,15 +40,11 @@ def householder_tridiagonalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         if nx <= _EPS * max(1.0, abs(a[k, k])):
             a[k + 1:, k] = 0.0
             a[k, k + 1:] = 0.0
-            a[k + 1, k] = a[k, k + 1] = 0.0
             continue
         alpha = -math.copysign(nx, x[0]) if x[0] != 0.0 else -nx
         v = x.copy()
         v[0] -= alpha
-        vn = math.sqrt(float(v @ v))
-        if vn == 0.0:
-            continue
-        v /= vn
+        v /= math.sqrt(float(v @ v))  # |v| >= |v[0]| >= nx > 0
         sub = a[k + 1:, k + 1:]
         w = sub @ v
         q = w - v * float(v @ w)
@@ -62,9 +55,7 @@ def householder_tridiagonalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         a[k + 1:, k] = 0.0
         a[k, k + 1:] = 0.0
         a[k + 1, k] = a[k, k + 1] = alpha
-    d = np.diag(a).copy()
-    e = np.array([a[i + 1, i] for i in range(n - 1)]) if n > 1 else np.zeros(0)
-    return d, e
+    return np.diag(a).copy(), np.diag(a, -1).copy()
 
 
 def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -76,8 +67,6 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """
     d = np.array(diag, dtype=np.float64)
     n = d.size
-    if n == 0:
-        return np.zeros(0)
     e = np.zeros(n)
     e[: n - 1] = np.asarray(off, dtype=np.float64)
     d, e = d.tolist(), e.tolist()
@@ -124,14 +113,8 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense symmetric matrix, sorted descending: LAPACK's,
-    or Householder + QL's when the extreme modulus is repeated (within 1e-9 of
-    it, relative), as the witness's eigenspace, and the recorded rows, hang on their bits."""
-    vals = np.linalg.eigvalsh(mat)[::-1]
-    top = np.abs(vals).max(initial=0.0)
-    if np.count_nonzero(np.abs(vals) >= top - 1e-9 * max(1.0, top)) > 1:
-        return tridiagonal_eigenvalues(*householder_tridiagonalize(mat))
-    return vals
+    """All eigenvalues of a dense symmetric matrix, sorted descending (LAPACK)."""
+    return np.linalg.eigvalsh(mat)[::-1]
 
 
 # ---------------------------------------------------------------------------

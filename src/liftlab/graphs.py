@@ -75,6 +75,15 @@ def _int64s(values, error: type[LiftlabError], message: str) -> np.ndarray:
     return array
 
 
+def _int64_items(values, error: type[LiftlabError], message: str,
+                 shape: tuple[int, ...] = ()) -> np.ndarray:
+    """``_int64s`` of a sequence whose items have the given shape, as one array."""
+    array = _int64s(list(values) or np.zeros((0, *shape), np.int64), error, message)
+    if array.shape[1:] != shape:
+        raise error(message)
+    return array
+
+
 @dataclass(frozen=True)
 class BaseGraph:
     """A simple d-regular graph on vertices 0..h-1.
@@ -481,10 +490,11 @@ def dense_operator(lift: Lift, kind: str = "adjacency") -> np.ndarray:
 def induced_adjacency(lift: Lift, vertices: list[tuple[int, int]]) -> np.ndarray:
     """Dense adjacency of the subgraph induced on the given (fibre, pos) list,
     gathered through the lift's neighbour index."""
-    if not all(0 <= i < lift.h and 0 <= j < lift.n for i, j in vertices):
+    fibre, pos = _int64_items(vertices, LiftlabError,
+                              "induced subgraph vertices must be integer pairs", (2,)).T
+    if not ((0 <= fibre) & (fibre < lift.h) & (0 <= pos) & (pos < lift.n)).all():
         raise LiftlabError(f"induced subgraph vertices must lie in fibres 0..{lift.h - 1}"
                            f" at positions 0..{lift.n - 1}")
-    fibre, pos = np.array(vertices, dtype=np.int64).reshape(-1, 2).T
     where = np.full(lift.num_vertices, -1)
     where[fibre * lift.n + pos] = np.arange(fibre.size)
     if np.count_nonzero(where >= 0) != fibre.size:

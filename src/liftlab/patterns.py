@@ -36,7 +36,7 @@ from .errors import (
     NotBandVectorError,
     TooLargeError,
 )
-from .graphs import BaseGraph, Lift, _int64s, _read_int64s, complete_graph, cycle_graph
+from .graphs import BaseGraph, Lift, _int64_items, _read_int64s, complete_graph, cycle_graph
 
 ClassVertex = tuple[int, int]  # (fibre, weight exponent)
 ClassEdge = tuple[ClassVertex, ClassVertex]
@@ -76,10 +76,8 @@ class ClassProfile:
 
     def __post_init__(self):
         message = "a class is not a (fibre, exponent) pair of integers with an integer count"
-        keys = _int64s(list(self.counts) or np.zeros((0, 2), np.int64), InvalidPatternError, message)
-        count = _int64s(list(self.counts.values()), InvalidPatternError, message)
-        if keys.shape != (count.size, 2) or count.ndim != 1:
-            raise InvalidPatternError(message)
+        keys = _int64_items(self.counts, InvalidPatternError, message, (2,))
+        count = _int64_items(self.counts.values(), InvalidPatternError, message)
         fibre, exp = keys.T
         bad = (count < 0) | (count > 0) & ((fibre < 0) | (fibre >= self.scale.h))
         if bad.any():

@@ -27,7 +27,7 @@ from .errors import (
     SubgraphTooLargeError,
     WitnessMismatchError,
 )
-from .graphs import DENSE_GUARD, Lift, LiftVector, induced_adjacency
+from .graphs import DENSE_GUARD, Lift, LiftVector, _int64_items, induced_adjacency
 from .patterns import Pattern, extract_pattern, potency
 from .spectra import centered_rayleigh
 
@@ -60,7 +60,7 @@ def clique_witness(lift: Lift, vertices: Sequence[tuple[int, int]]) -> WitnessRe
     fibres, so each of those fibres sums to zero.  When the s vertices are
     pairwise matched (a planted clique), the quotient is exactly s - 1.
     """
-    verts = [(int(i), int(j)) for i, j in vertices]
+    verts = _int64_items(vertices, LiftlabError, "clique vertices must be integer pairs", (2,)).tolist()
     if not all(0 <= i < lift.h and 0 <= j < lift.n for i, j in verts):
         raise LiftlabError("clique vertices must lie in the lift")
     fibres = [i for i, _ in verts]
@@ -107,7 +107,8 @@ def _half_masks(lift: Lift, halves: Sequence[Iterable[int]]) -> np.ndarray:
         raise BadHalfSizesError("halves need an even fibre size")
     masks = np.zeros((lift.h, lift.n), dtype=bool)
     for i, half in enumerate(halves):
-        idx = sorted({int(j) for j in half})
+        idx = np.unique(_int64_items(half, BadHalfSizesError,
+                                     f"fibre {i}: positions must be integers")).tolist()
         if len(idx) != lift.n // 2:
             raise BadHalfSizesError(
                 f"fibre {i}: {len(idx)} chosen, expected {lift.n // 2}")
@@ -147,7 +148,8 @@ def embed_subgraph_witness(lift: Lift,
     cancels each fibre sum t_i by spreading -t_i evenly over the fibre's
     outside vertices.  The resulting quotient is at least lambda(subgraph) - 7/2.
     """
-    verts = [(int(i), int(j)) for i, j in subgraph_vertices]
+    verts = list(map(tuple, _int64_items(subgraph_vertices, LiftlabError,
+                                         "subgraph vertices must be integer pairs", (2,)).tolist()))
     if not verts:
         raise LiftlabError("subgraph needs at least one vertex")
     if len(set(verts)) != len(verts):
@@ -204,11 +206,13 @@ def pattern_witness_bound(lift: Lift, pattern: Pattern,
     scale = DyadicScale.of(lift)
     exps = np.zeros((scale.h, scale.n), dtype=np.int64)
     mask = np.zeros((scale.h, scale.n), dtype=bool)
-    for (fibre, exp), positions in witnesses.items():
-        if not (0 <= fibre < scale.h and -2 ** 63 <= exp < 2 ** 63):
-            raise WitnessMismatchError(f"class {(fibre, exp)} out of range")
-        for j in positions:
-            j = int(j)
+    for key, positions in witnesses.items():
+        fibre, exp = _int64_items([key], WitnessMismatchError,
+                                  f"class {key!r} must be two integers", (2,))[0].tolist()
+        if not 0 <= fibre < scale.h:
+            raise WitnessMismatchError(f"class {key!r} out of range")
+        for j in _int64_items(positions, WitnessMismatchError,
+                              f"class {key!r}: positions must be integers").tolist():
             if not 0 <= j < scale.n:
                 raise WitnessMismatchError(f"position {j} out of range")
             if mask[fibre, j]:

@@ -182,6 +182,17 @@ def test_explain_forced_witness_lists_support(tmp_path, capsys):
     assert {f"{i}:0" for i in range(6)} <= support
 
 
+def test_explain_forced_witness_on_a_large_bipartite_subgraph(tmp_path, capsys):
+    # the k4 n=2000 seed-1 witness subgraph has 1,235 vertices and a bipartite
+    # spectrum (+-theta extremes); its top eigenvalue comes from LAPACK, not QL
+    path = tmp_path / "k4.json"
+    assert main(["gen", "--base", "k4", "--n", "2000", "--seed", "1", "--out", str(path)]) == 0
+    code, out, err = run(capsys, ["explain", "--lift", str(path), "--force-witness"])
+    assert (code, err) == (0, "")
+    assert len(grab(out, "subgraph").split()) == 1235
+    assert float(grab(out, "subgraph-value")) > 0.0
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["spectrum"]) == 2  # missing required flag
     capsys.readouterr()

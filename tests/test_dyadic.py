@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +22,8 @@ from liftlab.dyadic import (
     quad_form_restricted,
     signed_exponents,
     _check_compatible,
-    _is_candidate_stack,
+    _polarize,
+    _round,
 )
 from liftlab.errors import (
     EmptyVectorError,
@@ -289,6 +292,29 @@ def test_polarize_rejects_non_dyadic():
         polarize(y, y)
 
 
+def _row(*values, pad=8):
+    return LiftVector(np.pad(np.array([values], dtype=float), ((0, 0), (0, pad - len(values)))))
+
+
+# each pair meets the first failing check of the order shape, first vector, second
+# vector, signs, brackets, lone zeros
+@pytest.mark.parametrize("y, z, error, message", [
+    (_row(1.0), _row(1.0, pad=9), NotSignCompatibleError, "shape mismatch"),
+    (_row(1.5, 2.0), _row(1.0), NotBandVectorError, "entries must be zero or have modulus"),
+    (_row(1.0), _row(math.nan), NotBandVectorError, "entries must be zero or have modulus"),
+    (_row(1.0), _row(-math.inf), NotBandVectorError, "entries must be zero or have modulus"),
+    (_row(8.0), _row(0.5), NotBandVectorError, "first vector exceeds the rounded-class norm cap"),
+    (_row(1.0), _row(2.0 ** 600), NotBandVectorError, "second vector exceeds the rounded-class"),
+    (_row(-1.0, 4.0), _row(1.0, 1.0), NotSignCompatibleError, "entries with opposite signs"),
+    (_row(4.0, 0.0), _row(1.0, 2.0), NotSignCompatibleError, "different rounding brackets"),
+    (_row(1.0, 0.0), _row(1.0, -2.0), NotSignCompatibleError, "zero paired with an entry above"),
+], ids=["shape", "first-not-dyadic", "nan", "inf", "first-over-cap-before-second-checked",
+        "square-overflows", "signs-before-brackets", "brackets-before-lone-zeros", "lone-zero"])
+def test_polarize_rejects_with_the_first_failing_check(y, z, error, message):
+    with pytest.raises(error, match=message):
+        polarize(y, z)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_polarize_candidates_valid_and_tenth_guarantee(seed):
@@ -303,7 +329,7 @@ def test_polarize_candidates_valid_and_tenth_guarantee(seed):
     cands = polarize(y, z)
     assert len(cands) == 12
     for c in cands:
-        assert _is_candidate_stack(c.values)
+        assert exact_candidate(c.values)
     cross = abs(quad_form(lift, "centered", y, z))
     best = max(abs(quad_form(lift, "centered", c, c)) for c in cands)
     assert best >= cross / 10 - 1e-12
@@ -409,29 +435,110 @@ def exact_candidate(arr):
     return int_norm_sq(exps, mask) <= 10 * arr.size
 
 
+# the search leaves its candidates unchecked: the one it returns meets band_select's exact checks
 @pytest.mark.parametrize("bad", [3.0, 0.5, math.inf, math.nan, -1.0, 2.0 ** 600],
                          ids=["three", "half", "inf", "nan", "negative", "square-overflows"])
 def test_candidate_stack_rejects_a_non_candidate_entry(bad):
     rng = np.random.default_rng(31)
+    lift = random_lift(complete_graph(4), 16, rng)
     raw = balance(LiftVector(rng.normal(size=(4, 16)))).values
     x = LiftVector(raw * math.sqrt(64 / float((raw * raw).sum())) * 0.95)
     stack = np.stack([c.values for c in polarize(dyadic_round(x, SeededRng(1)),
                                                   dyadic_round(x, SeededRng(2)))])
-    assert _is_candidate_stack(stack) and all(exact_candidate(c) for c in stack)
+    assert all(exact_candidate(c) for c in stack)
+    assert all(band_select(LiftVector(c), lift) for c in stack if c.any())
     stack[7, 1, 2] = bad
-    assert not _is_candidate_stack(stack)
     assert not exact_candidate(stack[7])
-    assert not _is_candidate_stack(stack[7])
+    with pytest.raises(NotBandVectorError):
+        band_select(LiftVector(stack[7]), lift)
 
 
 def test_candidate_stack_norm_cap_is_exact():
     # nh = 10, cap 100: 64 + 16 + 4*4 + 4*1 is on the cap, one more 3 over it
-    at_cap = np.array([[[8.0, 4.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0]]])
+    lift = identity_lift(complete_graph(5), 2)
+    at_cap = np.array([[8.0, 4.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0], [1.0, 1.0]])
     over = at_cap.copy()
-    over[0, 0, 6] = 2.0
-    assert _is_candidate_stack(at_cap) and exact_candidate(at_cap[0])
-    assert not _is_candidate_stack(over) and not exact_candidate(over[0])
-    assert not _is_candidate_stack(np.concatenate([at_cap, over]))
+    over[3, 0] = 2.0
+    assert exact_candidate(at_cap) and not exact_candidate(over)
+    band_select(LiftVector(at_cap), lift)
+    with pytest.raises(NotBandVectorError, match="squared norm exceeds 10nh"):
+        band_select(LiftVector(over), lift)
+
+
+class _Draws:
+    """A stand-in generator whose every draw is u: 0 rounds each entry up, 1 - 2^-53 down."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def _at_the_norm_bound(values):
+    """The values scaled to the largest squared norm the search accepts, nh(1 + 1e-9)."""
+    cap = values.size * (1.0 + 1e-9)
+    x = LiftVector(values * math.sqrt(cap / LiftVector(values).norm_sq))
+    while x.norm_sq > cap:
+        x = x.scaled(1.0 - 1e-15)
+    return x.values
+
+
+def _power_of_two_fill(size, rng):
+    """Signed entries 0 or 2^i (i >= -1) with squared norm exactly size, from chunks whose
+    squared norm equals their length: (1), (2, 0, 0, 0), (2, 1/2, 1/2, 1/2, 1/2), (4, 0 x 15)."""
+    chunks = [[1.0], [2.0, 0.0, 0.0, 0.0], [2.0, 0.5, 0.5, 0.5, 0.5], [4.0] + [0.0] * 15]
+    out = []
+    while len(out) < size:
+        fits = [c for c in chunks if len(c) <= size - len(out)]
+        out += fits[int(rng.integers(len(fits)))]
+    return rng.permutation(np.array(out) * rng.choice([-1.0, 1.0], size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["random", "power-of-two", "near-one"]),
+       h=st.integers(2, 5), n=st.integers(1, 40), seed=st.integers(0, 10**6))
+def test_roundings_pass_the_checks_and_every_candidate_is_exact(kind, h, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        values = _at_the_norm_bound(rng.normal(size=(h, n)) * np.exp(2.0 * rng.normal(size=(h, n))))
+    elif kind == "power-of-two":
+        values = _power_of_two_fill(h * n, rng).reshape(h, n)
+    else:  # just above or below 1, or tiny, where rounding up gains the most
+        near = rng.choice([1.0 - 1e-9, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                           1.0 + 1e-9, 1e-3], size=(h, n))
+        values = _at_the_norm_bound(near * rng.choice([-1.0, 1.0], size=(h, n)))
+    assert LiftVector(values).norm_sq <= h * n * (1.0 + 1e-9)
+    gens = [_Draws(0.0), _Draws(np.nextafter(1.0, 0.0)), *(np.random.default_rng((seed, t))
+                                                            for t in range(4))]
+    for gy, gz in itertools.combinations(gens, 2):
+        y, z = _round(values, gy), _round(values, gz)
+        _check_compatible(y, z)
+        assert all(exact_candidate(c) for c in _polarize(y, z))
+
+
+# the six all-stage sweep kinds of the benchmark pool, seeded as run_cell seeds them;
+# the digests were recorded before the search stopped re-checking its candidates
+@pytest.mark.parametrize("name, n, digest", [
+    ("k4", 150, "76f1c7ebd3c6aa48b6f688b2a1d99cc32a562fdfca4bc2b0a0122cb1f95f5c76"),
+    ("k5", 120, "37f688f929ea3eb826bb25a9777892414809c132b0df03eff9be947549411659"),
+    ("c6", 100, "3df4ffe09aaca92b0ccd029ac5e058e24a9578f6d9d8746f4e70c84531288771"),
+    ("petersen", 60, "245b43ccc00396d0ef16ba56f67ad8abe821dc43a8a7baf331b94ec0c4cd01d1"),
+    ("k4", 1000, "05e9cd293a34dcd015f86aaaa382bdef2fd2a26cf232bc13f393d39d0ee78192"),
+    ("petersen", 500, "b0ea1631c64fcb425f28ebc6208f33d04a492e40f3e9919abf6d9a6f9778b2b7"),
+])
+def test_certificate_bits_of_the_sweep_pool_are_pinned(name, n, digest):
+    h = hashlib.sha256()
+    for seed in (1, 2):
+        lift = sample_lift(base_from_name(name), n, SeededRng(seed))
+        rep = lambda_star(lift, rng=SeededRng(seed, 101)).require_converged()
+        band = band_certificate(lift, rng=SeededRng(seed, 202), spectral=rep)
+        cert = band.certificate
+        h.update(repr((cert.value, cert.target, cert.met, cert.best_trial,
+                       band.achieved, band.met)).encode())
+        h.update(cert.vector.values.tobytes() + band.vector.exponents.tobytes()
+                 + band.vector.nonzero.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_rounded_norm_cap_is_exact():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,44 +92,69 @@ def _with_spectrum(vals, seed):
 
 def _count_householder(monkeypatch):
     calls = []
-    real = eigensolve.householder_tridiagonalize
-    monkeypatch.setattr(eigensolve, "householder_tridiagonalize",
+    real = spectra.householder_tridiagonalize
+    monkeypatch.setattr(spectra, "householder_tridiagonalize",
                         lambda m: calls.append(m) or real(m))
     return calls
 
 
-@pytest.mark.parametrize("m", [
+def _new_spectrum_of(m, monkeypatch):
+    """``new_spectrum`` of a stand-in 2-lift whose balanced restriction is m up to
+    rounding, and the restriction it solved."""
+    w = spectra.balanced_basis(2)
+    monkeypatch.setattr(spectra, "dense_operator", lambda lift, kind: np.kron(m, w @ w.T))
+    seen, solve = [], spectra.symmetric_eigenvalues
+    monkeypatch.setattr(spectra, "symmetric_eigenvalues", lambda r: seen.append(r) or solve(r))
+    vals = spectra.new_spectrum(SimpleNamespace(n=2, h=len(m)))
+    return vals, seen[0]
+
+
+SIMPLE_EXTREMES = [
     random_symmetric(60, 11),
     _with_spectrum(np.array([3.0, -3.0 * (1 - 1e-6), 1.0, 0.5, -1.5, 0.0]), 3),
     _with_spectrum(np.array([-4.0, 3.999, 1.0, 2.0]), 3),
-], ids=["random", "near-tie-1e-6", "negative-extreme"])
+]
+REPEATED_EXTREMES = [
+    _with_spectrum(np.array(vals), 3) for vals in ([3.0, -3.0, 1.0, 0.5, -1.5, 0.0],
+                                                   [3.0, 3.0, 1.0, -2.0],
+                                                   [-2.0, -2.0, 2.0, 2.0, 0.0],
+                                                   [3.0, -3.0 * (1 - 1e-11), 1.0, 0.5])
+]
+REPEATED_IDS = ["plus-minus", "repeated", "fourfold", "tie-within-1e-9"]
+
+
+@pytest.mark.parametrize("m", SIMPLE_EXTREMES, ids=["random", "near-tie-1e-6", "negative-extreme"])
 def test_simple_extreme_takes_the_lapack_values(m, monkeypatch):
     calls = _count_householder(monkeypatch)
-    assert np.array_equal(symmetric_eigenvalues(m), np.linalg.eigvalsh(m)[::-1])
+    mine, restricted = _new_spectrum_of(m, monkeypatch)
+    assert np.array_equal(mine, np.linalg.eigvalsh(restricted)[::-1])
+    assert np.allclose(mine, np.linalg.eigvalsh(m)[::-1], atol=1e-12)
     assert calls == []
 
 
-@pytest.mark.parametrize("vals", [
-    [3.0, -3.0, 1.0, 0.5, -1.5, 0.0],
-    [3.0, 3.0, 1.0, -2.0],
-    [-2.0, -2.0, 2.0, 2.0, 0.0],
-    [3.0, -3.0 * (1 - 1e-11), 1.0, 0.5],
-], ids=["plus-minus", "repeated", "fourfold", "tie-within-1e-9"])
-def test_repeated_extreme_modulus_takes_the_ql_values(vals, monkeypatch):
-    # the witness's eigenspace hangs on the bits of theta, which the recorded
-    # rows took from Householder + QL
-    m = _with_spectrum(np.array(vals), 3)
+@pytest.mark.parametrize("m", REPEATED_EXTREMES, ids=REPEATED_IDS)
+def test_repeated_extreme_modulus_takes_the_ql_values(m, monkeypatch):
+    # the dense witness's eigenspace hangs on the bits of theta, which the
+    # recorded rows took from Householder + QL
     calls = _count_householder(monkeypatch)
-    mine = symmetric_eigenvalues(m)
+    mine, restricted = _new_spectrum_of(m, monkeypatch)
     assert len(calls) == 1
-    assert np.array_equal(mine, tridiagonal_eigenvalues(*householder_tridiagonalize(m)))
+    assert np.array_equal(mine, tridiagonal_eigenvalues(*householder_tridiagonalize(restricted)))
+
+
+@pytest.mark.parametrize("m", SIMPLE_EXTREMES + REPEATED_EXTREMES,
+                         ids=["random", "near-tie-1e-6", "negative-extreme", *REPEATED_IDS])
+def test_symmetric_eigenvalues_are_lapacks(m, monkeypatch):
+    calls = _count_householder(monkeypatch)
+    assert np.array_equal(symmetric_eigenvalues(m), np.linalg.eigvalsh(m)[::-1])
+    assert calls == []
 
 
 def test_a_simple_extreme_dense_cell_never_tridiagonalizes(monkeypatch):
     def refuse(mat):
         raise AssertionError("Householder ran on a simple extreme")
 
-    monkeypatch.setattr(eigensolve, "householder_tridiagonalize", refuse)
+    monkeypatch.setattr(spectra, "householder_tridiagonalize", refuse)
     row = run_cell(base_from_name("k4"), 150, 1)
     assert row.lambda_star > 0.0
 

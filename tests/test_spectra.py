@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from liftlab.errors import ConfigError, TooLargeError
 from liftlab.graphs import (
     LiftVector,
+    apply_adjacency,
     apply_centered,
     balance,
     base_from_name,
@@ -201,6 +202,15 @@ def test_lambda_top_is_degree():
     lift = random_lift(complete_graph(6), 15, np.random.default_rng(10))
     rep = lambda_star(lift, tol=1e-6)
     assert rep.lambda_top == pytest.approx(5.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, n", [("k4", 1), ("k4", 150), ("k5", 120), ("c6", 100),
+                                     ("petersen", 60), ("k4", 1000)])
+def test_lambda_top_is_the_rayleigh_quotient_of_all_ones_bit_for_bit(name, n):
+    lift = sample_lift(base_from_name(name), n, SeededRng(3))
+    ones = LiftVector(np.ones((lift.h, n)))
+    quotient = float(np.vdot(ones.values, apply_adjacency(lift, ones).values)) / ones.norm_sq
+    assert lambda_star(lift, rng=SeededRng(3, 101)).lambda_top == quotient == float(lift.d)
 
 
 # --- balanced starts --------------------------------------------------------------

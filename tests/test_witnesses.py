@@ -307,3 +307,51 @@ def test_pattern_bounds_random_realizations(seed):
     assert len(bounds.members) == int(mask.sum())
     report = lambda_star(lift, method="dense")
     assert report.lambda_star >= bounds.spectrum_bound - 1e-9
+
+
+# --- one integer rule for vertices, positions and class keys ---------------------
+
+
+def _realized_k3():
+    """An identity 8-lift of K_3, and the pattern and witnesses of a band vector on
+    each fibre's position 0."""
+    lift = identity_lift(complete_graph(3), 8)
+    mask = np.zeros((3, 8), dtype=bool)
+    mask[:, 0] = True
+    vector = DyadicBandVector(DyadicScale.of(lift), np.zeros((3, 8), dtype=np.int64), mask)
+    return (lift, *extract_pattern(vector, lift))
+
+
+@pytest.mark.parametrize("witnesses", [
+    {(0, 0): (0.5,), (1, 0): (0,), (2, 0): (0,)},
+    {(0, 0): (False,), (1, 0): (0,), (2, 0): (0,)},
+    {(0, 0.0): (0,), (1, 0): (0,), (2, 0): (0,)},
+    {(0.5, 0): (0,), (1, 0): (0,), (2, 0): (0,)},
+    {(0, 0, 0): (0,), (1, 0): (0,), (2, 0): (0,)},
+    {(0, 0): ((0, 1),), (1, 0): (0,), (2, 0): (0,)},
+], ids=["position-half", "position-bool", "exponent-float", "fibre-half", "key-triple",
+        "nested-position"])
+def test_pattern_witness_bound_reads_integers_only(witnesses):
+    lift, pattern, found = _realized_k3()
+    assert pattern_witness_bound(lift, pattern, found).members == ((0, 0), (1, 0), (2, 0))
+    with pytest.raises(WitnessMismatchError, match="integers"):
+        pattern_witness_bound(lift, pattern, witnesses)
+
+
+@pytest.mark.parametrize("vertices", [[(0, 1.5)], [(True, 0)], [(0, 1, 2)], [0]],
+                         ids=["position-half", "fibre-bool", "triple", "bare-int"])
+@pytest.mark.parametrize("call", [clique_witness, embed_subgraph_witness, induced_adjacency],
+                         ids=["clique", "embed", "induced"])
+def test_vertex_lists_read_integers_only(call, vertices):
+    lift = sample_lift(complete_graph(4), 64, SeededRng(5))
+    call(lift, [(0, 1)])
+    with pytest.raises(LiftlabError, match="integer pairs"):
+        call(lift, vertices)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, (0, 1)], ids=["half", "bool", "pair"])
+def test_half_positions_read_integers_only(bad):
+    lift = identity_lift(complete_graph(3), 4)
+    assert half_edge_counts(lift, [[0, 1], [0, 1], [0, 1]]) == {(0, 1): 2, (0, 2): 2, (1, 2): 2}
+    with pytest.raises(BadHalfSizesError, match="positions must be integers"):
+        half_edge_counts(lift, [[0, bad], [0, 1], [0, 1]])
