@@ -42,7 +42,8 @@ from .errors import (
     NotSignCompatibleError,
     TooLargeError,
 )
-from .graphs import Lift, LiftVector, _centered_forms_raw, _int64s, apply_operator, check_shape
+from .graphs import (Lift, LiftVector, _centered_forms_raw, _int64s, _is_int, apply_operator,
+                     check_shape)
 from .sampling import SeededRng
 from .spectra import SpectralReport, lambda_star
 
@@ -163,29 +164,17 @@ def _weight_grids(lift: Lift, cx: np.ndarray, cy: np.ndarray,
 
 
 def _comparable_mask(ux: np.ndarray, uy: np.ndarray, d: int) -> np.ndarray:
-    """Strict membership of each value pair in the comparable region, with
-    exact rational resolution of near-boundary comparisons."""
-    a2 = ux * ux
-    b2 = uy * uy
-    lhs1, rhs1 = a2[:, None], d * b2[None, :]
-    lhs2, rhs2 = b2[None, :], d * a2[:, None]
-    less1 = lhs1 < rhs1
-    less2 = lhs2 < rhs2
+    """Strict membership of each value pair (a, b) in the comparable region,
+    a, b > 0 and max(a^2, b^2) < d min(a^2, b^2), with exact rational
+    resolution of near-boundary comparisons."""
+    a2, b2 = (ux * ux)[:, None], (uy * uy)[None, :]
+    hi, lo = np.maximum(a2, b2), d * np.minimum(a2, b2)
     pos = (ux > 0)[:, None] & (uy > 0)[None, :]
-
-    def resolve(less, lo, hi, swap):
-        near = pos & (np.abs(lo - hi) <= 1e-9 * np.maximum(np.abs(lo), np.abs(hi)))
-        for i, j in np.argwhere(near):
-            a, b = Fraction(float(ux[i])), Fraction(float(uy[j]))
-            if swap:
-                less[i, j] = b * b < d * a * a
-            else:
-                less[i, j] = a * a < d * b * b
-        return less
-
-    less1 = resolve(less1, lhs1, rhs1, swap=False)
-    less2 = resolve(less2, lhs2, rhs2, swap=True)
-    return pos & less1 & less2
+    less = hi < lo
+    for i, j in np.argwhere(pos & (np.abs(hi - lo) <= 1e-9 * np.maximum(np.abs(hi), np.abs(lo)))):
+        sa, sb = Fraction(float(ux[i])) ** 2, Fraction(float(uy[j])) ** 2
+        less[i, j] = max(sa, sb) < d * min(sa, sb)
+    return pos & less
 
 
 REGIONS = ("comparable", "complement")
@@ -258,11 +247,16 @@ def dyadic_round(x: LiftVector, rng) -> LiftVector:
     the expectation exactly x_v. Requires squared norm <= nh, which forces
     the output squared norm below 5nh deterministically.
     """
+    _check_norm(x)
+    gen = rng.generator() if isinstance(rng, SeededRng) else rng
+    return LiftVector(_round(x.values, gen))
+
+
+def _check_norm(x: LiftVector) -> None:
+    """Raise NormTooLargeError unless |x|^2 <= nh(1 + 1e-9), the rounding's input bound."""
     nh = x.h * x.n
     if x.norm_sq > nh * (1.0 + 1e-9):
         raise NormTooLargeError(f"squared norm {x.norm_sq:.6g} exceeds {nh}")
-    gen = rng.generator() if isinstance(rng, SeededRng) else rng
-    return LiftVector(_round(x.values, gen))
 
 
 def _round(values: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -341,6 +335,12 @@ def _polarize(yv: np.ndarray, zv: np.ndarray) -> np.ndarray:
 # certificate search
 
 
+def _check_trials(trials) -> None:
+    """Raise ConfigError unless the trial budget is an integer (not a bool) of at least 1."""
+    if not (_is_int(trials) and trials >= 1):
+        raise ConfigError(f"trials must be an integer of at least 1, not {trials!r}")
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Best nonnegative dyadic candidate found for a given input vector."""
@@ -362,11 +362,8 @@ def dyadic_certificate(lift: Lift, x: LiftVector, trials: int = 40,
     trials resolve to the earliest trial.
     """
     check_shape(lift, x)
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, not {trials}")
-    nh = lift.n * lift.h
-    if x.norm_sq > nh * (1.0 + 1e-9):
-        raise NormTooLargeError(f"squared norm {x.norm_sq:.6g} exceeds {nh}")
+    _check_trials(trials)
+    _check_norm(x)
     target = abs(quad_form(lift, "centered", x, x)) / 12.0
     best = np.zeros((lift.h, lift.n))
     best_val = 0.0
@@ -498,14 +495,12 @@ class BandCertificateReport:
         return self.certificate.met if self.certificate is not None else self.met
 
 
-def band_certificate(lift: Lift, trials: int = 40, tol: float = 1e-8,
-                     rng: SeededRng = SeededRng(0),
+def band_certificate(lift: Lift, trials: int = 40, rng: SeededRng = SeededRng(0),
                      spectral: SpectralReport | None = None) -> BandCertificateReport:
     """Run the whole chain and report the comparable-region form achieved by
     the resulting band vector against the target lambda*/96 - 5*sqrt(d)."""
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, not {trials}")
-    rep = spectral or lambda_star(lift, tol=tol, rng=rng).require_converged()
+    _check_trials(trials)
+    rep = spectral or lambda_star(lift, rng=rng).require_converged()
     scale = DyadicScale.of(lift)
     target = rep.lambda_star / 96.0 - 5.0 * math.sqrt(lift.d)
     cert = None

@@ -14,15 +14,15 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .dyadic import band_certificate
+from .dyadic import _check_trials, band_certificate
 from .eigensolve import symmetric_eigenvalues
 from .errors import ConfigError, LiftlabError
-from .graphs import (BaseGraph, Lift, _json_int, base_from_name, base_from_text,
+from .graphs import (BaseGraph, Lift, _check_fibre_size, base_from_name, base_from_text,
                      induced_adjacency)
 from .patterns import (ReductionReport, _check_level, extract_pattern, reduce_general,
                        reduce_pattern)
 from .sampling import SeededRng, sample_lift
-from .spectra import SpectralReport, lambda_star
+from .spectra import SpectralReport, _check_tol, lambda_star
 from .witnesses import PatternWitnessBounds, pattern_witness_bound
 
 # Hard spectral guarantee: the balanced centered extreme of a random lift
@@ -99,19 +99,17 @@ class ExperimentConfig:
     trials: int = 40
 
     def __post_init__(self):
-        if not self.n_values or any(not 1 <= n < 2**63 for n in self.n_values):
-            raise ConfigError("every n must be at least 1 and below 2**63")
-        if not self.seeds or min(self.seeds) < 0:
-            raise ConfigError("need at least one seed, all non-negative")
-        if not self.stages:
-            raise ConfigError("need at least one stage")
+        if not (self.n_values and self.seeds and self.stages):
+            raise ConfigError("need at least one n, one seed and one stage")
+        for n in self.n_values:
+            _check_fibre_size(n)
+        for seed in self.seeds:
+            SeededRng(seed)
         for stage in self.stages:
             if stage not in STAGES:
                 raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ConfigError("tolerance must be positive and finite")
-        if self.trials < 1:
-            raise ConfigError("trials must be positive")
+        _check_tol(self.tolerance)
+        _check_trials(self.trials)
 
 
 def _json_number(value) -> float:
@@ -126,10 +124,10 @@ def _json_str(value) -> str:
     return value
 
 
-# optional config key -> (ExperimentConfig field, parser)
+# optional config key -> (ExperimentConfig field, parser); ExperimentConfig checks the trials
 _CONFIG_OPTIONS = {"tolerance": ("tolerance", _json_number), "out": ("out_csv", _json_str),
                    "stages": ("stages", lambda v: tuple(str(s) for s in v)),
-                   "trials": ("trials", _json_int)}
+                   "trials": ("trials", lambda v: v)}
 _CONFIG_KEYS = {"base", "base_file", "n", "seeds", *_CONFIG_OPTIONS}
 
 
@@ -154,8 +152,8 @@ def config_from_json(text: str) -> ExperimentConfig:
         else:
             base = base_from_text(Path(doc["base_file"]).read_text())
         n_raw = doc.get("n", [])
-        n_values = tuple(_json_int(n) for n in (n_raw if isinstance(n_raw, list) else [n_raw]))
-        seeds = tuple(_json_int(s) for s in doc.get("seeds", []))
+        n_values = tuple(n_raw if isinstance(n_raw, list) else [n_raw])
+        seeds = tuple(doc.get("seeds", []))
         kwargs = {name: parse(doc[key])
                   for key, (name, parse) in _CONFIG_OPTIONS.items() if key in doc}
     except (TypeError, ValueError, OverflowError, OSError) as exc:
@@ -278,8 +276,7 @@ class ExplainReport:
 
 
 def explain_pipeline(lift: Lift, level: float = EXPLAIN_LEVEL,
-                     trials: int = 40, tolerance: float = 1e-8,
-                     rng: SeededRng | None = None,
+                     trials: int = 40, rng: SeededRng | None = None,
                      force_witness: bool = False) -> ExplainReport:
     """Certify -> census -> reduce -> witness subgraph, then check the
     explanation inequality.
@@ -290,7 +287,7 @@ def explain_pipeline(lift: Lift, level: float = EXPLAIN_LEVEL,
     """
     _check_level(level)
     rng = rng if rng is not None else SeededRng(0)
-    rep = lambda_star(lift, tol=tolerance, rng=rng).require_converged()
+    rep = lambda_star(lift, rng=rng).require_converged()
     d = lift.d
     threshold = EXPLAIN_SPECTRAL_FACTOR * math.sqrt(d)
     star_value = math.sqrt(d)

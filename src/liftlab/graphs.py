@@ -38,6 +38,17 @@ from .errors import (
 DENSE_GUARD = 2000
 
 
+def _is_int(value) -> bool:
+    """Whether a scalar is an integer and not a bool, as ``_read_int64s`` reads each entry."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_fibre_size(n) -> None:
+    """Raise ConfigError unless n is an integer (not a bool) in 1..2**63 - 1."""
+    if not (_is_int(n) and 1 <= n < 2**63):
+        raise ConfigError(f"n must be an integer at least 1 and below 2**63, not {n!r}")
+
+
 def _read_int64s(values) -> tuple[np.ndarray | None, bool]:
     """The values as an int64 array of their shape, or None unless all are integers
     (not bools), and whether they came as nested tuples or lists of Python ints,
@@ -97,6 +108,8 @@ class BaseGraph:
     degree: int = field(init=False)
 
     def __post_init__(self):
+        if not _is_int(self.h):
+            raise LiftlabError(f"the vertex count must be an integer, not {self.h!r}")
         if self.h < 1:
             raise LiftlabError("base graph needs at least one vertex")
         if 2 * len(self.edges) < self.h:  # checked before anything is sized by h
@@ -138,9 +151,6 @@ class BaseGraph:
     @property
     def d(self) -> int:
         return self.degree
-
-    def neighbours(self, i: int) -> list[int]:
-        return self._neighbour_index[:, i].tolist()
 
     def neighbour_index(self) -> np.ndarray:
         """(d, h): entry [k, u] is u's k-th neighbour, ascending as in the sorted edges."""
@@ -213,19 +223,10 @@ def base_from_text(text: str) -> BaseGraph:
         h, m = (int(t) for t in rows[0].split())
         if len(rows) - 1 != m:
             raise LiftlabError(f"expected {m} edges, found {len(rows) - 1}")
-        edges = []
-        for ln in rows[1:]:
-            u, v = (int(t) for t in ln.split())
-            edges.append((u, v))
-        return BaseGraph(h, tuple(edges))
+        # BaseGraph checks that each edge is a pair of integers
+        return BaseGraph(h, tuple(tuple(int(t) for t in ln.split()) for ln in rows[1:]))
     except (ValueError, LiftlabError) as exc:
         raise ConfigError(f"malformed base graph text: {exc}") from exc
-
-
-def _json_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
 
 
 def _edge_key(key: str) -> tuple[int, int]:
@@ -246,8 +247,7 @@ class Lift:
     """
 
     def __init__(self, base: BaseGraph, n: int, perms: dict[tuple[int, int], np.ndarray]):
-        if n < 1:
-            raise LiftlabError("n must be at least 1")
+        _check_fibre_size(n)
         self.base = base
         self.n = n
         want = set(base.edges)
@@ -314,10 +314,9 @@ class Lift:
         "u-v" keys and documents that describe no valid lift raise ConfigError."""
         try:
             doc = json.loads(text)
-            base = BaseGraph(_json_int(doc["base"]["h"]),
-                             tuple(tuple(_json_int(t) for t in e) for e in doc["base"]["edges"]))
+            base = BaseGraph(doc["base"]["h"], tuple(map(tuple, doc["base"]["edges"])))
             perms = {_edge_key(key): arr for key, arr in doc["perms"].items()}
-            return cls(base, _json_int(doc["n"]), perms)
+            return cls(base, doc["n"], perms)
         except KeyError as exc:
             raise ConfigError(f"malformed lift JSON: missing key {exc}") from exc
         except (TypeError, ValueError, AttributeError, LiftlabError) as exc:

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InvalidMarginalsError, TooLargeError
+from .graphs import _int64_items, _is_int
 from .patterns import deviation_rate
 from .sampling import SeededRng
 
@@ -42,11 +43,14 @@ class MatchingSpec:
     e: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        a = tuple(int(x) for x in self.a)
-        b = tuple(int(x) for x in self.b)
-        e = tuple(tuple(int(x) for x in row) for row in self.e)
-        if self.n < 1:
-            raise InvalidMarginalsError("ground size must be positive")
+        # below 2**62, so a count that ``_int64s`` clipped to 2**62 cannot fit its sums
+        if not (_is_int(self.n) and 1 <= self.n < 2**62):
+            raise InvalidMarginalsError("ground size must be an integer in 1..2**62 - 1")
+        def ints(values, what):
+            return tuple(_int64_items(values, InvalidMarginalsError,
+                                      f"{what} must be integers").tolist())
+        a, b = ints(self.a, "block sizes"), ints(self.b, "block sizes")
+        e = tuple(ints(row, "counts") for row in self.e)
         if not a or not b:
             raise InvalidMarginalsError("need at least one block per side")
         if any(x < 0 for x in a) or any(x < 0 for x in b):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FibresNotAdjacentError, FibresNotDistinctError, LiftlabError
-from .graphs import BaseGraph, Lift
+from .graphs import BaseGraph, Lift, _check_fibre_size, _int64_items, _is_int
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,27 @@ class SeededRng:
     stream: int = 0
 
     def __post_init__(self):
-        if self.seed < 0 or self.stream < 0:
-            raise ConfigError(f"seed {self.seed} and stream {self.stream} must be non-negative")
+        if not all(_is_int(k) and k >= 0 for k in (self.seed, self.stream)):
+            raise ConfigError(f"seed {self.seed!r} and stream {self.stream!r} must be ints >= 0")
 
     def generator(self, *extra: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream) + extra))
+
+
+def _check_clique_fibres(base: BaseGraph, fibres: list[int]) -> list[int]:
+    """The fibres as ints, checked to be distinct, in range and pairwise adjacent
+    in the base; else FibresNotDistinctError, LiftlabError or FibresNotAdjacentError,
+    in that order. A fibre out of range is named as given."""
+    ids = _int64_items(fibres, LiftlabError, "fibres must be integers").tolist()
+    if len(set(fibres)) != len(fibres):  # as given: ints beyond int64 clip alike
+        raise FibresNotDistinctError("fibre ids must be distinct")
+    for given, i in zip(fibres, ids):
+        if not 0 <= i < base.h:
+            raise LiftlabError(f"fibre {given} out of range 0..{base.h - 1}")
+    for a, b in itertools.combinations(ids, 2):
+        if not base.are_adjacent(a, b):
+            raise FibresNotAdjacentError(f"fibres {a} and {b} are not adjacent in the base")
+    return ids
 
 
 def sample_lift(base: BaseGraph, n: int, rng: SeededRng) -> Lift:
@@ -38,8 +54,7 @@ def sample_lift(base: BaseGraph, n: int, rng: SeededRng) -> Lift:
     position in the sorted edge list, so samples are deterministic in
     (seed, stream) and independent across edges.
     """
-    if not 1 <= n < 2**63:
-        raise ConfigError("n must be at least 1 and below 2**63")
+    _check_fibre_size(n)
     perms = {}
     for k, e in enumerate(base.edges):
         try:  # numpy refuses n * 8 bytes, or near 2**63 wraps that count to a short array
@@ -59,15 +74,7 @@ def plant_clique(lift: Lift, fibres: list[int]) -> Lift:
     that matching move only as far as the swap requires, and matchings not
     between listed fibres are untouched. The construction is deterministic.
     """
-    s = len(fibres)
-    if len(set(fibres)) != s:
-        raise FibresNotDistinctError("fibre ids must be distinct")
-    for i in fibres:
-        if not (0 <= i < lift.h):
-            raise LiftlabError(f"fibre {i} out of range")
-    for a, b in itertools.combinations(fibres, 2):
-        if not lift.base.are_adjacent(a, b):
-            raise FibresNotAdjacentError(f"fibres {a} and {b} are not adjacent in the base")
+    fibres = _check_clique_fibres(lift.base, fibres)
     new_perms = {e: lift.perms[e].copy() for e in lift.base.edges}
     for a, b in itertools.combinations(sorted(fibres), 2):
         p = new_perms[(a, b)]

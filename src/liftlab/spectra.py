@@ -12,6 +12,7 @@ exact spectrum picks on the dense path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,11 +120,16 @@ def lambda_star(lift: Lift, tol: float = 1e-8, rng: SeededRng | None = None,
     return _lambda_star(lift, tol, rng, method)[0]
 
 
+def _check_tol(tol) -> None:
+    """Raise ConfigError unless the solver tolerance is a positive finite number."""
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+        raise ConfigError(f"tol must be positive and finite, not {tol!r}")
+
+
 def _lambda_star(lift: Lift, tol: float, rng: SeededRng | None,
                  method: str) -> tuple[SpectralReport, np.ndarray | None]:
     """``lambda_star``'s report, and the balanced spectrum when the dense path computed it."""
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"tol must be positive and finite, not {tol!r}")
+    _check_tol(tol)
     if method not in ("auto", "dense", "iterative"):
         raise ConfigError(f"method must be auto, dense or iterative, not {method!r}")
     n, h = lift.n, lift.h

@@ -21,14 +21,13 @@ from .dyadic import DyadicBandVector, DyadicScale
 from .errors import (
     BadHalfSizesError,
     DenseGuardError,
-    FibresNotAdjacentError,
-    FibresNotDistinctError,
     LiftlabError,
     SubgraphTooLargeError,
     WitnessMismatchError,
 )
 from .graphs import DENSE_GUARD, Lift, LiftVector, _int64_items, induced_adjacency
 from .patterns import Pattern, extract_pattern, potency
+from .sampling import _check_clique_fibres
 from .spectra import centered_rayleigh
 
 
@@ -60,32 +59,17 @@ def clique_witness(lift: Lift, vertices: Sequence[tuple[int, int]]) -> WitnessRe
     fibres, so each of those fibres sums to zero.  When the s vertices are
     pairwise matched (a planted clique), the quotient is exactly s - 1.
     """
-    verts = _int64_items(vertices, LiftlabError, "clique vertices must be integer pairs", (2,)).tolist()
-    if not all(0 <= i < lift.h and 0 <= j < lift.n for i, j in verts):
-        raise LiftlabError("clique vertices must lie in the lift")
-    fibres = [i for i, _ in verts]
-    if len(set(fibres)) != len(fibres):
-        raise FibresNotDistinctError("clique vertices must sit in distinct fibres")
-    for a in range(len(fibres)):
-        for b in range(a + 1, len(fibres)):
-            if not lift.base.are_adjacent(fibres[a], fibres[b]):
-                raise FibresNotAdjacentError(
-                    f"fibres {fibres[a]} and {fibres[b]} are not adjacent")
+    verts = _int64_items(vertices, LiftlabError, "clique vertices must be integer pairs", (2,))
+    fibres, s = _check_clique_fibres(lift.base, verts[:, 0].tolist()), len(verts)
+    # the induced subgraph checks the positions, and it is complete when the clique is present
+    present = induced_adjacency(lift, verts.tolist()).sum() == s * (s - 1)
     n = lift.n
     if n < 2:
         raise LiftlabError("clique witness needs n >= 2 to balance its fibres")
     values = np.zeros((lift.h, n))
-    for i, j in verts:
-        values[i, :] = -1.0 / (n - 1)
-        values[i, j] = 1.0
-    present = True
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            ia, ja = verts[a]
-            ib, jb = verts[b]
-            if (ib, jb) not in lift.neighbours(ia, ja):
-                present = False
-    result = _result(lift, LiftVector(values), float(len(verts) - 1))
+    values[fibres] = -1.0 / (n - 1)
+    values[fibres, verts[:, 1]] = 1.0
+    result = _result(lift, LiftVector(values), float(s - 1))
     if present and not result.bound_met:
         raise LiftlabError("planted clique failed to certify its quotient")
     return result
@@ -148,26 +132,24 @@ def embed_subgraph_witness(lift: Lift,
     cancels each fibre sum t_i by spreading -t_i evenly over the fibre's
     outside vertices.  The resulting quotient is at least lambda(subgraph) - 7/2.
     """
-    verts = list(map(tuple, _int64_items(subgraph_vertices, LiftlabError,
-                                         "subgraph vertices must be integer pairs", (2,)).tolist()))
-    if not verts:
-        raise LiftlabError("subgraph needs at least one vertex")
-    if len(set(verts)) != len(verts):
-        raise LiftlabError("subgraph vertices must be distinct")
+    verts = _int64_items(subgraph_vertices, LiftlabError,
+                         "subgraph vertices must be integer pairs", (2,))
     size = len(verts)
+    if not size:
+        raise LiftlabError("subgraph needs at least one vertex")
     n, h = lift.n, lift.h
     if size > n - h * math.sqrt(n):
         raise SubgraphTooLargeError(
             f"{size} vertices exceeds the balancing headroom n - h sqrt(n)")
     if size > DENSE_GUARD:
         raise DenseGuardError(f"{size} vertices exceeds the dense guard {DENSE_GUARD}")
-    vals, vecs = np.linalg.eigh(induced_adjacency(lift, verts))
+    # ``induced_adjacency`` checks that the vertices lie in the lift and are distinct
+    vals, vecs = np.linalg.eigh(induced_adjacency(lift, verts.tolist()))
     top_value, top_vector = float(vals[-1]), vecs[:, -1]
     values = np.zeros((h, n))
     inside = np.zeros((h, n), dtype=bool)
-    for (i, j), entry in zip(verts, top_vector):
-        values[i, j] = entry
-        inside[i, j] = True
+    values[verts[:, 0], verts[:, 1]] = top_vector
+    inside[verts[:, 0], verts[:, 1]] = True
     for i in range(h):
         t = values[i, inside[i]].sum()
         outside = ~inside[i]
@@ -211,10 +193,12 @@ def pattern_witness_bound(lift: Lift, pattern: Pattern,
                                   f"class {key!r} must be two integers", (2,))[0].tolist()
         if not 0 <= fibre < scale.h:
             raise WitnessMismatchError(f"class {key!r} out of range")
-        for j in _int64_items(positions, WitnessMismatchError,
-                              f"class {key!r}: positions must be integers").tolist():
+        positions = list(positions)
+        ids = _int64_items(positions, WitnessMismatchError,
+                           f"class {key!r}: positions must be integers").tolist()
+        for given, j in zip(positions, ids):
             if not 0 <= j < scale.n:
-                raise WitnessMismatchError(f"position {j} out of range")
+                raise WitnessMismatchError(f"position {given} out of range")
             if mask[fibre, j]:
                 raise WitnessMismatchError(
                     f"position ({fibre}, {j}) claimed by two classes")

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,25 @@ def is_rounded_vector(x: LiftVector) -> bool:
     if any(m < 1.0 or math.frexp(m)[0] != 0.5 for m in mags):
         return False
     return sum(int(m) ** 2 for m in mags) <= 5 * x.values.size
+
+
+def two_pass_comparable_mask(ux: np.ndarray, uy: np.ndarray, d: int) -> np.ndarray:
+    """The comparable region as two separate tests, a^2 < d b^2 and b^2 < d a^2,
+    each with its own exact-rational pass over the pairs near its boundary."""
+    a2 = ux * ux
+    b2 = uy * uy
+    pos = (ux > 0)[:, None] & (uy > 0)[None, :]
+
+    def resolve(lo, hi, swap):
+        less = lo < hi
+        near = pos & (np.abs(lo - hi) <= 1e-9 * np.maximum(np.abs(lo), np.abs(hi)))
+        for i, j in np.argwhere(near):
+            a, b = Fraction(float(ux[i])), Fraction(float(uy[j]))
+            less[i, j] = b * b < d * a * a if swap else a * a < d * b * b
+        return less
+
+    return (pos & resolve(a2[:, None], d * b2[None, :], swap=False)
+            & resolve(b2[None, :], d * a2[:, None], swap=True))
 
 
 def base_to_text(base: BaseGraph) -> str:

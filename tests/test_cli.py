@@ -3,17 +3,21 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
 import liftlab.dyadic
 import liftlab.experiment
 import liftlab.spectra
-from liftlab.cli import main
+from liftlab.cli import build_parser, main
+from liftlab.errors import FibresNotAdjacentError, FibresNotDistinctError, LiftlabError
 from liftlab.graphs import Lift, base_from_name
 from liftlab.matching import MatchingSpec, exact_log_probability
 from liftlab.patterns import pattern_from_text
+from liftlab.sampling import SeededRng, plant_clique, sample_lift
 from liftlab.spectra import new_spectrum
+from liftlab.witnesses import clique_witness
 
 from _support import lift_key, matching_spec_to_text
 
@@ -250,6 +254,8 @@ def _rename_perm_key(doc):
     pytest.param(lambda doc: doc.pop("perms"), id="missing-perms"),
     pytest.param(lambda doc: doc["base"].pop("edges"), id="missing-base-edges"),
     pytest.param(lambda doc: doc.update(n="100"), id="n-is-a-string"),
+    pytest.param(lambda doc: doc["base"].update(h=4.0), id="h-is-a-float"),
+    pytest.param(lambda doc: doc["base"]["edges"][0].__setitem__(1, 1.0), id="edge-vertex-a-float"),
     pytest.param(lambda doc: doc.update(perms=[]), id="perms-is-a-list"),
     pytest.param(lambda doc: doc["perms"].update({"0-1": [0.5] * 100}), id="perm-of-floats"),
     pytest.param(lambda doc: doc["perms"].update({"0-1": [0] * 100}), id="perm-not-a-bijection"),
@@ -363,6 +369,42 @@ def test_malformed_config_exits_two(tmp_path, capsys, config):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fibres, error", [
+    pytest.param([0, 0], FibresNotDistinctError, id="repeated"),
+    pytest.param([1, 9, 1], FibresNotDistinctError, id="repeated-before-out-of-range"),
+    pytest.param([0, 9], LiftlabError, id="out-of-range"),
+    pytest.param([4, 1, 9], LiftlabError, id="out-of-range-before-not-adjacent"),
+    pytest.param([0, 2], FibresNotAdjacentError, id="not-adjacent"),
+    pytest.param([5, 0, 3], FibresNotAdjacentError, id="one-pair-not-adjacent"),
+])
+def test_every_clique_entry_point_rejects_the_same_fibres(tmp_path, capsys, fibres, error):
+    lift = sample_lift(base_from_name("c6"), 5, SeededRng(1))
+    with pytest.raises(error) as planted:
+        plant_clique(lift, fibres)
+    assert type(planted.value) is error  # an out-of-range fibre is no subclass's fault
+    with pytest.raises(error, match=f"^{re.escape(str(planted.value))}$"):
+        clique_witness(lift, [(f, 0) for f in fibres])
+    out_path = tmp_path / "x.json"
+    code, out, err = run(capsys, ["gen", "--base", "c6", "--n", "5", "--out", str(out_path),
+                                  "--plant", ",".join(map(str, fibres))])
+    assert (code, out, err) == (2, "", f"error: --plant: {planted.value}\n")
+    assert not out_path.exists()
+
+
+def test_a_plant_token_too_long_for_int_exits_two(tmp_path, capsys):
+    out_path = tmp_path / "x.json"
+    code, out, err = run(capsys, ["gen", "--base", "k4", "--n", "5", "--plant", "1" * 5000,
+                                  "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --plant: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_explain_level_defaults_to_the_library_level():
+    args = build_parser().parse_args(["explain", "--lift", "x.json"])
+    assert args.level == liftlab.experiment.EXPLAIN_LEVEL
 
 
 def test_malformed_base_file_exits_two(tmp_path, capsys):

@@ -22,10 +22,12 @@ from liftlab.dyadic import (
     quad_form_restricted,
     signed_exponents,
     _check_compatible,
+    _comparable_mask,
     _polarize,
     _round,
 )
 from liftlab.errors import (
+    ConfigError,
     EmptyVectorError,
     NormTooLargeError,
     NotBandVectorError,
@@ -35,7 +37,8 @@ from liftlab.graphs import LiftVector, balance, base_from_name, complete_graph, 
 from liftlab.sampling import SeededRng, plant_clique, sample_lift
 from liftlab.spectra import lambda_star
 
-from _support import is_rounded_vector, oracle_adjacency, oracle_centered, oracle_expected, random_lift
+from _support import (is_rounded_vector, oracle_adjacency, oracle_centered, oracle_expected,
+                      random_lift, two_pass_comparable_mask)
 
 
 # --- independent restricted-form oracle (exact rational pair classification) --
@@ -690,3 +693,46 @@ def test_band_certificate_chain_consistency():
         cert_form = abs(quad_form_restricted(lift, "centered", rep.certificate.vector,
                                              rep.certificate.vector, "comparable"))
         assert rep.achieved >= cert_form / (8 * nh) - 1e-12
+
+
+# --- one comparability pass against the two-pass oracle ------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 100]),
+       drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_pass_comparable_mask_matches_the_two_pass_oracle(d, drawn, seed):
+    # signed normals, powers of two, zeros, values whose squares under- or overflow,
+    # and partners at a*sqrt(d), a/sqrt(d) and one step either side of a*sqrt(d)
+    rng = np.random.default_rng(seed)
+    a = np.concatenate([drawn, rng.normal(size=4), 2.0 ** rng.integers(-6, 9, size=3),
+                        [0.0, 1e-200, 1e200]])
+    root = math.sqrt(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        partners = np.concatenate([a * root, a / root, np.nextafter(a * root, 0.0),
+                                   np.nextafter(a * root, np.inf), -a])
+        partners = partners[np.isfinite(partners)]  # the grids hold a vector's finite values
+        for ux, uy in ((a, partners), (partners, a), (a, a)):
+            assert np.array_equal(_comparable_mask(ux, uy, d),
+                                  two_pass_comparable_mask(ux, uy, d))
+
+
+@pytest.mark.parametrize("d, root", [(4, 2.0), (16, 4.0)])
+def test_a_ratio_of_exactly_root_d_is_not_comparable(d, root):
+    a = np.array([0.75, 1.0, 3.0, 2.0 ** -30, 2.0 ** 40])
+    for partner, inside in ((a * root, False), (a / root, False),
+                            (np.nextafter(a * root, 0.0), True), (np.nextafter(a / root, np.inf), True)):
+        mask = _comparable_mask(a, partner, d)
+        assert mask.diagonal().tolist() == [inside] * a.size
+        assert np.array_equal(mask, two_pass_comparable_mask(a, partner, d))
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True, "4", None])
+def test_the_certificates_read_trials_by_one_rule(trials):
+    lift = sample_lift(complete_graph(4), 10, SeededRng(1))
+    x = LiftVector(np.ones((4, 10)))
+    with pytest.raises(ConfigError, match="trials must be an integer of at least 1"):
+        dyadic_certificate(lift, x, trials=trials)
+    with pytest.raises(ConfigError, match="trials must be an integer of at least 1"):
+        band_certificate(lift, trials=trials)

@@ -60,6 +60,24 @@ def test_config_validation():
         ExperimentConfig(K4, (10,), (1,), trials=0)
 
 
+@pytest.mark.parametrize("fields", [
+    pytest.param({"n_values": (2.5,)}, id="n-half"),
+    pytest.param({"n_values": (True,)}, id="n-bool"),
+    pytest.param({"n_values": (2 ** 70,)}, id="n-beyond-int64"),
+    pytest.param({"seeds": (1.5,)}, id="seed-half"),
+    pytest.param({"seeds": (True,)}, id="seed-bool"),
+    pytest.param({"trials": 2.5}, id="trials-half"),
+    pytest.param({"trials": True}, id="trials-bool"),
+    pytest.param({"tolerance": "tight"}, id="tolerance-string"),
+])
+def test_config_reads_each_scalar_by_the_library_rule(monkeypatch, fields):
+    # n = 2.5 once failed every cell, and a half seed or trial count escaped
+    # run_experiment as a bare TypeError; now the config refuses them and no cell runs
+    monkeypatch.setattr(exp, "run_cell", lambda *args, **kwargs: pytest.fail("a cell ran"))
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig(**{"base": K4, "n_values": (5,), "seeds": (1,), **fields}))
+
+
 def test_config_from_json_named_base():
     cfg = config_from_json('{"base": "k5", "n": [10, 20], "seeds": [3],'
                            ' "tolerance": 1e-6, "stages": ["spectrum"],'

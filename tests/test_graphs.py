@@ -94,7 +94,8 @@ def test_base_readers_raise_config_errors():
     for name in ("q3", "kx", "k1", "k-2", "c2", "c9p9", "c9p2p1", "", 5, None):
         with pytest.raises(ConfigError):
             base_from_name(name)
-    for text in ("", "3\n", "3 x\n", "3 2\n0 1\n", "3 1\n0 0\n", "4 2\n0 1\n1 2\n"):
+    for text in ("", "3\n", "3 x\n", "3 2\n0 1\n", "3 1\n0 0\n", "4 2\n0 1\n1 2\n",
+                 "3 3\n0 1\n1 2 0\n0 2\n", "3 3\n0 1\n1\n0 2\n"):
         with pytest.raises(ConfigError):
             base_from_text(text)
 
@@ -228,6 +229,20 @@ def test_lift_rejects_wrong_edge_keys():
     perms = {(0, 1): np.arange(2)}
     with pytest.raises(LiftlabError):
         Lift(base, 2, perms)
+
+
+@pytest.mark.parametrize("n", [0, 1.0, True, 2 ** 63])
+def test_lift_reads_its_fibre_size_by_the_sampler_rule(n):
+    # True once passed as a fibre size of 1 with one-entry permutations
+    base = complete_graph(3)
+    with pytest.raises(ConfigError, match="n must be an integer at least 1"):
+        Lift(base, n, {e: np.arange(1) for e in base.edges})
+
+
+@pytest.mark.parametrize("h", [4.0, True, "4", None])
+def test_a_base_reads_its_vertex_count_as_an_integer(h):
+    with pytest.raises(LiftlabError, match="the vertex count must be an integer"):
+        BaseGraph(h, ((0, 1),))
 
 
 def test_lift_json_round_trip():

@@ -178,6 +178,25 @@ def test_marginal_validation():
         MatchingSpec(0, (), (), ())
 
 
+@pytest.mark.parametrize("n, a, b, e, reason", [
+    pytest.param(4, (2, 2), (2, 2), ((2.9, 0), (0, 2.9)), "counts must be integers", id="count-float"),
+    pytest.param(4, (2, 2), (2, 2), ((True, 1), (0, 2)), "counts must be integers", id="count-bool"),
+    pytest.param(4, (True, 3), (2, 2), ((1, 0), (1, 2)), "block sizes must be integers",
+                 id="block-bool"),
+    pytest.param(4, (2, 2), (2.0, 2), ((2, 0), (0, 2)), "block sizes must be integers",
+                 id="block-float"),
+    pytest.param(4.0, (2, 2), (2, 2), ((2, 0), (0, 2)), "ground size", id="n-float"),
+    pytest.param(True, (1,), (1,), ((1,),), "ground size", id="n-bool"),
+    pytest.param(2 ** 62, (2 ** 70,), (2 ** 62,), ((2 ** 62,),), "ground size", id="n-at-2-62"),
+    pytest.param(4, (2 ** 70, 4 - 2 ** 70), (2, 2), ((2, 0), (0, 2)), "nonnegative",
+                 id="block-beyond-int64"),
+])
+def test_matching_spec_reads_integers_only(n, a, b, e, reason):
+    # each once read as int(x): 2.9 as 2, True as 1, 4.0 as 4
+    with pytest.raises(InvalidMarginalsError, match=reason):
+        MatchingSpec(n, a, b, e)
+
+
 def test_mean_and_gap_conventions():
     spec = MatchingSpec(4, (2, 2), (2, 2), ((2, 0), (0, 2)))
     assert spec.mean(0, 1) == pytest.approx(1.0)

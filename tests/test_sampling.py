@@ -25,6 +25,19 @@ def test_a_fibre_size_outside_int64_is_a_config_error(n):
         sample_lift(complete_graph(4), n, SeededRng(0))
 
 
+@pytest.mark.parametrize("n", [2.5, 5.0, True, "5", None])
+def test_a_fibre_size_that_is_no_integer_is_a_config_error(n):
+    # 2.5 once reached numpy and came back as "no array holds a permutation"
+    with pytest.raises(ConfigError, match="n must be an integer"):
+        sample_lift(complete_graph(4), n, SeededRng(0))
+
+
+@pytest.mark.parametrize("seed, stream", [(1.5, 0), (True, 0), (0, False), (-1, 0), (0, -2), ("1", 0)])
+def test_seeds_and_streams_are_integers_of_at_least_zero(seed, stream):
+    with pytest.raises(ConfigError, match="must be ints >= 0"):
+        SeededRng(seed, stream)
+
+
 @pytest.mark.parametrize("n", [2 ** 62, 2 ** 63 - 1])
 def test_a_fibre_size_no_array_holds_is_a_memory_error(n):
     with pytest.raises(MemoryError, match=f"permutation of n = {n}$"):

@@ -338,6 +338,14 @@ def test_pattern_witness_bound_reads_integers_only(witnesses):
         pattern_witness_bound(lift, pattern, witnesses)
 
 
+@pytest.mark.parametrize("position", [2 ** 70, -(2 ** 70), 2 ** 63, 8])
+def test_a_position_out_of_range_is_named_as_given(position):
+    # beyond int64 the reader clips to +-2**62; the message names the input
+    lift, pattern, _ = _realized_k3()
+    with pytest.raises(WitnessMismatchError, match=f"^position {position} out of range$"):
+        pattern_witness_bound(lift, pattern, {(0, 0): (position,), (1, 0): (0,), (2, 0): (0,)})
+
+
 @pytest.mark.parametrize("vertices", [[(0, 1.5)], [(True, 0)], [(0, 1, 2)], [0]],
                          ids=["position-half", "fibre-bool", "triple", "bare-int"])
 @pytest.mark.parametrize("call", [clique_witness, embed_subgraph_witness, induced_adjacency],
