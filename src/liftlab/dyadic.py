@@ -34,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ConfigError,
     EmptyVectorError,
     LiftlabError,
     NormTooLargeError,
@@ -42,8 +41,8 @@ from .errors import (
     NotSignCompatibleError,
     TooLargeError,
 )
-from .graphs import (Lift, LiftVector, _centered_forms_raw, _int64s, _is_int, apply_operator,
-                     check_shape)
+from .graphs import (Lift, LiftVector, _centered_raw, _check_count, _int64s, _kernel,
+                     apply_operator, check_shape)
 from .sampling import SeededRng
 from .spectra import SpectralReport, lambda_star
 
@@ -141,7 +140,6 @@ class DyadicScale:
 def quad_form(lift: Lift, kind: str, x: LiftVector, y: LiftVector) -> float:
     """Bilinear form <x, A y> of the chosen operator, matrix-free."""
     check_shape(lift, x)
-    check_shape(lift, y)
     return float(np.vdot(x.values, apply_operator(lift, kind, y).values))
 
 
@@ -184,6 +182,7 @@ def quad_form_restricted(lift: Lift, kind: str, x: LiftVector, y: LiftVector,
                          region: str = "comparable") -> float:
     """Bilinear form summed only over ordered vertex pairs whose value pair
     lies in the chosen region; comparable + complement = unrestricted."""
+    _kernel(kind)
     check_shape(lift, x)
     check_shape(lift, y)
     if region not in REGIONS:
@@ -193,14 +192,7 @@ def quad_form_restricted(lift: Lift, kind: str, x: LiftVector, y: LiftVector,
     if ux.size * uy.size > GRID_GUARD:
         raise TooLargeError("too many distinct value pairs for the grid evaluation")
     wa, we = _weight_grids(lift, cx, cy, ux.size, uy.size)
-    if kind == "adjacency":
-        w = wa
-    elif kind == "expected":
-        w = we
-    elif kind == "centered":
-        w = wa - we
-    else:
-        raise LiftlabError(f"unknown operator kind {kind!r}")
+    w = wa if kind == "adjacency" else we if kind == "expected" else wa - we
     mask = _comparable_mask(ux, uy, lift.d)
     if region == "complement":
         mask = ~mask
@@ -335,12 +327,6 @@ def _polarize(yv: np.ndarray, zv: np.ndarray) -> np.ndarray:
 # certificate search
 
 
-def _check_trials(trials) -> None:
-    """Raise ConfigError unless the trial budget is an integer (not a bool) of at least 1."""
-    if not (_is_int(trials) and trials >= 1):
-        raise ConfigError(f"trials must be an integer of at least 1, not {trials!r}")
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     """Best nonnegative dyadic candidate found for a given input vector."""
@@ -362,7 +348,7 @@ def dyadic_certificate(lift: Lift, x: LiftVector, trials: int = 40,
     trials resolve to the earliest trial.
     """
     check_shape(lift, x)
-    _check_trials(trials)
+    _check_count(trials, "trials")
     _check_norm(x)
     target = abs(quad_form(lift, "centered", x, x)) / 12.0
     best = np.zeros((lift.h, lift.n))
@@ -371,8 +357,8 @@ def dyadic_certificate(lift: Lift, x: LiftVector, trials: int = 40,
     for t in range(trials):
         stack = _polarize(_round(x.values, rng.generator(6101, t, 0)),
                           _round(x.values, rng.generator(6101, t, 1)))
-        for cand, form in zip(stack, _centered_forms_raw(lift, stack, stack.sum(axis=-1))):
-            val = abs(form)
+        for cand, image in zip(stack, _centered_raw(lift, stack)):
+            val = abs(float(np.vdot(cand, image)))
             if val > best_val:
                 best, best_val, best_trial = cand, val, t
     met = best_val >= target * (1.0 - 1e-12)
@@ -499,7 +485,7 @@ def band_certificate(lift: Lift, trials: int = 40, rng: SeededRng = SeededRng(0)
                      spectral: SpectralReport | None = None) -> BandCertificateReport:
     """Run the whole chain and report the comparable-region form achieved by
     the resulting band vector against the target lambda*/96 - 5*sqrt(d)."""
-    _check_trials(trials)
+    _check_count(trials, "trials")
     rep = spectral or lambda_star(lift, rng=rng).require_converged()
     scale = DyadicScale.of(lift)
     target = rep.lambda_star / 96.0 - 5.0 * math.sqrt(lift.d)

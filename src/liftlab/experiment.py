@@ -14,11 +14,11 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .dyadic import _check_trials, band_certificate
+from .dyadic import band_certificate
 from .eigensolve import symmetric_eigenvalues
 from .errors import ConfigError, LiftlabError
-from .graphs import (BaseGraph, Lift, _check_fibre_size, base_from_name, base_from_text,
-                     induced_adjacency)
+from .graphs import (BaseGraph, Lift, _check_count, _check_fibre_size, base_from_name,
+                     base_from_text, induced_adjacency)
 from .patterns import (ReductionReport, _check_level, extract_pattern, reduce_general,
                        reduce_pattern)
 from .sampling import SeededRng, sample_lift
@@ -109,13 +109,7 @@ class ExperimentConfig:
             if stage not in STAGES:
                 raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
         _check_tol(self.tolerance)
-        _check_trials(self.trials)
-
-
-def _json_number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+        _check_count(self.trials, "trials")
 
 
 def _json_str(value) -> str:
@@ -124,8 +118,9 @@ def _json_str(value) -> str:
     return value
 
 
-# optional config key -> (ExperimentConfig field, parser); ExperimentConfig checks the trials
-_CONFIG_OPTIONS = {"tolerance": ("tolerance", _json_number), "out": ("out_csv", _json_str),
+# optional config key -> (ExperimentConfig field, parser); ExperimentConfig checks the
+# tolerance and the trials
+_CONFIG_OPTIONS = {"tolerance": ("tolerance", lambda v: v), "out": ("out_csv", _json_str),
                    "stages": ("stages", lambda v: tuple(str(s) for s in v)),
                    "trials": ("trials", lambda v: v)}
 _CONFIG_KEYS = {"base", "base_file", "n", "seeds", *_CONFIG_OPTIONS}
@@ -286,6 +281,7 @@ def explain_pipeline(lift: Lift, level: float = EXPLAIN_LEVEL,
     where the extreme lives even when the bound is trivially met).
     """
     _check_level(level)
+    _check_count(trials, "trials")
     rng = rng if rng is not None else SeededRng(0)
     rep = lambda_star(lift, rng=rng).require_converged()
     d = lift.d

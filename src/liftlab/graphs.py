@@ -12,7 +12,8 @@ Three symmetric operators act on vectors indexed this way:
 * the centered operator, adjacency minus expectation, whose extreme
   eigenvalues on the balanced subspace are the object of interest.
 
-A vector computes its fibre sums and squared norm on first use.
+Each operator kind has one raw kernel, which ``_kernel`` looks up. A vector
+caches only its squared norm.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import itertools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,19 @@ DENSE_GUARD = 2000
 def _is_int(value) -> bool:
     """Whether a scalar is an integer and not a bool, as ``_read_int64s`` reads each entry."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether a scalar is a real number, not a bool, within the finite floats."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def _check_count(value, name: str) -> None:
+    """Raise ConfigError unless a count (trials, samples, max_count) is an integer
+    (not a bool) of at least 1."""
+    if not (_is_int(value) and value >= 1):
+        raise ConfigError(f"{name} must be an integer of at least 1, not {value!r}")
 
 
 def _check_fibre_size(n) -> None:
@@ -295,9 +310,6 @@ class Lift:
             self._neighbour_index.setflags(write=False)
         return self._neighbour_index
 
-    def neighbours(self, i: int, j: int) -> list[tuple[int, int]]:
-        return [divmod(int(k), self.n) for k in self.neighbour_index()[i, :, j]]
-
     # -- JSON serialization -------------------------------------------------
 
     def to_json(self) -> str:
@@ -335,11 +347,11 @@ def identity_lift(base: BaseGraph, n: int) -> Lift:
 class LiftVector:
     """A real vector indexed by lift vertices, stored as an (h, n) array.
 
-    Fibre sums and the squared norm are computed with compensated summation
-    on first access and cached; ``balanced`` means every fibre sums to zero.
+    The squared norm is computed with compensated summation on first access
+    and cached; ``balanced`` means every fibre sums to zero.
     """
 
-    __slots__ = ("values", "_norm_sq", "_fibre_sums")
+    __slots__ = ("values", "_norm_sq")
 
     def __init__(self, values: np.ndarray):
         arr = np.array(values, dtype=np.float64, copy=True)
@@ -347,11 +359,7 @@ class LiftVector:
             raise DimensionMismatchError("LiftVector expects an (h, n) array")
         arr.setflags(write=False)
         self.values = arr
-        self._fibre_sums = self._norm_sq = None
-
-    @classmethod
-    def zeros(cls, lift: Lift) -> "LiftVector":
-        return cls(np.zeros((lift.h, lift.n)))
+        self._norm_sq = None
 
     @property
     def h(self) -> int:
@@ -367,22 +375,8 @@ class LiftVector:
             self._norm_sq = math.fsum((self.values * self.values).sum(axis=1).tolist())
         return self._norm_sq
 
-    @property
-    def fibre_sums(self) -> np.ndarray:
-        if self._fibre_sums is None:
-            self._fibre_sums = np.array([math.fsum(row) for row in self.values.tolist()],
-                                        dtype=float)
-            self._fibre_sums.setflags(write=False)
-        return self._fibre_sums
-
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
-
-    def __add__(self, other: "LiftVector") -> "LiftVector":
-        return LiftVector(self.values + other.values)
-
-    def __sub__(self, other: "LiftVector") -> "LiftVector":
-        return LiftVector(self.values - other.values)
 
     def scaled(self, c: float) -> "LiftVector":
         return LiftVector(self.values * c)
@@ -400,11 +394,12 @@ def balance(x: LiftVector) -> LiftVector:
     return LiftVector(x.values - x.values.mean(axis=1, keepdims=True))
 
 
-# -- raw-array operator kernels (used by the iterative eigensolver too) -----
-# Both take an (h, n) array or a (k, h, n) stack, and apply to each slice of a
-# stack the operations, in the order, that they apply to a single array. The
-# adjacency gathers each vertex's d neighbours and adds them from 0.0 in
-# ``perms`` order, and the expectation adds each fibre's base neighbours from
+# -- raw-array operator kernels: every entry point reaches one through ``_kernel``,
+# and Lanczos and the certificate trials call ``_centered_raw`` itself. Each takes
+# an (h, n) array or a (k, h, n) stack, and applies to each slice of a stack the
+# operations, in the order, that it applies to a single array. The adjacency
+# gathers each vertex's d neighbours and adds them from 0.0 in ``perms`` order,
+# and the expectation adds the fibre sums of each fibre's base neighbours from
 # 0.0 in edge order, so every entry gets the sum a per-edge loop would give.
 
 
@@ -413,9 +408,8 @@ def _adjacency_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
     return np.add.reduce(flat.take(lift.neighbour_index(), axis=-1), axis=-2, initial=0.0)
 
 
-def _expected_raw(lift: Lift, arr: np.ndarray, fibre_sums: np.ndarray | None = None) -> np.ndarray:
-    s = arr.sum(axis=-1) if fibre_sums is None else fibre_sums
-    acc = np.add.reduce(s[..., lift.base.neighbour_index()], axis=-2, initial=0.0)
+def _expected_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
+    acc = np.add.reduce(arr.sum(axis=-1)[..., lift.base.neighbour_index()], axis=-2, initial=0.0)
     return np.repeat(acc[..., None] / lift.n, lift.n, axis=-1)
 
 
@@ -423,43 +417,35 @@ def _centered_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
     return _adjacency_raw(lift, arr) - _expected_raw(lift, arr)
 
 
+def _kernel(kind: str):
+    """The raw kernel of an operator kind, else LiftlabError. Looked up at each
+    call, so a wrapper set on a kernel's module attribute sees every call."""
+    kernels = {"adjacency": _adjacency_raw, "expected": _expected_raw, "centered": _centered_raw}
+    if not isinstance(kind, str) or kind not in kernels:
+        raise LiftlabError(f"unknown operator kind {kind!r}")
+    return kernels[kind]
+
+
+def apply_operator(lift: Lift, kind: str, x: LiftVector) -> LiftVector:
+    """Multiply by the chosen operator: "adjacency", "expected" or "centered"."""
+    kernel = _kernel(kind)
+    check_shape(lift, x)
+    return LiftVector(kernel(lift, x.values))
+
+
 def apply_adjacency(lift: Lift, x: LiftVector) -> LiftVector:
     """Multiply by the lifted graph's adjacency operator."""
-    check_shape(lift, x)
-    return LiftVector(_adjacency_raw(lift, x.values))
+    return apply_operator(lift, "adjacency", x)
 
 
 def apply_expected(lift: Lift, x: LiftVector) -> LiftVector:
-    """Multiply by the expected adjacency (1/n between adjacent fibres).
-
-    Costs O(nh + hd) using the vector's cached fibre sums.
-    """
-    check_shape(lift, x)
-    return LiftVector(_expected_raw(lift, x.values, x.fibre_sums))
+    """Multiply by the expected adjacency (1/n between adjacent fibres), in O(nh + hd)."""
+    return apply_operator(lift, "expected", x)
 
 
 def apply_centered(lift: Lift, x: LiftVector) -> LiftVector:
     """Multiply by adjacency minus expected adjacency."""
-    check_shape(lift, x)
-    return LiftVector(
-        _adjacency_raw(lift, x.values) - _expected_raw(lift, x.values, x.fibre_sums)
-    )
-
-
-def _centered_forms_raw(lift: Lift, stack: np.ndarray, sums: np.ndarray) -> list[float]:
-    """<x, C x> for each slice x of a (k, h, n) stack whose fibre sums are given."""
-    image = _adjacency_raw(lift, stack) - _expected_raw(lift, stack, sums)
-    return [float(np.vdot(x, y)) for x, y in zip(stack, image)]
-
-
-def apply_operator(lift: Lift, kind: str, x: LiftVector) -> LiftVector:
-    if kind == "adjacency":
-        return apply_adjacency(lift, x)
-    if kind == "expected":
-        return apply_expected(lift, x)
-    if kind == "centered":
-        return apply_centered(lift, x)
-    raise LiftlabError(f"unknown operator kind {kind!r}")
+    return apply_operator(lift, "centered", x)
 
 
 def lifted_eigenvector(lift: Lift, base_vec: np.ndarray) -> LiftVector:
@@ -472,6 +458,7 @@ def lifted_eigenvector(lift: Lift, base_vec: np.ndarray) -> LiftVector:
 
 def dense_operator(lift: Lift, kind: str = "adjacency") -> np.ndarray:
     """Assemble the chosen operator as a dense (nh, nh) array; guarded by size."""
+    _kernel(kind)
     nh = lift.num_vertices
     if nh > DENSE_GUARD:
         raise DenseGuardError(f"dense operator of size {nh} exceeds guard {DENSE_GUARD}")

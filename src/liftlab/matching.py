@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InvalidMarginalsError, TooLargeError
-from .graphs import _int64_items, _is_int
+from .graphs import _check_count, _int64_items, _is_int
 from .patterns import deviation_rate
 from .sampling import SeededRng
 
@@ -231,8 +231,7 @@ def monte_carlo_probability(spec: MatchingSpec, samples: int,
                             rng: SeededRng | None = None) -> MonteCarloEstimate:
     """Empirical frequency over uniform matchings, drawn from one stream of
     the seed, so the result is reproducible for a given seed."""
-    if samples < 1:
-        raise ConfigError("need at least one sample")
+    _check_count(samples, "samples")
     gen = (rng if rng is not None else SeededRng(0)).generator()
     label_a = np.array(_labels(spec.a))
     label_b = np.array(_labels(spec.b))

@@ -11,7 +11,7 @@ keeps its links also as index arrays; each public call builds the class
 graph and deviation table from them once, as numpy arrays over the sorted
 classes, and passes them along. Sums run in the order of a loop over each
 class's sorted neighbours, or equal math.fsum (``_fsums``: exact bin sums, no
-lists), so every result has the bits a loop over ``edge_deviation`` gives; the
+lists), so every result has the bits a loop over the class-graph edges gives; the
 greedy scan drops, in verified batches, what a scan of one class per turn drops.
 """
 
@@ -36,7 +36,8 @@ from .errors import (
     NotBandVectorError,
     TooLargeError,
 )
-from .graphs import BaseGraph, Lift, _int64_items, _read_int64s, complete_graph, cycle_graph
+from .graphs import (BaseGraph, Lift, _check_count, _int64_items, _is_real, _read_int64s,
+                     complete_graph, cycle_graph)
 
 ClassVertex = tuple[int, int]  # (fibre, weight exponent)
 ClassEdge = tuple[ClassVertex, ClassVertex]
@@ -45,17 +46,14 @@ ClassEdge = tuple[ClassVertex, ClassVertex]
 LARGE_DEVIATION_CUTOFF = math.e ** 2 - 1.0
 
 
-def _edge_key(u: ClassVertex, v: ClassVertex) -> ClassEdge:
-    return (u, v) if u <= v else (v, u)
-
-
 _LINK_ERRORS = ("negative link count at {}", "duplicate link {}", "link {} touches an empty class",
                 "link {} joins fibres that are not adjacent in the base",
                 "link {} exceeds the smaller class size")
 
 
 def _check_level(level: float) -> None:
-    if not 20.0 <= level < math.inf:
+    """Raise ConfigError unless the level is a finite number (not a bool) of at least 20."""
+    if not (_is_real(level) and level >= 20.0):
         raise ConfigError(f"reduction level must be finite and at least 20, not {level!r}")
 
 
@@ -169,9 +167,6 @@ class Pattern:
                  dict(zip(zip(*(map(vertices.__getitem__, c) for c in ends.T.tolist())), count.tolist())))
         object.__setattr__(self, "links", MappingProxyType(links))
 
-    def link(self, u: ClassVertex, v: ClassVertex) -> int:
-        return self.links.get(_edge_key(u, v), 0)
-
     def restricted(self, kept: Iterable[ClassVertex]) -> "Pattern":
         """Sub-pattern induced by a set of class vertices: counts outside the
         set become zero, links survive only when both endpoints are kept."""
@@ -223,50 +218,15 @@ class ClassGraph:
         self.upper = self.valid & (self.nbr > np.arange(size)[:, None])
 
 
-@dataclass(frozen=True)
-class EdgeDeviation:
-    """Deviation data for one class-graph edge, the per-edge definition that
-    ``DeviationTable`` holds as arrays.
-
-    expected is the mean matched-pair count between the two classes under a
-    uniform matching; relative_gap is (observed / expected) - 1, with the
-    convention that an edge touching an empty class has gap 1; term is the
-    edge's signed contribution to potency.
-    """
-
-    edge: ClassEdge
-    expected: float
-    relative_gap: float
-    regime: str
-    term: float
-
-
-def _deviation(edge: ClassEdge, a: int, b: int, n: int, observed: int,
-               weight: float) -> EdgeDeviation:
-    if a == 0 or b == 0:
-        mu, gap = 0.0, 1.0
-    else:
-        mu = a * b / n
-        gap = observed * n / (a * b) - 1.0
-    regime = "large" if gap > LARGE_DEVIATION_CUTOFF else "small"
-    return EdgeDeviation(edge, mu, gap, regime, weight * (observed - mu))
-
-
-def edge_deviation(pattern: Pattern, u: ClassVertex, v: ClassVertex) -> EdgeDeviation:
-    counts = pattern.profile.counts
-    weight = pattern.scale.weight(u[1]) * pattern.scale.weight(v[1])
-    return _deviation(_edge_key(u, v), counts.get(u, 0), counts.get(v, 0),
-                      pattern.scale.n, pattern.link(u, v), weight)
-
-
 class DeviationTable:
     """Deviation data over the whole class graph, as arrays aligned with the
     graph's ``nbr``: expected matched pairs ``mu``, relative ``gap``, the
     ``large`` and ``small`` regime masks and the signed potency ``term`` (0.0
     on padding).  ``count``, ``weight`` and ``square`` hold each vertex's
     class size, entry weight and weight ** 2; ``weights`` maps each populated
-    exponent to its weight.  Every value has the bits of ``_deviation`` for
-    its edge while n < 2**26, so the integer products convert exactly.
+    exponent to its weight.  Every value has the bits of the per-edge formula
+    (mu = ab/n, gap = kn/(ab) - 1 and term = w_a w_b (k - mu) for classes of sizes
+    a and b joined by k pairs) while n < 2**26, so the integer products convert exactly.
     """
 
     def __init__(self, pattern: Pattern):
@@ -583,8 +543,7 @@ def _check_dispatch_guarantees(pattern: Pattern, level: float, kept: np.ndarray,
 def pattern_count_bound(n: int, h: int, d: int, max_count: int) -> float:
     """Natural log of the counting bound log2(nh) * max_count^(2 h d log2 d)
     on patterns whose class sizes all stay below max_count."""
-    if max_count < 1:
-        raise ConfigError("max_count must be at least 1")
+    _check_count(max_count, "max_count")
     if n * h < 2:
         raise ConfigError("need at least two lift vertices")
     return math.log(math.log2(n * h)) + 2.0 * h * d * math.log2(d) * math.log(max_count)
@@ -608,8 +567,7 @@ def enumerate_patterns(n: int, h: int, d: int, max_count: int,
     identical patterns that arise under several anchors.  Raises TooLarge if
     the walk or the distinct count would exceed the guard.
     """
-    if max_count < 1:
-        raise ConfigError("max_count must be at least 1")
+    _check_count(max_count, "max_count")
     base = base if base is not None else _default_base(h, d)
     if base.h != h or base.d != d:
         raise DimensionMismatchError("base does not match the stated (h, d)")

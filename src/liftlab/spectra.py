@@ -12,7 +12,6 @@ exact spectrum picks on the dense path.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .graphs import (
     Lift,
     LiftVector,
     _centered_raw,
+    _is_real,
     apply_centered,
     balance,
     dense_operator,
@@ -121,8 +121,8 @@ def lambda_star(lift: Lift, tol: float = 1e-8, rng: SeededRng | None = None,
 
 
 def _check_tol(tol) -> None:
-    """Raise ConfigError unless the solver tolerance is a positive finite number."""
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+    """Raise ConfigError unless the solver tolerance is a positive finite number, not a bool."""
+    if not (_is_real(tol) and tol > 0.0):
         raise ConfigError(f"tol must be positive and finite, not {tol!r}")
 
 

@@ -1,5 +1,5 @@
-"""Shared test helpers: independent dense oracles, writers for the library's
-text readers, and hypothesis strategies.
+"""Shared test helpers: independent dense oracles, the per-edge deviation
+oracle, writers for the library's text readers, and hypothesis strategies.
 
 The oracles here deliberately re-derive every operator entry by entry from
 the neighbour relation, without calling the library's own vectorized
@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 import liftlab
 from liftlab.graphs import BaseGraph, Lift, LiftVector, complete_graph, cycle_graph
 from liftlab.matching import MatchingSpec
+from liftlab.patterns import LARGE_DEVIATION_CUTOFF, Pattern
 
 
 def run_script(path: str, *args: str, stdin: str = "") -> subprocess.CompletedProcess:
@@ -87,6 +89,17 @@ def oracle_centered(lift: Lift) -> np.ndarray:
     return oracle_adjacency(lift) - oracle_expected(lift)
 
 
+def neighbours(lift: Lift, i: int, j: int) -> list[tuple[int, int]]:
+    """The (fibre, position) neighbours of vertex (i, j), read from the matchings."""
+    out = []
+    for (u, v), p in lift.perms.items():
+        if u == i:
+            out.append((v, int(p[j])))
+        if v == i:
+            out.append((u, int(np.flatnonzero(p == j)[0])))
+    return out
+
+
 def enumerate_lifts(base: BaseGraph, n: int):
     """Yield every n-lift of the base exactly once: all (n!)^m choices of
     one permutation per base edge, in lexicographic order."""
@@ -103,7 +116,58 @@ def lift_key(lift: Lift) -> tuple:
 def is_balanced(x: LiftVector, tol: float = 1e-9) -> bool:
     """Every fibre sum is at most tol * max(1, |x|)."""
     scale = max(1.0, math.sqrt(x.norm_sq))
-    return bool(np.all(np.abs(x.fibre_sums) <= tol * scale))
+    return bool(np.all(np.abs(x.values.sum(axis=1)) <= tol * scale))
+
+
+# --- the per-edge deviation oracle -------------------------------------------
+
+
+def edge_key(u, v):
+    """A class-graph edge as its sorted pair of class vertices."""
+    return (u, v) if u <= v else (v, u)
+
+
+def pattern_link(pattern: Pattern, u, v) -> int:
+    """The matched-pair count between two classes, in either order, 0 if unlinked."""
+    return pattern.links.get(edge_key(u, v), 0)
+
+
+@dataclass(frozen=True)
+class EdgeDeviation:
+    """Deviation data for one class-graph edge, the per-edge definition that
+    ``DeviationTable`` holds as arrays.
+
+    expected is the mean matched-pair count between the two classes under a
+    uniform matching; relative_gap is (observed / expected) - 1, with the
+    convention that an edge touching an empty class has gap 1; term is the
+    edge's signed contribution to potency.
+    """
+
+    edge: tuple
+    expected: float
+    relative_gap: float
+    regime: str
+    term: float
+
+
+def deviation(edge, a: int, b: int, n: int, observed: int, weight: float) -> EdgeDeviation:
+    """The deviation of an edge between classes of sizes a and b with the given
+    observed count and weight product."""
+    if a == 0 or b == 0:
+        mu, gap = 0.0, 1.0
+    else:
+        mu = a * b / n
+        gap = observed * n / (a * b) - 1.0
+    regime = "large" if gap > LARGE_DEVIATION_CUTOFF else "small"
+    return EdgeDeviation(edge, mu, gap, regime, weight * (observed - mu))
+
+
+def edge_deviation(pattern: Pattern, u, v) -> EdgeDeviation:
+    """``deviation`` of the class-graph edge (u, v) of a pattern."""
+    counts = pattern.profile.counts
+    weight = pattern.scale.weight(u[1]) * pattern.scale.weight(v[1])
+    return deviation(edge_key(u, v), counts.get(u, 0), counts.get(v, 0),
+                     pattern.scale.n, pattern_link(pattern, u, v), weight)
 
 
 def is_rounded_vector(x: LiftVector) -> bool:

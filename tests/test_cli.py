@@ -19,7 +19,7 @@ from liftlab.sampling import SeededRng, plant_clique, sample_lift
 from liftlab.spectra import new_spectrum
 from liftlab.witnesses import clique_witness
 
-from _support import lift_key, matching_spec_to_text
+from _support import lift_key, matching_spec_to_text, neighbours
 
 
 def run(capsys, argv):
@@ -66,7 +66,7 @@ def test_gen_can_plant_a_clique(tmp_path, capsys):
     lift = Lift.from_json(path.read_text())
     anchors = {(i, 0) for i in range(4)}
     for i, j in anchors:
-        nbrs = set(lift.neighbours(i, j))
+        nbrs = set(neighbours(lift, i, j))
         assert anchors - {(i, j)} <= nbrs
 
 
@@ -360,6 +360,9 @@ def test_unconverged_spectrum_exits_three(lift_file, monkeypatch, capsys, argv):
     pytest.param({"base": "k4", "seeds": [2, -1]}, id="seed-negative"),
     pytest.param({"base": "k4", "tolerance": "tight"}, id="tolerance-not-a-number"),
     pytest.param({"base": "k4", "tolerance": math.inf}, id="tolerance-infinite"),
+    pytest.param({"base": "k4", "tolerance": True}, id="tolerance-bool"),
+    pytest.param({"base": "k4", "tolerance": "1e-8"}, id="tolerance-quoted"),
+    pytest.param({"base": "k4", "tolerance": 10 ** 400}, id="tolerance-int-beyond-float"),
     pytest.param({"base": "k4", "trials": None}, id="trials-null"),
 ])
 def test_malformed_config_exits_two(tmp_path, capsys, config):

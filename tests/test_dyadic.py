@@ -401,7 +401,7 @@ def per_vector_certificate(lift, x, trials, rng):
     """dyadic_certificate built from the public per-vector calls: each trial
     rounds, polarizes, and takes one form per candidate."""
     target = abs(quad_form(lift, "centered", x, x)) / 12.0
-    best, best_val, best_trial = LiftVector.zeros(lift), 0.0, -1
+    best, best_val, best_trial = LiftVector(np.zeros((lift.h, lift.n))), 0.0, -1
     for t in range(trials):
         y = dyadic_round(x, rng.generator(6101, t, 0))
         z = dyadic_round(x, rng.generator(6101, t, 1))

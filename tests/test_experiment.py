@@ -387,6 +387,22 @@ def test_explain_rejects_weak_reduction_levels():
             explain_pipeline(lift, level=level, force_witness=force, trials=4)
 
 
+@pytest.mark.parametrize("force", [False, True], ids=["star", "witness"])
+@pytest.mark.parametrize("trials", [0, 2.5, True])
+def test_explain_checks_trials_before_the_spectrum(monkeypatch, trials, force):
+    lift = sample_lift(K4, 20, SeededRng(1))
+    monkeypatch.setattr(exp, "lambda_star", lambda *args, **kwargs: pytest.fail("solved"))
+    with pytest.raises(ConfigError, match="trials"):
+        explain_pipeline(lift, trials=trials, force_witness=force)
+
+
+@pytest.mark.parametrize("level", ["30", None, True])
+def test_explain_refuses_a_level_that_is_not_a_number(level):
+    lift = sample_lift(K4, 20, SeededRng(1))
+    with pytest.raises(ConfigError, match="level"):
+        explain_pipeline(lift, level=level)
+
+
 def test_explain_report_text_layout():
     lift = sample_lift(K4, 25, SeededRng(9))
     report = explain_pipeline(lift, force_witness=True, trials=6)

@@ -34,13 +34,16 @@ from liftlab.graphs import (
     lifted_eigenvector,
     petersen_graph,
     _adjacency_raw,
-    _centered_forms_raw,
+    _centered_raw,
     _expected_raw,
+    apply_operator,
 )
-from liftlab.dyadic import quad_form
+from liftlab.dyadic import quad_form, quad_form_restricted
+from liftlab.spectra import dense_spectrum
 
-from _support import (base_to_text, is_balanced, lift_with_vector, peak_mb, oracle_adjacency,
-                      oracle_centered, oracle_expected, oracle_induced, random_lift)
+from _support import (base_to_text, is_balanced, lift_with_vector, neighbours, peak_mb,
+                      oracle_adjacency, oracle_centered, oracle_expected, oracle_induced,
+                      random_lift)
 
 
 # --- base graph construction -------------------------------------------------
@@ -271,8 +274,8 @@ def test_inverse_perm():
 
 def test_neighbours_degree():
     lift = random_lift(petersen_graph(), 4, np.random.default_rng(3))
-    assert len(lift.neighbours(0, 0)) == 3
-    assert len(set(lift.neighbours(7, 2))) == 3
+    assert len(neighbours(lift, 0, 0)) == 3
+    assert len(set(neighbours(lift, 7, 2))) == 3
 
 
 # --- LiftVector --------------------------------------------------------------
@@ -281,7 +284,6 @@ def test_neighbours_degree():
 def test_vector_norm_and_fibre_sums():
     v = LiftVector(np.array([[1.0, 2.0], [3.0, -3.0]]))
     assert v.norm_sq == pytest.approx(1 + 4 + 9 + 9)
-    assert v.fibre_sums == pytest.approx([3.0, 0.0])
     assert not is_balanced(v)
 
 
@@ -291,9 +293,7 @@ def test_lazy_norm_and_fibre_sums_keep_the_eager_bits():
     for shape in [(1, 1), (3, 7), (5, 400), (12, 33)]:
         arr = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
         v = LiftVector(arr)
-        assert np.array_equal(v.fibre_sums, np.array([math.fsum(row) for row in arr]))
         assert v.norm_sq == math.fsum(float(t) for t in (arr * arr).sum(axis=1))
-        assert not v.fibre_sums.flags.writeable
 
 
 def test_balance_projects_to_zero_fibre_sums():
@@ -395,14 +395,11 @@ def test_stacked_kernels_equal_the_per_slice_calls_bit_for_bit(base):
     # entries spanning many magnitudes, so any change in summation order shows
     shape = (9, lift.h, lift.n)
     stack = rng.normal(size=shape) * 10.0 ** rng.integers(-9, 9, size=shape)
-    sums = rng.normal(size=shape[:2])
     adjacency = _adjacency_raw(lift, stack)
     expected = _expected_raw(lift, stack)
-    given_sums = _expected_raw(lift, stack, sums)
     for i, arr in enumerate(stack):
         assert np.array_equal(adjacency[i], _adjacency_raw(lift, arr))
         assert np.array_equal(expected[i], _expected_raw(lift, arr))
-        assert np.array_equal(given_sums[i], _expected_raw(lift, arr, sums[i]))
 
 
 def per_edge_adjacency(lift, arr):
@@ -480,6 +477,13 @@ def test_expected_gather_keeps_the_per_edge_bits(base):
         assert spread.tobytes() != _expected_raw(lift, arr).tobytes()
 
 
+def stacked_centered_forms(lift, vecs):
+    """<x, C x> for each vector, from one ``_centered_raw`` pass over their stack,
+    as a certificate trial takes them."""
+    stack = np.stack([x.values for x in vecs])
+    return [float(np.vdot(x, y)) for x, y in zip(stack, _centered_raw(lift, stack))]
+
+
 @pytest.mark.parametrize("base", STACK_BASES, ids=lambda b: f"h{b.h}d{b.d}")
 def test_centered_self_forms_equal_quad_form_exactly(base):
     rng = np.random.default_rng(100 + base.h)
@@ -489,18 +493,46 @@ def test_centered_self_forms_equal_quad_form_exactly(base):
         shape = (12, lift.h, lift.n)
         cands = [LiftVector(v) for v in
                  np.ldexp(1.0, rng.integers(0, 6, size=shape)) * (rng.random(shape) < 0.6)]
-        # with the plain fibre sums the certificate passes, exact for such stacks
-        stack = np.stack([c.values for c in cands])
-        forms = _centered_forms_raw(lift, stack, stack.sum(axis=-1))
-        assert forms == [quad_form(lift, "centered", c, c) for c in cands]
-    # any vectors: entries over many magnitudes, where a fibre sum other than
-    # the cached compensated one would change the bits
+        assert stacked_centered_forms(lift, cands) == [quad_form(lift, "centered", c, c)
+                                                       for c in cands]
+    # any vectors: entries over many magnitudes, where any fibre sum other than
+    # the kernel's own would change the bits
     lift = random_lift(base, 64, rng)
     shape = (5, lift.h, lift.n)
     vecs = [LiftVector(v) for v in rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)]
-    forms = _centered_forms_raw(lift, np.stack([x.values for x in vecs]),
-                                np.stack([x.fibre_sums for x in vecs]))
-    assert forms == [quad_form(lift, "centered", x, x) for x in vecs]
+    assert stacked_centered_forms(lift, vecs) == [quad_form(lift, "centered", x, x) for x in vecs]
+
+
+@pytest.mark.parametrize("base", STACK_BASES, ids=lambda b: f"h{b.h}d{b.d}")
+def test_apply_centered_is_the_raw_kernel_byte_for_byte(base):
+    # the solver iterates _centered_raw and the certified quotient applies
+    # apply_centered: over many magnitudes, one fibre-sum rule gives both the same bits
+    rng = np.random.default_rng(500 + base.h)
+    lift = random_lift(base, 64, rng)
+    for _ in range(5):
+        arr = rng.normal(size=(lift.h, lift.n)) * 10.0 ** rng.integers(-8, 8, size=(lift.h, lift.n))
+        x = LiftVector(arr)
+        assert apply_centered(lift, x).values.tobytes() == _centered_raw(lift, arr).tobytes()
+        assert apply_expected(lift, x).values.tobytes() == _expected_raw(lift, arr).tobytes()
+        assert apply_adjacency(lift, x).values.tobytes() == _adjacency_raw(lift, arr).tobytes()
+
+
+KIND_ENTRY_POINTS = {
+    "apply_operator": apply_operator,
+    "dense_operator": lambda lift, kind, x: dense_operator(lift, kind),
+    "dense_spectrum": lambda lift, kind, x: dense_spectrum(lift, kind),
+    "quad_form": lambda lift, kind, x: quad_form(lift, kind, x, x),
+    "quad_form_restricted": lambda lift, kind, x: quad_form_restricted(lift, kind, x, x),
+}
+
+
+@pytest.mark.parametrize("kind", ["centred", "", "Centered"])
+@pytest.mark.parametrize("entry", KIND_ENTRY_POINTS)
+def test_every_entry_point_refuses_an_unknown_operator_kind(entry, kind):
+    lift = random_lift(complete_graph(4), 3, np.random.default_rng(24))
+    x = LiftVector(np.ones((lift.h, lift.n)))
+    with pytest.raises(LiftlabError, match=f"unknown operator kind {kind!r}"):
+        KIND_ENTRY_POINTS[entry](lift, kind, x)
 
 
 # --- lifted eigenvectors -----------------------------------------------------

@@ -319,6 +319,13 @@ def test_monte_carlo_rejects_empty_sampling_plan():
         monte_carlo_probability(spec, 0, SeededRng(0))
 
 
+@pytest.mark.parametrize("samples", [2.5, True, -3, "10"])
+def test_monte_carlo_reads_samples_as_an_integer(samples):
+    spec = MatchingSpec(2, (2,), (2,), ((2,),))
+    with pytest.raises(ConfigError, match="samples"):
+        monte_carlo_probability(spec, samples, SeededRng(0))
+
+
 def test_text_round_trip():
     rnd = random.Random(11)
     for _ in range(20):

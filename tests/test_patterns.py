@@ -32,7 +32,6 @@ from liftlab.graphs import BaseGraph, base_from_name, complete_graph, cycle_grap
 from liftlab.patterns import (
     _BUDGET_FACTOR,
     _branch_floors,
-    _deviation,
     _fsums,
     _greedy_reduce,
     _members_potency,
@@ -47,7 +46,6 @@ from liftlab.patterns import (
     Removal,
     ReductionReport,
     deviation_rate,
-    edge_deviation,
     enumerate_patterns,
     extract_pattern,
     pattern_count_bound,
@@ -63,7 +61,7 @@ from liftlab.patterns import (
 )
 from liftlab.sampling import SeededRng, sample_lift
 
-from _support import SMALL_BASES, peak_mb, random_lift
+from _support import SMALL_BASES, deviation, edge_deviation, pattern_link, peak_mb, random_lift
 
 
 # --- reference implementations ------------------------------------------------------
@@ -336,9 +334,9 @@ def test_pattern_link_canonicalization():
     scale = DyadicScale(5, 3, 2)
     prof = ClassProfile(scale, {(0, 0): 2, (1, 0): 3})
     pat = Pattern(base, prof, {((1, 0), (0, 0)): 2})
-    assert pat.link((0, 0), (1, 0)) == 2
-    assert pat.link((1, 0), (0, 0)) == 2
-    assert pat.link((0, 0), (2, 0)) == 0
+    assert pattern_link(pat, (0, 0), (1, 0)) == 2
+    assert pattern_link(pat, (1, 0), (0, 0)) == 2
+    assert pattern_link(pat, (0, 0), (2, 0)) == 0
     assert list(pat.links) == [((0, 0), (1, 0))]
 
 
@@ -831,6 +829,15 @@ def test_reduce_rejects_low_level():
                 reducer(pat, level)
 
 
+@pytest.mark.parametrize("level", ["30", None, True, 10 ** 400], ids=["string", "none", "bool",
+                                                                      "int-beyond-float"])
+def test_reduce_refuses_a_level_that_is_not_a_finite_number(level):
+    pat = Pattern(complete_graph(3), ClassProfile(DyadicScale(5, 3, 2), {}), {})
+    for reducer in (reduce_large, reduce_small, reduce_general, reduce_pattern):
+        with pytest.raises(ConfigError, match="level"):
+            reducer(pat, level=level)
+
+
 def test_reduce_dispatch_picks_dominant_regime():
     rng = np.random.default_rng(5)
     seen = set()
@@ -1198,8 +1205,8 @@ def test_deviation_rows_equal_the_per_edge_deviation():
                 class_pairs(g, g.valid), *(a[g.valid].tolist() for a in (
                     table.mu, table.gap, table.large, table.small, table.term))):
             edge = (min(u, v), max(u, v))
-            row = _deviation(edge, counts[u], counts[v], pattern.scale.n,
-                             pattern.links.get(edge, 0), weight(u[1]) * weight(v[1]))
+            row = deviation(edge, counts[u], counts[v], pattern.scale.n,
+                            pattern.links.get(edge, 0), weight(u[1]) * weight(v[1]))
             assert (mu, gap, term) == (row.expected, row.relative_gap, row.term)
             assert (large, small) == (row.regime == "large", row.regime == "small")
 
@@ -1385,6 +1392,14 @@ def test_enumerate_patterns_guards_and_defaults():
         enumerate_patterns(8, 3, 2, 2, base=complete_graph(4))
     with pytest.raises(TooLargeError):
         enumerate_patterns(64, 3, 2, 64)
+
+
+@pytest.mark.parametrize("max_count", [2.5, True, 0, "2"])
+def test_count_bound_and_enumeration_read_max_count_as_an_integer(max_count):
+    with pytest.raises(ConfigError, match="max_count"):
+        pattern_count_bound(4, 3, 2, max_count)
+    with pytest.raises(ConfigError, match="max_count"):
+        enumerate_patterns(4, 3, 2, max_count)
 
 
 def test_enumerate_patterns_with_explicit_base():

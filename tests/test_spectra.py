@@ -165,6 +165,14 @@ def test_lambda_star_rejects_an_unknown_method(method, n):
         lambda_star(lift, method=method)
 
 
+@pytest.mark.parametrize("tol", [True, 10 ** 400, math.nan, "1e-8"],
+                         ids=["bool", "int-beyond-float", "nan", "string"])
+def test_lambda_star_rejects_a_bad_tolerance(tol):
+    lift = random_lift(complete_graph(4), 20, np.random.default_rng(6))
+    with pytest.raises(ConfigError, match="tol"):
+        lambda_star(lift, tol=tol)
+
+
 def test_lambda_star_bounded_by_degree():
     for seed in range(4):
         lift = random_lift(petersen_graph(), 12, np.random.default_rng(seed))
@@ -232,7 +240,7 @@ def test_witness_from_a_balanced_start_stays_balanced(name, n, method):
     lift = sample_lift(base_from_name(name), n, SeededRng(1))
     rep = lambda_star(lift, rng=SeededRng(1, 101))
     assert rep.method == method
-    assert np.abs(rep.witness.fibre_sums).max() <= 1e-12
+    assert np.abs(rep.witness.values.sum(axis=1)).max() <= 1e-12
 
 
 # --- the dense path's witness -------------------------------------------------------

@@ -1,14 +1,14 @@
 """The library keeps no surface that only its tests call.
 
 Every public top-level function or class under ``src/liftlab`` is used by
-other library code or cited there in a docstring as a double-backquoted name,
-is exported in ``liftlab.__all__``, or is named below with the reason it
-stays; and no module of the library or of its tests imports a name it does
-not use.
+other library code, is exported in ``liftlab.__all__``, or is named below with
+the reason it stays; every public method or property of a library class is
+used by library code outside its own definition, or is named below; and no
+module of the library or of its tests imports a name it does not use. A
+docstring that cites a name is not a use.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import liftlab
@@ -40,14 +40,6 @@ def _used_names(node):
     return names
 
 
-def _cited_names(node):
-    """Every double-backquoted name that a docstring in the node cites."""
-    return {name for sub in ast.walk(node)
-            if isinstance(sub, ast.Expr) and isinstance(sub.value, ast.Constant)
-            and isinstance(sub.value.value, str)
-            for name in re.findall(r"``(\w+)``", sub.value.value)}
-
-
 def test_every_public_definition_has_a_library_caller():
     modules = _modules()
     unused = []
@@ -60,14 +52,38 @@ def test_every_public_definition_has_a_library_caller():
             # uses in the module's other statements and in every other module
             callers = [other for other in tree.body if other is not node]
             callers += [t for s, t in modules.items() if s != stem]
-            if not any(node.name in _used_names(c) | _cited_names(c) for c in callers):
+            if not any(node.name in _used_names(c) for c in callers):
                 unused.append(f"{stem}.{node.name}")
+    assert unused == []
+
+
+def _public_methods(tree):
+    """(class, method) for every public method or property of the module's classes."""
+    return [(node, sub) for node in tree.body if isinstance(node, ast.ClassDef)
+            for sub in node.body if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
+
+
+def test_every_public_method_has_a_library_use():
+    modules = _modules()
+    unused = []
+    for stem, tree in modules.items():
+        for cls, method in _public_methods(tree):
+            if f"{cls.name}.{method.name}" in KEPT:
+                continue
+            # uses in every other module, the module's other statements and the class's other members
+            users = [t for s, t in modules.items() if s != stem]
+            users += [other for other in tree.body if other is not cls]
+            users += [other for other in cls.body if other is not method]
+            if not any(method.name in _used_names(u) for u in users):
+                unused.append(f"{stem}.{cls.name}.{method.name}")
     assert unused == []
 
 
 def test_the_kept_names_still_exist_and_are_not_exported():
     defined = {node.name for tree in _modules().values() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {f"{cls.name}.{method.name}" for tree in _modules().values()
+                for cls, method in _public_methods(tree)}
     assert set(KEPT) <= defined
     assert not set(KEPT) & set(liftlab.__all__)
 

@@ -20,6 +20,7 @@ from liftlab.errors import (
     WitnessMismatchError,
 )
 from liftlab.graphs import (
+    LiftVector,
     apply_adjacency,
     complete_graph,
     cycle_graph,
@@ -39,7 +40,7 @@ from liftlab.witnesses import (
     pattern_witness_bound,
 )
 
-from _support import oracle_centered, random_lift
+from _support import neighbours, oracle_centered, random_lift
 
 
 def oracle_rayleigh(lift, vector):
@@ -57,7 +58,7 @@ def test_clique_witness_planted_triple():
     w = clique_witness(lift, [(0, 0), (1, 0), (2, 0)])
     assert w.rayleigh == pytest.approx(2.0, abs=1e-10)
     assert w.bound_met and w.claimed_bound == 2.0
-    assert np.abs(w.vector.fibre_sums).max() <= 1e-10 * math.sqrt(w.vector.norm_sq)
+    assert np.abs(w.vector.values.sum(axis=1)).max() <= 1e-10 * math.sqrt(w.vector.norm_sq)
     assert w.rayleigh == pytest.approx(oracle_rayleigh(lift, w.vector), abs=1e-9)
 
 
@@ -66,14 +67,14 @@ def test_clique_witness_single_vertex():
     w = clique_witness(lift, [(2, 5)])
     assert w.rayleigh == pytest.approx(0.0, abs=1e-12)
     assert w.bound_met
-    assert np.abs(w.vector.fibre_sums).max() <= 1e-12
+    assert np.abs(w.vector.values.sum(axis=1)).max() <= 1e-12
 
 
 def test_clique_witness_unplanted_triple_misses():
     lift = sample_lift(complete_graph(4), 30, SeededRng(5))
     triple = [(0, 0), (1, 0), (2, 0)]
     present = all(
-        (b, 0) in lift.neighbours(a, 0)
+        (b, 0) in neighbours(lift, a, 0)
         for k, (a, _) in enumerate(triple) for (b, _) in triple[k + 1:])
     assert not present  # this seed leaves the matched triple unconnected
     w = clique_witness(lift, triple)
@@ -83,7 +84,7 @@ def test_clique_witness_unplanted_triple_misses():
 def test_clique_witness_exact_eigenvector_when_all_fibres():
     lift = plant_clique(sample_lift(complete_graph(4), 20, SeededRng(3)), [0, 1, 2, 3])
     w = clique_witness(lift, [(i, 0) for i in range(4)])
-    residual = apply_adjacency(lift, w.vector) + w.vector.scaled(-3.0)
+    residual = LiftVector(apply_adjacency(lift, w.vector).values - 3.0 * w.vector.values)
     assert math.sqrt(residual.norm_sq) <= 1e-10
     assert w.rayleigh == pytest.approx(3.0, abs=1e-10)
 
@@ -91,8 +92,8 @@ def test_clique_witness_exact_eigenvector_when_all_fibres():
 def test_clique_witness_exact_on_support_fibres():
     lift = plant_clique(sample_lift(complete_graph(5), 15, SeededRng(4)), [0, 2, 3])
     w = clique_witness(lift, [(0, 0), (2, 0), (3, 0)])
-    image = apply_adjacency(lift, w.vector) + w.vector.scaled(-2.0)
-    support = image.values[[0, 2, 3], :]
+    image = apply_adjacency(lift, w.vector).values - 2.0 * w.vector.values
+    support = image[[0, 2, 3], :]
     assert float(np.abs(support).max()) <= 1e-10
     assert w.rayleigh == pytest.approx(2.0, abs=1e-10)
 
@@ -116,7 +117,7 @@ def test_clique_witness_never_beats_lambda_star(seed):
     fibres = [0, 1, 2]
     verts = [(i, int(rng.integers(lift.n))) for i in fibres]
     w = clique_witness(lift, verts)
-    assert np.abs(w.vector.fibre_sums).max() <= 1e-10
+    assert np.abs(w.vector.values.sum(axis=1)).max() <= 1e-10
     report = lambda_star(lift, method="dense")
     assert w.rayleigh <= report.lambda_star + 1e-6
 
@@ -130,7 +131,7 @@ def test_bipartition_identity_halves():
     assert w.rayleigh == pytest.approx(3.0, abs=1e-10)  # equals d
     assert w.bound_met
     assert w.vector.norm_sq == pytest.approx(1.0)
-    assert np.abs(w.vector.fibre_sums).max() <= 1e-12
+    assert np.abs(w.vector.values.sum(axis=1)).max() <= 1e-12
     assert w.rayleigh == pytest.approx(oracle_rayleigh(lift, w.vector), abs=1e-9)
 
 
@@ -155,7 +156,7 @@ def test_bipartition_random_halves_report():
     halves = [rng.choice(50, size=25, replace=False) for _ in range(4)]
     w = bipartition_witness(lift, halves)
     assert w.rayleigh >= 0.0
-    assert np.abs(w.vector.fibre_sums).max() <= 1e-12
+    assert np.abs(w.vector.values.sum(axis=1)).max() <= 1e-12
     report = lambda_star(lift, method="dense")
     assert w.rayleigh <= report.lambda_star + 1e-6
 
@@ -180,7 +181,7 @@ def test_embed_single_vertex():
     lift = identity_lift(complete_graph(4), 100)
     w = embed_subgraph_witness(lift, [(0, 3)])
     assert w.claimed_bound == -3.5 and w.bound_met
-    assert np.abs(w.vector.fibre_sums).max() <= 1e-12
+    assert np.abs(w.vector.values.sum(axis=1)).max() <= 1e-12
 
 
 def test_embed_planted_clique():
@@ -199,10 +200,10 @@ def test_embed_star_subgraphs_hit_root_degree():
                          (cycle_graph(5), math.sqrt(2))]:
         lift = identity_lift(base, 200)
         centre = (0, 0)
-        w = embed_subgraph_witness(lift, [centre] + lift.neighbours(*centre))
+        w = embed_subgraph_witness(lift, [centre] + neighbours(lift, *centre))
         assert w.claimed_bound == pytest.approx(expect - 3.5, abs=1e-9)
         assert w.bound_met
-        assert np.abs(w.vector.fibre_sums).max() <= 1e-10
+        assert np.abs(w.vector.values.sum(axis=1)).max() <= 1e-10
 
 
 def test_embed_random_subgraph_inequality():
@@ -212,7 +213,7 @@ def test_embed_random_subgraph_inequality():
     verts = [(int(k // 400), int(k % 400)) for k in flat]
     w = embed_subgraph_witness(lift, verts)
     assert w.bound_met
-    assert np.abs(w.vector.fibre_sums).max() <= 1e-10
+    assert np.abs(w.vector.values.sum(axis=1)).max() <= 1e-10
 
 
 def test_embed_validation():
