@@ -41,7 +41,7 @@ from .errors import (
     NotSignCompatibleError,
     TooLargeError,
 )
-from .graphs import (Lift, LiftVector, _centered_raw, _check_count, _int64s, _kernel,
+from .graphs import (Lift, LiftVector, _centered_raw, _check_count, _int64s, _is_int, _kernel,
                      apply_operator, check_shape)
 from .sampling import SeededRng
 from .spectra import SpectralReport, lambda_star
@@ -70,8 +70,9 @@ class DyadicScale:
     d: int
 
     def __post_init__(self):
-        if self.n < 1 or self.h < 1 or self.d < 1:
-            raise LiftlabError("scale parameters must be positive")
+        if not all(_is_int(k) and k >= 1 for k in (self.n, self.h, self.d)):
+            raise LiftlabError("n, h and d must be integers of at least 1, not "
+                               f"{(self.n, self.h, self.d)}")
 
     @classmethod
     def of(cls, lift: Lift) -> "DyadicScale":
@@ -193,9 +194,7 @@ def quad_form_restricted(lift: Lift, kind: str, x: LiftVector, y: LiftVector,
         raise TooLargeError("too many distinct value pairs for the grid evaluation")
     wa, we = _weight_grids(lift, cx, cy, ux.size, uy.size)
     w = wa if kind == "adjacency" else we if kind == "expected" else wa - we
-    mask = _comparable_mask(ux, uy, lift.d)
-    if region == "complement":
-        mask = ~mask
+    mask = _comparable_mask(ux, uy, lift.d) ^ (region == "complement")
     contrib = np.outer(ux, uy) * w
     return float(contrib[mask].sum())
 
@@ -392,10 +391,9 @@ class DyadicBandVector:
             raise NotBandVectorError(f"arrays must have shape {shape}")
         exps = exps * mask
         self.scale.check_band(_classes(exps[mask]), NotBandVectorError)
-        exps.setflags(write=False)
-        mask.setflags(write=False)
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "nonzero", mask)
+        for name, array in (("exponents", exps), ("nonzero", mask)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def norm_sq(self) -> float:

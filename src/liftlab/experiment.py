@@ -83,9 +83,7 @@ class ResultRow:
 
 
 def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    lines += [",".join(row.csv_values()) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER] + [",".join(row.csv_values()) for row in rows]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,7 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full (n, seed) grid.
+    """Run each distinct (n, seed) cell of the grid once.
 
     Failed cells, including those that run out of memory, become bare rows
     (identity columns only) plus an entry in failures; whatever finished is
@@ -227,7 +225,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     failures: list[str] = []
     try:
         for n in sorted(set(config.n_values)):
-            for seed in config.seeds:
+            for seed in dict.fromkeys(config.seeds):
                 try:
                     row = run_cell(config.base, n, seed, stages=config.stages,
                                    tolerance=config.tolerance, trials=config.trials)

@@ -103,9 +103,9 @@ def _int64s(values, error: type[LiftlabError], message: str) -> np.ndarray:
 
 def _int64_items(values, error: type[LiftlabError], message: str,
                  shape: tuple[int, ...] = ()) -> np.ndarray:
-    """``_int64s`` of a sequence whose items have the given shape, as one array."""
-    array = _int64s(list(values) or np.zeros((0, *shape), np.int64), error, message)
-    if array.shape[1:] != shape:
+    """``_read_int64s``' array of a sequence of items of the given shape, else ``error(message)``."""
+    array = _read_int64s(list(values) or np.zeros((0, *shape), np.int64))[0]
+    if array is None or array.shape[1:] != shape:
         raise error(message)
     return array
 
@@ -263,20 +263,29 @@ class Lift:
 
     def __init__(self, base: BaseGraph, n: int, perms: dict[tuple[int, int], np.ndarray]):
         _check_fibre_size(n)
-        self.base = base
-        self.n = n
-        want = set(base.edges)
-        got = set(perms)
-        if want != got:
+        if set(base.edges) != set(perms):
             raise LiftlabError("permutation keys do not match base edges")
-        self.perms: dict[tuple[int, int], np.ndarray] = {}
+        checked = {}
         for e, p in perms.items():
             arr = _int64s(p, LiftlabError, f"permutation for edge {e} must list integers")
             if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
                 raise LiftlabError(f"permutation for edge {e} is not a bijection on 0..{n - 1}")
-            arr.setflags(write=False)
-            self.perms[e] = arr
+            checked[e] = arr
+        self._store(base, n, checked)
+
+    def _store(self, base: BaseGraph, n: int, perms: dict[tuple[int, int], np.ndarray]) -> None:
+        for p in perms.values():
+            p.setflags(write=False)
+        self.base, self.n, self.perms = base, n, perms
         self._neighbour_index: np.ndarray | None = None
+
+    @classmethod
+    def _valid(cls, base: BaseGraph, n: int, perms: dict[tuple[int, int], np.ndarray]) -> "Lift":
+        """The lift of int64 bijections on 0..n-1, one per base edge, that the caller
+        made valid, stored unchecked and uncopied (``__init__`` checks outside ones)."""
+        lift = cls.__new__(cls)
+        lift._store(base, n, perms)
+        return lift
 
     @property
     def h(self) -> int:
@@ -337,8 +346,9 @@ class Lift:
 
 def identity_lift(base: BaseGraph, n: int) -> Lift:
     """The lift in which every matching is the identity (n disjoint copies of H)."""
-    eye = np.arange(n)
-    return Lift(base, n, {e: eye.copy() for e in base.edges})
+    _check_fibre_size(n)
+    eye = np.arange(n, dtype=np.int64)
+    return Lift._valid(base, n, {e: eye for e in base.edges})
 
 
 # ---------------------------------------------------------------------------

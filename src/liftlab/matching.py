@@ -104,15 +104,8 @@ def exact_probability_fraction(spec: MatchingSpec) -> Fraction:
     if spec.n > EXACT_FRACTION_LIMIT:
         raise TooLargeError(
             f"exact rationals supported up to n = {EXACT_FRACTION_LIMIT}")
-    num = 1
-    for x in spec.a:
-        num *= math.factorial(x)
-    for x in spec.b:
-        num *= math.factorial(x)
-    den = math.factorial(spec.n)
-    for row in spec.e:
-        for x in row:
-            den *= math.factorial(x)
+    num = math.prod(map(math.factorial, spec.a + spec.b))
+    den = math.factorial(spec.n) * math.prod(math.factorial(x) for row in spec.e for x in row)
     return Fraction(num, den)
 
 

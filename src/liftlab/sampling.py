@@ -63,7 +63,7 @@ def sample_lift(base: BaseGraph, n: int, rng: SeededRng) -> Lift:
             perms[e] = ()
         if len(perms[e]) < n:
             raise MemoryError(f"no array holds a permutation of n = {n}")
-    return Lift(base, n, perms)
+    return Lift._valid(base, n, perms)
 
 
 def plant_clique(lift: Lift, fibres: list[int]) -> Lift:
@@ -72,12 +72,12 @@ def plant_clique(lift: Lift, fibres: list[int]) -> Lift:
     For each pair of listed fibres the matching is composed with the
     transposition that sends position 0 to position 0; other positions of
     that matching move only as far as the swap requires, and matchings not
-    between listed fibres are untouched. The construction is deterministic.
+    between listed fibres are shared with the input. The construction is deterministic.
     """
     fibres = _check_clique_fibres(lift.base, fibres)
-    new_perms = {e: lift.perms[e].copy() for e in lift.base.edges}
+    new_perms = {e: lift.perms[e] for e in lift.base.edges}
     for a, b in itertools.combinations(sorted(fibres), 2):
-        p = new_perms[(a, b)]
+        p = new_perms[(a, b)] = new_perms[(a, b)].copy()
         j = int(np.nonzero(p == 0)[0][0])
         p[j], p[0] = p[0], p[j]
-    return Lift(lift.base, lift.n, new_perms)
+    return Lift._valid(lift.base, lift.n, new_perms)

@@ -179,6 +179,14 @@ def test_bools_raise_typed_errors(build, error, message):
         build()
 
 
+@pytest.mark.parametrize("n, h, d", [(2.5, 2, 1), (10, 2, 1.5), (10, 2.0, 1), ("3", 2, 1), (True, 1, 1),
+                                     (4, False, 2), (None, 2, 1), (0, 2, 1), (4, 2, -1)])
+def test_scale_reads_n_h_and_d_as_integers_of_at_least_one(n, h, d):
+    # 2.5 or 1.5 once passed and ClassProfile died on a float's missing bit_length
+    with pytest.raises(LiftlabError, match="n, h and d must be integers of at least 1"):
+        DyadicScale(n, h, d)
+
+
 def _run_in_child(case: str) -> str:
     """Run one case in a time-limited child process, which caps its own
     address space; return what it printed."""

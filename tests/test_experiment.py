@@ -3,6 +3,7 @@ and the explanation pipeline's two branches."""
 
 import csv
 import dataclasses
+import functools
 import io
 import importlib
 import json
@@ -19,6 +20,7 @@ from liftlab.experiment import (CSV_COLUMNS, CSV_HEADER, EXPLAIN_SPECTRAL_FACTOR
                                 explain_to_text, rows_to_csv, run_cell,
                                 run_experiment)
 import liftlab.dyadic
+import liftlab.spectra
 from liftlab.dyadic import band_certificate
 from liftlab.eigensolve import symmetric_eigenvalues
 from liftlab.graphs import base_from_name, identity_lift
@@ -244,6 +246,22 @@ def test_failed_cells_become_bare_rows(monkeypatch, tmp_path):
     assert out.read_text().count("\n") == 4
 
 
+def test_run_experiment_runs_each_distinct_cell_once(monkeypatch):
+    calls = []
+
+    def spy(base, n, seed, **kwargs):
+        calls.append((n, seed))
+        if seed == 1:
+            raise LiftlabError("synthetic failure")
+        return ResultRow(seed=seed, h=base.h, d=base.d, n=n)
+
+    monkeypatch.setattr(exp, "run_cell", spy)
+    result = run_experiment(ExperimentConfig(K4, (12, 12), (2, 1, 2, 1), trials=4))
+    assert calls == [(12, 2), (12, 1)]
+    assert [(r.n, r.seed) for r in result.rows] == [(12, 1), (12, 2)]
+    assert result.failures == ("n=12 seed=1: synthetic failure",)
+
+
 def test_unconverged_spectrum_fails_the_cell(monkeypatch):
     real = exp.lambda_star
 
@@ -337,6 +355,27 @@ def test_dense_cells_keep_their_recorded_rows(monkeypatch, name, n, seed):
     # the whole dense pool: a simple extreme takes LAPACK's eigenvalues and
     # c6's +-2 takes QL's, so a selection rule that misreads one seed fails here
     _keeps_its_recorded_row(monkeypatch, name, n, seed)
+
+
+@pytest.mark.parametrize("name, n", [("k4", 150), ("k5", 120), ("c6", 100), ("petersen", 60),
+                                     ("k4", 1000), ("petersen", 500)])
+def test_the_lanczos_basis_size_does_not_move_a_row(monkeypatch, name, n):
+    # seed 1 of each kind of the certificate pool, dense and iterative, with a
+    # basis of 32 and 64 vectors against the default 48
+    real = liftlab.spectra.lanczos_extreme
+    rows = {}
+    for size in (32, 48, 64):
+        monkeypatch.setattr(liftlab.spectra, "lanczos_extreme", functools.partial(real, max_basis=size))
+        rows[size] = run_cell(base_from_name(name), n, 1)
+    for size in (32, 64):
+        for field in dataclasses.fields(ResultRow):
+            if field.name == "wall_ms":
+                continue
+            got, want = getattr(rows[size], field.name), getattr(rows[48], field.name)
+            if isinstance(want, float):
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0), (size, field.name)
+            else:
+                assert got == want, (size, field.name)
 
 
 def test_explain_star_branch_on_plain_lift():

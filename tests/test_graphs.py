@@ -242,6 +242,13 @@ def test_lift_reads_its_fibre_size_by_the_sampler_rule(n):
         Lift(base, n, {e: np.arange(1) for e in base.edges})
 
 
+@pytest.mark.parametrize("n", [0, 2.5, True, "3", None, 10 ** 30])
+def test_identity_lift_reads_its_fibre_size_by_the_sampler_rule(n):
+    # "3", None and 10**30 once reached numpy and came back as a bare TypeError or ValueError
+    with pytest.raises(ConfigError, match="n must be an integer at least 1"):
+        identity_lift(complete_graph(3), n)
+
+
 @pytest.mark.parametrize("h", [4.0, True, "4", None])
 def test_a_base_reads_its_vertex_count_as_an_integer(h):
     with pytest.raises(LiftlabError, match="the vertex count must be an integer"):

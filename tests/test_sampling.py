@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liftlab.graphs
 from liftlab.errors import ConfigError, FibresNotAdjacentError, FibresNotDistinctError
-from liftlab.graphs import complete_graph, cycle_graph, petersen_graph
+from liftlab.graphs import Lift, base_from_name, complete_graph, cycle_graph, identity_lift, petersen_graph
 from liftlab.sampling import SeededRng, plant_clique, sample_lift
 
 from _support import enumerate_lifts, lift_key, neighbours, random_lift
@@ -67,6 +69,40 @@ def test_sampled_lift_passes_invariants():
     assert lift.num_vertices == 130
     for (i, j) in [(0, 0), (4, 7), (9, 12)]:
         assert len(set(neighbours(lift, i, j))) == 3
+
+
+def test_lift_bits_are_pinned():
+    # one sha256 over to_json() of sampled, planted and identity lifts: each
+    # permutation keeps the bits its per-edge stream gives it
+    digest = hashlib.sha256()
+    for name in ("k3", "k4", "k5", "c6", "petersen", "c9p2"):
+        base = base_from_name(name)
+        for n in (1, 2, 7, 150):
+            for seed in range(1, 9):
+                lift = sample_lift(base, n, SeededRng(seed))
+                digest.update(lift.to_json().encode())
+                if name == "k5":
+                    digest.update(plant_clique(lift, [0, 1, 2]).to_json().encode())
+            digest.update(identity_lift(base, n).to_json().encode())
+    assert digest.hexdigest() == "86077dfc96dd8994ba6ee338195217e838c4e5ac9c91cd08c5b10fc3ffd05060"
+
+
+def test_built_lifts_store_valid_permutations_without_the_reader(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a permutation was read again")
+
+    monkeypatch.setattr(liftlab.graphs, "_int64s", refuse)
+    lift = sample_lift(complete_graph(5), 7, SeededRng(3))
+    before = lift.to_json()
+    planted = plant_clique(lift, [0, 1, 2])
+    for built in (lift, planted, identity_lift(complete_graph(5), 7)):
+        for p in built.perms.values():
+            assert p.dtype == np.int64 and not p.flags.writeable
+            assert sorted(p.tolist()) == list(range(7))
+    assert lift.to_json() == before  # planting copies the matchings it swaps, and only those
+    assert [e for e in lift.base.edges if planted.perms[e] is not lift.perms[e]] == [(0, 1), (0, 2), (1, 2)]
+    with pytest.raises(AssertionError, match="read again"):  # outside permutations are still read
+        Lift(lift.base, 7, dict(lift.perms))
 
 
 def test_enumerate_k3_n2_count():

@@ -258,7 +258,8 @@ def _theta_and_projection(lift):
     return theta, space @ (space.T @ start), space.shape[1]
 
 
-@pytest.mark.parametrize("name,n,seed,multiplicity", [("c6", 100, 1, 4), ("k4", 150, 1, 1)])
+@pytest.mark.parametrize("name,n,seed,multiplicity", [("c6", 100, 1, 4), ("k4", 150, 1, 1),
+                                                       ("k5", 120, 1, 1), ("petersen", 60, 1, 1)])
 def test_dense_witness_is_its_start_projected_onto_the_extreme_eigenspace(
         name, n, seed, multiplicity):
     # a Krylov space holds, within each eigenspace, only the start's projection

@@ -5,7 +5,8 @@ other library code, is exported in ``liftlab.__all__``, or is named below with
 the reason it stays; every public method or property of a library class is
 used by library code outside its own definition, or is named below; and no
 module of the library or of its tests imports a name it does not use. A
-docstring that cites a name is not a use.
+docstring that cites a name is not a use, and neither is an attribute of an
+imported module: ``np.zeros`` does not use a library method ``zeros``.
 """
 
 import ast
@@ -29,19 +30,34 @@ def _modules(root=PACKAGE):
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(root.glob("*.py"))}
 
 
-def _used_names(node):
-    """Every name that the node reads, as a bare name or an attribute."""
+def _module_aliases(tree):
+    """The names that the module's ``import`` statements bind (``np``, ``math``, ...)."""
+    return {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names}
+
+
+def _root(node):
+    """The name an attribute chain starts from, or None."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _used_names(node, aliases=frozenset()):
+    """Every name that the node reads, as a bare name or an attribute; an attribute
+    reached through one of the module aliases (``np.zeros``) is not a use of its name."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and _root(sub) not in aliases:
             names.add(sub.attr)
     return names
 
 
 def test_every_public_definition_has_a_library_caller():
     modules = _modules()
+    aliases = {stem: _module_aliases(tree) for stem, tree in modules.items()}
     unused = []
     for stem, tree in modules.items():
         for node in tree.body:
@@ -50,9 +66,9 @@ def test_every_public_definition_has_a_library_caller():
             if node.name in liftlab.__all__ or node.name in KEPT:
                 continue
             # uses in the module's other statements and in every other module
-            callers = [other for other in tree.body if other is not node]
-            callers += [t for s, t in modules.items() if s != stem]
-            if not any(node.name in _used_names(c) for c in callers):
+            callers = [(other, aliases[stem]) for other in tree.body if other is not node]
+            callers += [(t, aliases[s]) for s, t in modules.items() if s != stem]
+            if not any(node.name in _used_names(*c) for c in callers):
                 unused.append(f"{stem}.{node.name}")
     assert unused == []
 
@@ -65,16 +81,17 @@ def _public_methods(tree):
 
 def test_every_public_method_has_a_library_use():
     modules = _modules()
+    aliases = {stem: _module_aliases(tree) for stem, tree in modules.items()}
     unused = []
     for stem, tree in modules.items():
         for cls, method in _public_methods(tree):
             if f"{cls.name}.{method.name}" in KEPT:
                 continue
             # uses in every other module, the module's other statements and the class's other members
-            users = [t for s, t in modules.items() if s != stem]
-            users += [other for other in tree.body if other is not cls]
-            users += [other for other in cls.body if other is not method]
-            if not any(method.name in _used_names(u) for u in users):
+            users = [(t, aliases[s]) for s, t in modules.items() if s != stem]
+            users += [(other, aliases[stem]) for other in tree.body if other is not cls]
+            users += [(other, aliases[stem]) for other in cls.body if other is not method]
+            if not any(method.name in _used_names(*u) for u in users):
                 unused.append(f"{stem}.{cls.name}.{method.name}")
     assert unused == []
 
