@@ -64,7 +64,7 @@ def cmd_gen(args) -> int:
 def cmd_spectrum(args) -> int:
     lift = _load_lift(args.lift)
     rep, spectrum = _lambda_star(lift, args.tol, None, args.method)
-    count = args.list if args.list > 0 else 10 if args.method == "dense" else 0
+    count = args.list or (10 if args.method == "dense" else 0)
     if count and spectrum is None:
         spectrum = new_spectrum(lift)
     values = spectrum[:count] if count else []
@@ -124,7 +124,7 @@ def cmd_prob(args) -> int:
         print(f"exponent {form.exponent!r}")
         print(f"stirling-window {lo!r} {hi!r}")
         print(f"log-simple-cap {cap!r}")
-    if args.monte_carlo > 0:
+    if args.monte_carlo:
         est = monte_carlo_probability(spec, args.monte_carlo, rng)
         print(f"monte-carlo {est.estimate!r} stderr {est.std_error!r}")
     return 0
@@ -151,6 +151,13 @@ def cmd_explain(args) -> int:
     return 0 if report.bound_ok else NUMERIC_EXIT
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 0, where 0 means the default or off."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liftlab",
@@ -174,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--method", choices=("auto", "dense", "iterative"),
                       default="auto")
     spec.add_argument("--tol", type=float, default=1e-8)
-    spec.add_argument("--list", type=int, default=0,
+    spec.add_argument("--list", type=_count, default=0,
                       help="print this many leading balanced eigenvalues")
     spec.set_defaults(func=cmd_spectrum)
 
@@ -195,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prob = sub.add_parser("prob", help="matching probability for a block spec")
     prob.add_argument("--spec", required=True)
-    prob.add_argument("--monte-carlo", type=int, default=0)
+    prob.add_argument("--monte-carlo", type=_count, default=0)
     prob.add_argument("--seed", type=int, default=0)
     prob.set_defaults(func=cmd_prob)
 

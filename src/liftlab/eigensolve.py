@@ -2,12 +2,12 @@
 
 Dense path: LAPACK (``numpy.linalg.eigvalsh``) gives the eigenvalues.
 Householder reduction and implicit-shift QL, its sweeps on Python floats,
-serve only ``spectra.new_spectrum``, which takes their bits on a repeated
-extreme modulus. Iterative path: thick-restart Lanczos in a fixed basis of
-48 vectors, driven by a caller-supplied matvec, with full
-reorthogonalization that takes a second Gram-Schmidt pass only when the
-DGKS test asks for it; the Ritz pairs of the small projected matrix come
-from LAPACK (``numpy.linalg.eigh``).
+serve only the dense path's pick of an end on a repeated extreme modulus
+(``spectra._theta``), which takes their bits. Iterative path: thick-restart
+Lanczos in a fixed basis of 48 vectors, driven by a caller-supplied matvec,
+with full reorthogonalization that takes a second Gram-Schmidt pass only
+when the DGKS test asks for it; the Ritz pairs of the small projected
+matrix come from LAPACK (``numpy.linalg.eigh``).
 """
 
 from __future__ import annotations

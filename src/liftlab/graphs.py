@@ -64,6 +64,18 @@ def _check_fibre_size(n) -> None:
         raise ConfigError(f"n must be an integer at least 1 and below 2**63, not {n!r}")
 
 
+def _permutation_array(n: int, make) -> np.ndarray:
+    """make(n), an array of n entries, or MemoryError naming n: numpy refuses n * 8
+    bytes, or near 2**63 wraps that count to a short array."""
+    try:
+        perm = make(n)
+    except ValueError:
+        perm = ()
+    if len(perm) < n:
+        raise MemoryError(f"no array holds a permutation of n = {n}")
+    return perm
+
+
 def _read_int64s(values) -> tuple[np.ndarray | None, bool]:
     """The values as an int64 array of their shape, or None unless all are integers
     (not bools), and whether they came as nested tuples or lists of Python ints,
@@ -347,7 +359,7 @@ class Lift:
 def identity_lift(base: BaseGraph, n: int) -> Lift:
     """The lift in which every matching is the identity (n disjoint copies of H)."""
     _check_fibre_size(n)
-    eye = np.arange(n, dtype=np.int64)
+    eye = _permutation_array(n, lambda m: np.arange(m, dtype=np.int64))
     return Lift._valid(base, n, {e: eye for e in base.edges})
 
 

@@ -226,12 +226,12 @@ class DeviationTable:
     class size, entry weight and weight ** 2; ``weights`` maps each populated
     exponent to its weight.  Every value has the bits of the per-edge formula
     (mu = ab/n, gap = kn/(ab) - 1 and term = w_a w_b (k - mu) for classes of sizes
-    a and b joined by k pairs) while n < 2**26, so the integer products convert exactly.
+    a and b joined by k pairs) while n < 2**26, so the float products are exact.
     """
 
     def __init__(self, pattern: Pattern):
         self.graph = g = ClassGraph(pattern)
-        n, size = pattern.scale.n, len(g.vertices)
+        n, size = float(pattern.scale.n), len(g.vertices)
         exps, which = np.unique(g.exponent, return_inverse=True)
         self.weights = {exp: pattern.scale.weight(exp) for exp in exps.tolist()}
         self.count = pattern.profile.count
@@ -247,7 +247,8 @@ class DeviationTable:
         observed = np.zeros(g.nbr.shape, np.int64)
         observed.reshape(-1)[np.flatnonzero(g.valid)[slot[hit]]] = np.tile(
             pattern.link_counts, 2)[hit]
-        products = self.count[:, None] * self.count[g.nbr]
+        count = self.count.astype(float)  # in int64, products and observed * n overflow for large n
+        products = count[:, None] * count[g.nbr]
         self.mu = products / n
         self.gap = observed * n / products - 1.0
         self.large = g.valid & (self.gap > LARGE_DEVIATION_CUTOFF)

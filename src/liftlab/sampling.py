@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FibresNotAdjacentError, FibresNotDistinctError, LiftlabError
-from .graphs import BaseGraph, Lift, _check_fibre_size, _int64_items, _is_int
+from .graphs import BaseGraph, Lift, _check_fibre_size, _int64_items, _is_int, _permutation_array
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,7 @@ def sample_lift(base: BaseGraph, n: int, rng: SeededRng) -> Lift:
     (seed, stream) and independent across edges.
     """
     _check_fibre_size(n)
-    perms = {}
-    for k, e in enumerate(base.edges):
-        try:  # numpy refuses n * 8 bytes, or near 2**63 wraps that count to a short array
-            perms[e] = rng.generator(k).permutation(n)
-        except ValueError:
-            perms[e] = ()
-        if len(perms[e]) < n:
-            raise MemoryError(f"no array holds a permutation of n = {n}")
+    perms = {e: _permutation_array(n, rng.generator(k).permutation) for k, e in enumerate(base.edges)}
     return Lift._valid(base, n, perms)
 
 

@@ -2,11 +2,11 @@
 
 The adjacency operator of a lift splits along two invariant subspaces:
 vectors constant on every fibre (carrying a copy of the base spectrum)
-and vectors balanced on every fibre. ``new_spectrum`` computes the
-balanced part exactly on an explicit orthonormal basis of the balanced
-subspace; ``lambda_star`` takes its extreme modulus and witness from one
-thick-restart Lanczos solve on the centered operator, at the end that the
-exact spectrum picks on the dense path.
+and vectors balanced on every fibre. The centered operator is zero on the
+first and the adjacency on the second, so ``new_spectrum`` (the balanced
+part) is its spectrum without h kernel zeros. ``lambda_star`` takes its
+extreme modulus and witness from one thick-restart Lanczos solve on the
+centered operator, at the end that the exact spectrum picks on the dense path.
 """
 
 from __future__ import annotations
@@ -78,27 +78,27 @@ def balanced_basis(n: int) -> np.ndarray:
 
 
 def new_spectrum(lift: Lift) -> np.ndarray:
-    """The (n-1)h eigenvalues of the adjacency operator on balanced vectors.
+    """The (n-1)h eigenvalues of the adjacency operator on balanced vectors, sorted
+    descending: LAPACK's values of the centered operator, which agrees with the
+    adjacency there, without its h smallest moduli (the fibre-constant kernel)."""
+    vals = dense_spectrum(lift, "centered")
+    return np.delete(vals, np.argsort(np.abs(vals), kind="stable")[:lift.h])
 
-    Restricts the dense adjacency to a per-fibre orthonormal balanced
-    basis; on that subspace the adjacency and centered operators agree.
-    Sorted descending: LAPACK's values, or Householder + QL's when the extreme
-    modulus is repeated (within 1e-9, relative), as the recorded rows hang on their bits.
+
+def _theta(lift: Lift, vals: np.ndarray) -> float:
+    """The extreme of the new spectrum ``vals`` that the dense path aims Lanczos at.
+
+    On a repeated extreme modulus (within 1e-9, relative), such as a bipartite
+    base's +-theta tie, the recorded rows hang on the end that Householder + QL
+    pick on the adjacency restricted to a per-fibre orthonormal balanced basis.
     """
-    n, h = lift.n, lift.h
-    mat = dense_operator(lift, "adjacency")
-    if n == 1:
-        return np.zeros(0)
-    w = balanced_basis(n)
-    blocks = mat.reshape(h, n, h, n)
-    restricted = np.einsum("ajbk,jp,kq->apbq", blocks, w, w, optimize=True)
-    restricted = restricted.reshape(h * (n - 1), h * (n - 1))
-    restricted = (restricted + restricted.T) / 2.0
-    vals = symmetric_eigenvalues(restricted)
     top = np.abs(vals).max(initial=0.0)
     if np.count_nonzero(np.abs(vals) >= top - 1e-9 * max(1.0, top)) > 1:
-        return tridiagonal_eigenvalues(*householder_tridiagonalize(restricted))
-    return vals
+        n, h, w = lift.n, lift.h, balanced_basis(lift.n)
+        blocks = dense_operator(lift, "adjacency").reshape(h, n, h, n)
+        restricted = np.einsum("ajbk,jp,kq->apbq", blocks, w, w, optimize=True).reshape(h * (n - 1), -1)
+        vals = tridiagonal_eigenvalues(*householder_tridiagonalize((restricted + restricted.T) / 2.0))
+    return float(vals[np.argmax(np.abs(vals))])
 
 
 def lambda_star(lift: Lift, tol: float = 1e-8, rng: SeededRng | None = None,
@@ -140,8 +140,7 @@ def _lambda_star(lift: Lift, tol: float, rng: SeededRng | None,
 
     if method == "dense" or (method == "auto" and n * h <= 600):
         vals = new_spectrum(lift)
-        theta = float(vals[np.argmax(np.abs(vals))])
-        which, gen = "max" if theta > 0 else "min", np.random.default_rng(7)
+        which, gen = "max" if _theta(lift, vals) > 0 else "min", np.random.default_rng(7)
     else:
         vals, which, gen = None, "abs", (rng or SeededRng(0, 991)).generator(17)
     # C is zero on fibre-constant vectors: rounding drift off a balanced start never grows

@@ -246,6 +246,21 @@ def test_bad_seed_tol_or_trials_exits_two(lift_file, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum", "--method", "dense", "--list", "-3"], id="spectrum-dense-list"),
+    pytest.param(["spectrum", "--list", "-3"], id="spectrum-list"),
+    pytest.param(["prob", "--monte-carlo", "-5"], id="prob-monte-carlo"),
+])
+def test_a_negative_count_exits_two_at_parse_time(lift_file, tmp_path, capsys, argv):
+    # these once printed 10 or no eigenvalues, or skipped the estimate, and exited 0
+    spec = tmp_path / "spec.txt"
+    spec.write_text(matching_spec_to_text(MatchingSpec(4, (2, 2), (2, 2), ((2, 0), (0, 2)))))
+    given = ["--lift", lift_file] if argv[0] == "spectrum" else ["--spec", str(spec)]
+    code, out, err = run(capsys, [argv[0], *given, *argv[1:]])
+    assert code == 2 and out == ""
+    assert f"must be at least 0, not {argv[-1]}" in err
+
+
 def _rename_perm_key(doc):
     doc["perms"]["0_1"] = doc["perms"].pop("0-1")
 

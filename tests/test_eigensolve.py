@@ -1,6 +1,4 @@
-import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +7,7 @@ from hypothesis import strategies as st
 
 import liftlab.eigensolve as eigensolve
 import liftlab.spectra as spectra
-from liftlab.eigensolve import (householder_tridiagonalize, lanczos_extreme,
-                                symmetric_eigenvalues, tridiagonal_eigenvalues)
-from liftlab.experiment import run_cell
+from liftlab.eigensolve import lanczos_extreme, symmetric_eigenvalues
 from liftlab.graphs import base_from_name, complete_graph
 from liftlab.sampling import SeededRng, sample_lift
 from liftlab.spectra import lambda_star
@@ -64,26 +60,6 @@ def test_clustered_eigenvalues():
     assert np.allclose(mine, np.sort(vals)[::-1], atol=1e-9)
 
 
-def _balanced_restriction(base, n, seed, monkeypatch):
-    """The matrix new_spectrum hands to the dense solver for one sweep cell's lift."""
-    seen = []
-    solve = spectra.symmetric_eigenvalues
-    monkeypatch.setattr(spectra, "symmetric_eigenvalues", lambda m: seen.append(m) or solve(m))
-    spectra.new_spectrum(sample_lift(base_from_name(base), n, SeededRng(seed)))
-    return seen[0]
-
-
-@pytest.mark.parametrize("base, n, seed, digest", [
-    ("k4", 150, 1, "b852dd304887fdf8c6e9ad3f7b2d8a8d049aea762fcf4febbb705572f65e099c"),
-    ("c6", 100, 6, "881f9101182b8870e14a7dce64a0ef046c52a69bcc4faf836dcfb346875e585f"),
-])
-def test_householder_bits_are_pinned(base, n, seed, digest, monkeypatch):
-    # the c6 witness sign hangs on these bits (the +-theta tie), so the
-    # tridiagonal form of two sweep cells' restrictions is pinned exactly
-    d, e = householder_tridiagonalize(_balanced_restriction(base, n, seed, monkeypatch))
-    assert hashlib.sha256(d.tobytes() + e.tobytes()).hexdigest() == digest
-
-
 def _with_spectrum(vals, seed):
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(vals.size, vals.size)))
     m = (q * vals) @ q.T
@@ -96,17 +72,6 @@ def _count_householder(monkeypatch):
     monkeypatch.setattr(spectra, "householder_tridiagonalize",
                         lambda m: calls.append(m) or real(m))
     return calls
-
-
-def _new_spectrum_of(m, monkeypatch):
-    """``new_spectrum`` of a stand-in 2-lift whose balanced restriction is m up to
-    rounding, and the restriction it solved."""
-    w = spectra.balanced_basis(2)
-    monkeypatch.setattr(spectra, "dense_operator", lambda lift, kind: np.kron(m, w @ w.T))
-    seen, solve = [], spectra.symmetric_eigenvalues
-    monkeypatch.setattr(spectra, "symmetric_eigenvalues", lambda r: seen.append(r) or solve(r))
-    vals = spectra.new_spectrum(SimpleNamespace(n=2, h=len(m)))
-    return vals, seen[0]
 
 
 SIMPLE_EXTREMES = [
@@ -123,57 +88,12 @@ REPEATED_EXTREMES = [
 REPEATED_IDS = ["plus-minus", "repeated", "fourfold", "tie-within-1e-9"]
 
 
-@pytest.mark.parametrize("m", SIMPLE_EXTREMES, ids=["random", "near-tie-1e-6", "negative-extreme"])
-def test_simple_extreme_takes_the_lapack_values(m, monkeypatch):
-    calls = _count_householder(monkeypatch)
-    mine, restricted = _new_spectrum_of(m, monkeypatch)
-    assert np.array_equal(mine, np.linalg.eigvalsh(restricted)[::-1])
-    assert np.allclose(mine, np.linalg.eigvalsh(m)[::-1], atol=1e-12)
-    assert calls == []
-
-
-@pytest.mark.parametrize("m", REPEATED_EXTREMES, ids=REPEATED_IDS)
-def test_repeated_extreme_modulus_takes_the_ql_values(m, monkeypatch):
-    # the dense witness's eigenspace hangs on the bits of theta, which the
-    # recorded rows took from Householder + QL
-    calls = _count_householder(monkeypatch)
-    mine, restricted = _new_spectrum_of(m, monkeypatch)
-    assert len(calls) == 1
-    assert np.array_equal(mine, tridiagonal_eigenvalues(*householder_tridiagonalize(restricted)))
-
-
 @pytest.mark.parametrize("m", SIMPLE_EXTREMES + REPEATED_EXTREMES,
                          ids=["random", "near-tie-1e-6", "negative-extreme", *REPEATED_IDS])
 def test_symmetric_eigenvalues_are_lapacks(m, monkeypatch):
     calls = _count_householder(monkeypatch)
     assert np.array_equal(symmetric_eigenvalues(m), np.linalg.eigvalsh(m)[::-1])
     assert calls == []
-
-
-def test_a_simple_extreme_dense_cell_never_tridiagonalizes(monkeypatch):
-    def refuse(mat):
-        raise AssertionError("Householder ran on a simple extreme")
-
-    monkeypatch.setattr(spectra, "householder_tridiagonalize", refuse)
-    row = run_cell(base_from_name("k4"), 150, 1)
-    assert row.lambda_star > 0.0
-
-
-def test_a_bipartite_dense_cell_tridiagonalizes_once(monkeypatch):
-    calls = _count_householder(monkeypatch)
-    run_cell(base_from_name("c6"), 100, 1)
-    assert len(calls) == 1
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=10**6))
-def test_tridiagonal_matches_numpy(n, seed):
-    rng = np.random.default_rng(seed)
-    d = rng.normal(size=n)
-    e = rng.normal(size=n - 1)
-    m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    ref = np.linalg.eigvalsh(m)[::-1]
-    assert np.allclose(tridiagonal_eigenvalues(d, e), ref, atol=1e-10)
 
 
 # --- Lanczos -----------------------------------------------------------------

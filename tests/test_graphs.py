@@ -249,6 +249,14 @@ def test_identity_lift_reads_its_fibre_size_by_the_sampler_rule(n):
         identity_lift(complete_graph(3), n)
 
 
+@pytest.mark.parametrize("n", [2 ** 60, 2 ** 62, 2 ** 63 - 1])
+def test_an_identity_lift_no_array_holds_is_a_memory_error(n):
+    # 2**60 and 2**62 once ended in a bare ValueError, and 2**63 - 1 in a lift
+    # whose permutations were empty arrays: numpy's byte count wraps
+    with pytest.raises(MemoryError, match=f"permutation of n = {n}$"):
+        identity_lift(complete_graph(3), n)
+
+
 @pytest.mark.parametrize("h", [4.0, True, "4", None])
 def test_a_base_reads_its_vertex_count_as_an_integer(h):
     with pytest.raises(LiftlabError, match="the vertex count must be an integer"):

@@ -498,6 +498,21 @@ def test_regime_cutoff_is_strict():
     assert table.gap[high] > LARGE_DEVIATION_CUTOFF and table.large[high] and not table.small[high]
 
 
+@pytest.mark.parametrize("n", [2 ** 61, 2 ** 62, 2 ** 63, 10 ** 21, 10 ** 30],
+                         ids=["2^61", "2^62", "2^63", "1e21", "1e30"])
+def test_the_table_holds_its_gaps_for_any_fibre_size(n):
+    # int64 products once turned the link's gap n/4 - 1 negative (2**61) or -1.0
+    # (2**62), and from 2**63 potency and reduce_pattern ended in an OverflowError
+    pat = Pattern(complete_graph(3), ClassProfile(DyadicScale(n, 3, 2), {(0, 0): 4, (1, 0): 4, (2, 0): 4}),
+                  {((0, 0), (1, 0)): 4})
+    table = DeviationTable(pat)
+    link = slot(table.graph, (0, 0), (1, 0))
+    assert table.gap[link] == pytest.approx(n / 4 - 1, rel=1e-15) and table.large[link]
+    assert table.large.sum() == 2
+    assert potency(pat) == pytest.approx((4 - 48 / n) / (3 * n), rel=1e-12)
+    assert reduce_pattern(pat).branch == "large"
+
+
 def test_deviation_rate_anchors():
     with pytest.raises(DeviationDomainError):
         deviation_rate(-1.5)

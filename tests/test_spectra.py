@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liftlab.spectra as spectra
 from liftlab.errors import ConfigError, TooLargeError
 from liftlab.graphs import (
     LiftVector,
@@ -94,9 +95,14 @@ def test_multiset_identity_random_lift():
 
 def test_new_spectrum_equals_centered_minus_kernel():
     # the centered operator has exactly h zero eigenvalues on fibre-constant
-    # vectors; the rest is the balanced spectrum
+    # vectors; the rest is the balanced spectrum, here of the oracle adjacency
+    # restricted to an orthonormal balanced basis of each fibre
     lift = random_lift(petersen_graph(), 3, np.random.default_rng(3))
-    lhs = np.concatenate([new_spectrum(lift), np.zeros(10)])
+    basis = np.kron(np.eye(10), balanced_basis(3))
+    restricted = basis.T @ oracle_adjacency(lift) @ basis
+    balanced = np.linalg.eigvalsh((restricted + restricted.T) / 2.0)
+    assert multiset_close(new_spectrum(lift), balanced, tol=1e-8)
+    lhs = np.concatenate([balanced, np.zeros(10)])
     rhs = np.linalg.eigvalsh(oracle_centered(lift))
     assert multiset_close(lhs, rhs, tol=1e-8)
 
@@ -247,23 +253,26 @@ def test_witness_from_a_balanced_start_stays_balanced(name, n, method):
 
 
 def _theta_and_projection(lift):
-    """theta, the new spectrum's extreme, and the projection of the dense path's
-    balanced default_rng(7) start onto theta's eigenspace, by eigh of the dense
-    centered operator."""
-    vals = new_spectrum(lift)
-    theta = float(vals[np.argmax(np.abs(vals))])
+    """theta, the tie pick's extreme of the new spectrum, and the projection of
+    the dense path's balanced default_rng(7) start onto theta's eigenspace, by
+    eigh of the dense centered operator."""
+    theta = spectra._theta(lift, new_spectrum(lift))
     w, v = np.linalg.eigh(oracle_centered(lift))
     space = v[:, np.abs(w - theta) <= 1e-9 * max(1.0, abs(theta))]
     start = balance(LiftVector(np.random.default_rng(7).normal(size=(lift.h, lift.n)))).flat()
     return theta, space @ (space.T @ start), space.shape[1]
 
 
-@pytest.mark.parametrize("name,n,seed,multiplicity", [("c6", 100, 1, 4), ("k4", 150, 1, 1),
-                                                       ("k5", 120, 1, 1), ("petersen", 60, 1, 1)])
+@pytest.mark.parametrize("name,n,seed,multiplicity", [
+    (name, n, seed, multiplicity) for name, n, multiplicities in (
+        ("c6", 100, (4, 3, 2, 3, 3, 6, 5, 6)), ("k4", 150, (1,) * 8),
+        ("k5", 120, (1,) * 8), ("petersen", 60, (1,) * 8))
+    for seed, multiplicity in zip(range(1, 9), multiplicities)])
 def test_dense_witness_is_its_start_projected_onto_the_extreme_eigenspace(
         name, n, seed, multiplicity):
     # a Krylov space holds, within each eigenspace, only the start's projection
-    # onto it, so Lanczos aimed at theta's end returns that projection
+    # onto it, so Lanczos aimed at theta's end returns that projection; every
+    # dense cell of the sweep pool
     lift = sample_lift(base_from_name(name), n, SeededRng(seed))
     theta, projection, found = _theta_and_projection(lift)
     assert found == multiplicity
@@ -272,15 +281,3 @@ def test_dense_witness_is_its_start_projected_onto_the_extreme_eigenspace(
     x = rep.witness.flat()
     assert 1.0 - abs(x @ projection) / (np.linalg.norm(x) * np.linalg.norm(projection)) <= 1e-12
     assert abs(centered_rayleigh(lift, rep.witness) - theta) <= 1e-12
-
-
-@pytest.mark.parametrize("seed", range(1, 9))
-def test_dense_witness_takes_the_sign_of_theta_on_a_bipartite_tie(seed):
-    # on c6 both +-theta are extreme; the exact spectrum's theta picks the end
-    lift = sample_lift(base_from_name("c6"), 100, SeededRng(seed))
-    vals = new_spectrum(lift)
-    theta = float(vals[np.argmax(np.abs(vals))])
-    assert np.min(np.abs(vals + theta)) <= 1e-9
-    rep = lambda_star(lift, rng=SeededRng(seed, 101))
-    assert rep.method == "dense"
-    assert np.sign(centered_rayleigh(lift, rep.witness)) == np.sign(theta)
