@@ -58,8 +58,8 @@ class DyadicScale:
 
     - ``weight``: the entry value 2^e/sqrt(nh);
     - ``max_spread``: one band holds exponents at most s apart, 2^s <= d;
-    - ``within_cap``: the squared norm sum(count * 4^e) is at most ``norm_cap``, 10nh;
-      ``headroom`` gives the largest k with 4^k * mass <= 10nh;
+    - ``mass``: the squared norm sum(count * 4^e), exactly; ``within_cap``: it is at
+      most ``norm_cap``, 10nh; ``headroom`` gives the largest k with 4^k * mass <= 10nh;
     - ``gap_limit``: two entries are comparable, 4^g < d, when their
       exponent gap g is below it (never when d = 1);
     - ``window_level``: band selection's level of e, the largest m with d^m <= 4^e.
@@ -103,12 +103,17 @@ class DyadicScale:
         when the mass alone exceeds the cap."""
         return ((self.norm_cap((self.h, self.n)) // mass).bit_length() - 1) // 2
 
+    @staticmethod
+    def mass(classes: Sequence[tuple[int, int]]) -> int:
+        """The exact sum(count * 4^e) over (exponent, count) pairs with e >= 0."""
+        return sum(c * 4 ** e for e, c in classes)
+
     def within_cap(self, classes: Sequence[tuple[int, int]]) -> bool:
-        """sum(count * 4^e) <= 10nh over (exponent, count) pairs with e >= 0 and
-        count >= 1; an exponent above ``headroom(1)`` fails before 4^e is formed."""
+        """``mass`` <= 10nh over (exponent, count) pairs with e >= 0 and count >= 1;
+        an exponent above ``headroom(1)`` fails before 4^e is formed."""
         top = self.headroom(1)
         return (all(e <= top for e, _ in classes)
-                and sum(c * 4 ** e for e, c in classes) <= self.norm_cap((self.h, self.n)))
+                and self.mass(classes) <= self.norm_cap((self.h, self.n)))
 
     def check_band(self, classes: Sequence[tuple[int, int]], error: type[LiftlabError]) -> None:
         """Raise ``error`` unless the (exponent, count >= 1) pairs have nonnegative
@@ -217,14 +222,6 @@ def signed_exponents(x: LiftVector) -> tuple[np.ndarray, np.ndarray]:
     return (expo - 1) * nonzero, nonzero
 
 
-def int_norm_sq(exponents: np.ndarray, nonzero: np.ndarray) -> int:
-    """Exact squared norm (an integer) of a vector with entries +-2^e, e >= 0."""
-    live = exponents[nonzero]
-    low = int(live.min()) if live.size else 0
-    counts = np.bincount(live - low).tolist()
-    return sum(c * 4 ** (low + e) for e, c in enumerate(counts) if c)
-
-
 # ---------------------------------------------------------------------------
 # randomized rounding
 
@@ -273,7 +270,7 @@ def _check_compatible(yv: np.ndarray, zv: np.ndarray) -> None:
     classes = []
     for v, name in ((yv, "first"), (zv, "second")):
         exps, mask = signed_exponents(LiftVector(v))
-        if int_norm_sq(exps, mask) > DyadicScale.norm_cap(v.shape, rounded=True):
+        if DyadicScale.mass(_classes(exps[mask])) > DyadicScale.norm_cap(v.shape, rounded=True):
             raise NotBandVectorError(f"{name} vector exceeds the rounded-class norm cap")
         classes.append((exps, mask))
     (ey, my), (ez, mz) = classes
@@ -396,10 +393,6 @@ class DyadicBandVector:
             object.__setattr__(self, name, array)
 
     @property
-    def norm_sq(self) -> float:
-        return int_norm_sq(self.exponents, self.nonzero) / self.scale.size
-
-    @property
     def vector(self) -> LiftVector:
         # 2^e * weight(0) is weight(e) exactly: scaling by 2^e rounds alike
         return LiftVector(np.ldexp(self.scale.weight(0), self.exponents) * self.nonzero)
@@ -446,16 +439,17 @@ def band_select(y: LiftVector, lift: Lift) -> DyadicBandVector:
         return DyadicBandVector.zero(scale)
     levels = {e: scale.window_level(e) for e, _ in classes}
 
-    def score(wmask: np.ndarray) -> float:
+    def weigh(m: int) -> tuple[float, np.ndarray, int]:
+        """Window m, the exponents with d^m <= 4^e < d^(m+2): form per mass, mask, mass."""
+        kept = [(e, c) for e, c in classes if m <= levels[e] <= m + 1]
+        wmask, mass = mask & np.isin(exps, [e for e, _ in kept]), scale.mass(kept)
         trunc = LiftVector(y.values * wmask)
         form = abs(quad_form_restricted(lift, "centered", trunc, trunc, "comparable"))
-        return form / int_norm_sq(exps, wmask)
+        return form / mass, wmask, mass
 
-    # window m holds the exponents with d^m <= 4^e < d^(m+2); the first best wins
-    wmask = max((mask & np.isin(exps, [e for e, lv in levels.items() if m <= lv <= m + 1])
-                 for m in sorted({lv - t for lv in levels.values() for t in (0, 1) if lv >= t})),
-                key=score)
-    return DyadicBandVector(scale, (exps + scale.headroom(int_norm_sq(exps, wmask))) * wmask, wmask)
+    windows = sorted({lv - t for lv in levels.values() for t in (0, 1) if lv >= t})
+    _, wmask, mass = max(map(weigh, windows), key=lambda w: w[0])  # the first best wins
+    return DyadicBandVector(scale, (exps + scale.headroom(mass)) * wmask, wmask)
 
 
 # ---------------------------------------------------------------------------

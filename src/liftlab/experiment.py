@@ -86,6 +86,14 @@ def rows_to_csv(rows) -> str:
     return "\n".join([CSV_HEADER] + [",".join(row.csv_values()) for row in rows]) + "\n"
 
 
+def _check_stages(stages) -> tuple[str, ...]:
+    """The stages as a tuple; ConfigError unless a non-empty tuple or list of names in STAGES."""
+    names = tuple(stages) if isinstance(stages, (tuple, list)) else ()
+    if not names or any(name not in STAGES for name in names):
+        raise ConfigError(f"stages must be a non-empty list of names from {STAGES}, not {stages!r}")
+    return names
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     base: BaseGraph
@@ -97,15 +105,13 @@ class ExperimentConfig:
     trials: int = 40
 
     def __post_init__(self):
-        if not (self.n_values and self.seeds and self.stages):
-            raise ConfigError("need at least one n, one seed and one stage")
+        if not (self.n_values and self.seeds):
+            raise ConfigError("need at least one n and one seed")
         for n in self.n_values:
             _check_fibre_size(n)
         for seed in self.seeds:
             SeededRng(seed)
-        for stage in self.stages:
-            if stage not in STAGES:
-                raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
+        object.__setattr__(self, "stages", _check_stages(self.stages))
         _check_tol(self.tolerance)
         _check_count(self.trials, "trials")
 
@@ -117,10 +123,9 @@ def _json_str(value) -> str:
 
 
 # optional config key -> (ExperimentConfig field, parser); ExperimentConfig checks the
-# tolerance and the trials
+# tolerance, the stages and the trials
 _CONFIG_OPTIONS = {"tolerance": ("tolerance", lambda v: v), "out": ("out_csv", _json_str),
-                   "stages": ("stages", lambda v: tuple(str(s) for s in v)),
-                   "trials": ("trials", lambda v: v)}
+                   "stages": ("stages", lambda v: v), "trials": ("trials", lambda v: v)}
 _CONFIG_KEYS = {"base", "base_file", "n", "seeds", *_CONFIG_OPTIONS}
 
 
@@ -162,7 +167,7 @@ def run_cell(base: BaseGraph, n: int, seed: int,
     Later stages need earlier ones, so prerequisites are computed as needed;
     only the requested stages fill CSV fields.
     """
-    stages = tuple(stages)
+    stages = _check_stages(stages)
     t0 = time.perf_counter()
     lift = sample_lift(base, n, SeededRng(seed))
     row = ResultRow(seed=seed, h=base.h, d=base.d, n=n)

@@ -422,7 +422,8 @@ def balance(x: LiftVector) -> LiftVector:
 # operations, in the order, that it applies to a single array. The adjacency
 # gathers each vertex's d neighbours and adds them from 0.0 in ``perms`` order,
 # and the expectation adds the fibre sums of each fibre's base neighbours from
-# 0.0 in edge order, so every entry gets the sum a per-edge loop would give.
+# 0.0 in edge order, so every entry gets the sum a per-edge loop would give; it
+# returns that value once per fibre, as an (..., h, 1) column that broadcasts.
 
 
 def _adjacency_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
@@ -432,7 +433,7 @@ def _adjacency_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
 
 def _expected_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
     acc = np.add.reduce(arr.sum(axis=-1)[..., lift.base.neighbour_index()], axis=-2, initial=0.0)
-    return np.repeat(acc[..., None] / lift.n, lift.n, axis=-1)
+    return acc[..., None] / lift.n
 
 
 def _centered_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
@@ -452,7 +453,7 @@ def apply_operator(lift: Lift, kind: str, x: LiftVector) -> LiftVector:
     """Multiply by the chosen operator: "adjacency", "expected" or "centered"."""
     kernel = _kernel(kind)
     check_shape(lift, x)
-    return LiftVector(kernel(lift, x.values))
+    return LiftVector(np.broadcast_to(kernel(lift, x.values), x.values.shape))
 
 
 def apply_adjacency(lift: Lift, x: LiftVector) -> LiftVector:

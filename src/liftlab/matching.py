@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidMarginalsError, TooLargeError
+from .errors import InvalidMarginalsError, TooLargeError
 from .graphs import _check_count, _int64_items, _is_int
 from .patterns import deviation_rate
 from .sampling import SeededRng
@@ -176,8 +176,8 @@ def simplified_bound_constant(a_blocks: int, b_blocks: int) -> float:
     counts is at least the row sum divided by the number of columns (and
     symmetrically), which controls chi by the quarter-power product.
     """
-    if a_blocks < 1 or b_blocks < 1:
-        raise ConfigError("need at least one block per side")
+    _check_count(a_blocks, "a_blocks")
+    _check_count(b_blocks, "b_blocks")
     s = a_blocks - 1
     t = b_blocks - 1
     log_c = 0.5 * (s + t) * math.log(2.0 * math.pi)

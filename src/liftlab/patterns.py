@@ -98,10 +98,6 @@ class ClassProfile:
         object.__setattr__(self, "counts", MappingProxyType(
             dict(zip(zip(fibre.tolist(), exps), sizes))))
 
-    @classmethod
-    def from_band_vector(cls, vec: DyadicBandVector) -> "ClassProfile":
-        return cls(vec.scale, vec.histogram())
-
     @property
     def vertices(self) -> tuple[ClassVertex, ...]:
         return tuple(self.counts)
@@ -352,7 +348,7 @@ def extract_pattern(vec: DyadicBandVector, lift: Lift) -> tuple[Pattern, dict]:
         raise NotBandVectorError("expected a dyadic band vector")
     if vec.scale != DyadicScale.of(lift):
         raise DimensionMismatchError("vector scale does not match the lift")
-    profile = ClassProfile.from_band_vector(vec)
+    profile = ClassProfile(vec.scale, vec.histogram())
     links, width = {}, int(vec.exponents.max(initial=0)) + 1
     for (u, v), perm in lift.perms.items():  # u < v, so ((u, eu), (v, ev)) is canonical
         mask = vec.nonzero[u] & vec.nonzero[v][perm]
@@ -545,7 +541,7 @@ def pattern_count_bound(n: int, h: int, d: int, max_count: int) -> float:
     """Natural log of the counting bound log2(nh) * max_count^(2 h d log2 d)
     on patterns whose class sizes all stay below max_count."""
     _check_count(max_count, "max_count")
-    if n * h < 2:
+    if DyadicScale(n, h, d).size < 2:  # rejects a non-positive or non-integer n, h or d
         raise ConfigError("need at least two lift vertices")
     return math.log(math.log2(n * h)) + 2.0 * h * d * math.log2(d) * math.log(max_count)
 

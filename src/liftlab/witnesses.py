@@ -75,15 +75,6 @@ def clique_witness(lift: Lift, vertices: Sequence[tuple[int, int]]) -> WitnessRe
     return result
 
 
-def half_edge_counts(lift: Lift, halves: Sequence[Iterable[int]]) -> dict:
-    """Matched pairs inside the chosen halves, per base edge."""
-    masks = _half_masks(lift, halves)
-    out = {}
-    for (u, v), perm in lift.perms.items():
-        out[(u, v)] = int(np.count_nonzero(masks[u] & masks[v][perm]))
-    return out
-
-
 def _half_masks(lift: Lift, halves: Sequence[Iterable[int]]) -> np.ndarray:
     if len(halves) != lift.h:
         raise BadHalfSizesError(f"need one half per fibre, got {len(halves)}")
@@ -113,11 +104,12 @@ def bipartition_witness(lift: Lift, halves: Sequence[Iterable[int]]) -> WitnessR
     n, h, d = lift.n, lift.h, lift.base.d
     root = math.sqrt(n * h)
     values = np.where(masks, 1.0, -1.0) / root
-    counts = half_edge_counts(lift, halves)
-    surplus = min(e - n / 4.0 for e in counts.values())
+    # matched pairs inside the halves, per base edge
+    counts = [int(np.count_nonzero(masks[u] & masks[v][p])) for (u, v), p in lift.perms.items()]
+    surplus = min(e - n / 4.0 for e in counts)
     strength = surplus * math.sqrt(d) / n
     result = _result(lift, LiftVector(values), 2.0 * strength * math.sqrt(d))
-    expected = (2.0 / (n * h)) * sum(4 * e - n for e in counts.values())
+    expected = (2.0 / (n * h)) * sum(4 * e - n for e in counts)
     if abs(abs(expected) - result.rayleigh) > 1e-9 * max(1.0, abs(expected)):
         raise LiftlabError("bipartition quotient disagrees with the edge counts")
     return result

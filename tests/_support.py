@@ -179,6 +179,15 @@ def is_rounded_vector(x: LiftVector) -> bool:
     return sum(int(m) ** 2 for m in mags) <= 5 * x.values.size
 
 
+def int_norm_sq(exponents: np.ndarray, nonzero: np.ndarray) -> int:
+    """Exact squared norm (an integer) of a vector with entries +-2^e, e >= 0, from
+    a bincount of its exponents: the oracle for ``DyadicScale.mass``."""
+    live = exponents[nonzero]
+    low = int(live.min()) if live.size else 0
+    counts = np.bincount(live - low).tolist()
+    return sum(c * 4 ** (low + e) for e, c in enumerate(counts) if c)
+
+
 def two_pass_comparable_mask(ux: np.ndarray, uy: np.ndarray, d: int) -> np.ndarray:
     """The comparable region as two separate tests, a^2 < d b^2 and b^2 < d a^2,
     each with its own exact-rational pass over the pairs near its boundary."""

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from liftlab.dyadic import (
     band_select,
     dyadic_certificate,
     dyadic_round,
-    int_norm_sq,
     polarize,
     quad_form,
     quad_form_restricted,
@@ -37,8 +37,8 @@ from liftlab.graphs import LiftVector, balance, base_from_name, complete_graph, 
 from liftlab.sampling import SeededRng, plant_clique, sample_lift
 from liftlab.spectra import lambda_star
 
-from _support import (is_rounded_vector, oracle_adjacency, oracle_centered, oracle_expected,
-                      random_lift, two_pass_comparable_mask)
+from _support import (int_norm_sq, is_rounded_vector, oracle_adjacency, oracle_centered,
+                      oracle_expected, random_lift, two_pass_comparable_mask)
 
 
 # --- independent restricted-form oracle (exact rational pair classification) --
@@ -557,6 +557,16 @@ def test_rounded_norm_cap_is_exact():
         _check_compatible(at_cap, over)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=600), st.booleans()),
+                min_size=1, max_size=40))
+def test_mass_is_the_exact_squared_norm(entries):
+    exps = np.array([e for e, _ in entries], dtype=np.int64)
+    mask = np.array([live for _, live in entries])
+    classes = sorted(Counter(exps[mask].tolist()).items())
+    assert DyadicScale.mass(classes) == int_norm_sq(exps, mask)
+
+
 # --- band vectors and band_select ---------------------------------------------------
 
 
@@ -567,7 +577,7 @@ def test_band_vector_invariants():
     exps[0, 0], mask[0, 0] = 1, True
     exps[1, 2], mask[1, 2] = 0, True
     v = DyadicBandVector(scale, exps, mask)
-    assert v.norm_sq == pytest.approx((4 + 1) / 12)
+    assert int_norm_sq(v.exponents, v.nonzero) == 4 + 1
     assert v.histogram() == {(0, 1): 1, (1, 0): 1}
     assert v.vector.values[0, 0] == pytest.approx(2 / math.sqrt(12))
 
@@ -674,7 +684,7 @@ def test_band_certificate_disjoint_k6():
     rep = band_certificate(lift, trials=30, rng=SeededRng(2))
     assert isinstance(rep, BandCertificateReport)
     assert rep.met  # target is negative at this scale
-    assert rep.vector.norm_sq <= 10 + 1e-12
+    assert int_norm_sq(rep.vector.exponents, rep.vector.nonzero) <= 10 * lift.num_vertices
 
 
 def test_band_certificate_planted_clique():
@@ -682,7 +692,7 @@ def test_band_certificate_planted_clique():
     rep = band_certificate(lift, trials=20, rng=SeededRng(4))
     assert rep.spectral.lambda_star >= 4 - 1e-6
     assert rep.met
-    assert rep.vector.norm_sq <= 10 + 1e-12
+    assert int_norm_sq(rep.vector.exponents, rep.vector.nonzero) <= 10 * lift.num_vertices
 
 
 def test_band_certificate_chain_consistency():

@@ -121,6 +121,7 @@ def test_config_from_json_raises_config_errors_for_bad_values(tmp_path):
                 '{"base": "k4", "n": [[10]], "seeds": [1]}',
                 '{"base": "k4", "n": [10], "seeds": [1], "trials": "many"}',
                 '{"base": "k4", "n": [10], "seeds": [1], "stages": 3}',
+                '{"base": "k4", "n": [10], "seeds": [1], "stages": "spectrum"}',
                 '{"base_file": %s, "n": [10], "seeds": [1]}' % json.dumps(str(bad_base)),
                 '{"base_file": 7, "n": [10], "seeds": [1]}',
                 '{"base": "k4", "n": [10], "seeds": [1],',
@@ -173,6 +174,19 @@ def test_run_cell_respects_stage_selection():
     witness_only = run_cell(K4, 20, 2, stages=("witnesses",), trials=4)
     assert witness_only.reduce_branch is None
     assert witness_only.wall_ms > 0.0
+
+
+@pytest.mark.parametrize("stages", [("certficate",), [], "spectrum", ("spectrum", None), None],
+                         ids=["misspelled", "empty", "str", "none-name", "none"])
+def test_run_cell_checks_its_stages_before_it_samples(stages, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cell sampled a lift before it checked its stages")
+
+    monkeypatch.setattr(exp, "sample_lift", refuse)
+    with pytest.raises(ConfigError, match="stages must be"):
+        run_cell(K4, 5, 1, stages=stages)
+    with pytest.raises(ConfigError, match="stages must be"):
+        ExperimentConfig(K4, (5,), (1,), stages=stages)
 
 
 def test_run_cell_degree_one_has_no_ramanujan_radius():

@@ -275,6 +275,12 @@ def test_simplified_constant_grows_with_block_counts():
         simplified_bound_constant(0, 1)
 
 
+@pytest.mark.parametrize("blocks", [(1.5, 1), (True, True), (2, "2")], ids=["half", "bools", "str"])
+def test_simplified_constant_reads_block_counts_as_counts(blocks):
+    with pytest.raises(ConfigError, match="_blocks must be an integer of at least 1"):
+        simplified_bound_constant(*blocks)
+
+
 def test_asymptotic_forms_require_nonempty_blocks():
     spec = MatchingSpec(2, (2, 0), (1, 1), ((1, 1), (0, 0)))
     with pytest.raises(InvalidMarginalsError):

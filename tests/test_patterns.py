@@ -312,7 +312,7 @@ def test_profile_from_band_vector_matches_histogram():
     scale = DyadicScale(6, 3, 4)
     rng = np.random.default_rng(7)
     vec = random_band_vector(scale, rng)
-    prof = ClassProfile.from_band_vector(vec)
+    prof = ClassProfile(vec.scale, vec.histogram())
     assert dict(prof.counts) == vec.histogram()
 
 
@@ -698,7 +698,7 @@ def pair_loop_pattern(vec, lift):
             jp = int(perm[j])
             if vec.nonzero[u, j] and vec.nonzero[v, jp]:
                 links[(u, int(vec.exponents[u, j])), (v, int(vec.exponents[v, jp]))] += 1
-    return Pattern(lift.base, ClassProfile.from_band_vector(vec), dict(links))
+    return Pattern(lift.base, ClassProfile(vec.scale, vec.histogram()), dict(links))
 
 
 @pytest.mark.parametrize("name", ["k4", "c6", "petersen"])
@@ -1415,6 +1415,14 @@ def test_count_bound_and_enumeration_read_max_count_as_an_integer(max_count):
         pattern_count_bound(4, 3, 2, max_count)
     with pytest.raises(ConfigError, match="max_count"):
         enumerate_patterns(4, 3, 2, max_count)
+
+
+@pytest.mark.parametrize("n, h, d", [(10, 4, 0), (2.5, 4, 3), (True, 4, 3), (10, 4.0, 3),
+                                     (10, 4, -1), (10, False, 3)],
+                         ids=["d-zero", "n-half", "n-bool", "h-float", "d-negative", "h-bool"])
+def test_count_bound_reads_its_dimensions_as_the_scale_does(n, h, d):
+    with pytest.raises(LiftlabError, match="n, h and d must be integers"):
+        pattern_count_bound(n, h, d, 3)
 
 
 def test_enumerate_patterns_with_explicit_base():

@@ -7,6 +7,10 @@ used by library code outside its own definition, or is named below; and no
 module of the library or of its tests imports a name it does not use. A
 docstring that cites a name is not a use, and neither is an attribute of an
 imported module: ``np.zeros`` does not use a library method ``zeros``.
+
+A use is found by name alone, so a method name that two library classes define
+passes for both on a use of either. Each such name is listed below with a reason
+for each class that defines it.
 """
 
 import ast
@@ -23,6 +27,17 @@ KEPT = {
     "enumerate_patterns": "acceptance criteria check the pattern count bound against it",
     "pattern_count_bound": "acceptance criteria check it against enumerate_patterns",
     "pattern_from_text": "the only reader of the format `reduce --show-pattern` writes",
+}
+
+# public method names that two or more library classes define, one reason per class
+SHARED = {
+    "d": {"BaseGraph": "the sweep rows and DyadicScale.of read the base degree",
+          "Lift": "the comparable region and the certificate target read the lift's degree"},
+    "h": {"Lift": "every operator and vector shape reads the lift's fibre count",
+          "LiftVector": "the rounding's norm bound reads a vector's fibre count"},
+    "neighbour_index": {
+        "BaseGraph": "the expectation kernel and the census class graph gather through it",
+        "Lift": "the adjacency kernel, the weight grids and induced subgraphs gather through it"},
 }
 
 
@@ -94,6 +109,16 @@ def test_every_public_method_has_a_library_use():
             if not any(method.name in _used_names(*u) for u in users):
                 unused.append(f"{stem}.{cls.name}.{method.name}")
     assert unused == []
+
+
+def test_a_method_name_on_two_classes_is_listed_with_a_reason_for_each():
+    owners = {}
+    for tree in _modules().values():
+        for cls, method in _public_methods(tree):
+            owners.setdefault(method.name, set()).add(cls.name)
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    assert {name: set(reasons) for name, reasons in SHARED.items()} == shared
+    assert all(reason for reasons in SHARED.values() for reason in reasons.values())
 
 
 def test_the_kept_names_still_exist_and_are_not_exported():

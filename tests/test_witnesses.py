@@ -36,7 +36,6 @@ from liftlab.witnesses import (
     bipartition_witness,
     clique_witness,
     embed_subgraph_witness,
-    half_edge_counts,
     pattern_witness_bound,
 )
 
@@ -139,15 +138,24 @@ def test_bipartition_edge_count_formula():
     rng = np.random.default_rng(8)
     lift = random_lift(complete_graph(4), 12, rng)
     halves = [rng.choice(12, size=6, replace=False) for _ in range(4)]
-    counts = half_edge_counts(lift, halves)
-    # recount by brute force
+    # count the matched pairs inside the halves by brute force
     sets = [set(int(x) for x in half) for half in halves]
-    for (u, v), perm in lift.perms.items():
-        expect = sum(1 for j in sets[u] if int(perm[j]) in sets[v])
-        assert counts[(u, v)] == expect
+    counts = [sum(1 for j in sets[u] if int(perm[j]) in sets[v])
+              for (u, v), perm in lift.perms.items()]
     w = bipartition_witness(lift, halves)
-    total = sum(4 * e - 12 for e in counts.values())
+    total = sum(4 * e - 12 for e in counts)
     assert w.rayleigh == pytest.approx(abs(total) * 2 / (4 * 12), rel=1e-9, abs=1e-12)
+    # K = (worst surplus e - n/4) sqrt(d) / n, and the claim is 2 K sqrt(d)
+    assert w.claimed_bound == pytest.approx(2 * 3 * min(e - 3 for e in counts) / 12, rel=1e-12)
+
+
+def test_bipartition_reads_one_shot_halves_once():
+    lift = random_lift(complete_graph(4), 12, np.random.default_rng(8))
+    halves = [list(range(6)), [0, 2, 4, 6, 8, 10], list(range(3, 9)), [1, 2, 3, 9, 10, 11]]
+    w = bipartition_witness(lift, halves)
+    once = bipartition_witness(lift, [iter(half) for half in halves])
+    assert once.vector.values.tobytes() == w.vector.values.tobytes()
+    assert (once.rayleigh, once.claimed_bound) == (w.rayleigh, w.claimed_bound)
 
 
 def test_bipartition_random_halves_report():
@@ -361,6 +369,7 @@ def test_vertex_lists_read_integers_only(call, vertices):
 @pytest.mark.parametrize("bad", [1.5, True, (0, 1)], ids=["half", "bool", "pair"])
 def test_half_positions_read_integers_only(bad):
     lift = identity_lift(complete_graph(3), 4)
-    assert half_edge_counts(lift, [[0, 1], [0, 1], [0, 1]]) == {(0, 1): 2, (0, 2): 2, (1, 2): 2}
+    # 2 matched pairs inside the halves on each edge: the quotient is 2/12 * 3 * (8 - 4) = 2
+    assert bipartition_witness(lift, [[0, 1], [0, 1], [0, 1]]).rayleigh == pytest.approx(2.0)
     with pytest.raises(BadHalfSizesError, match="positions must be integers"):
-        half_edge_counts(lift, [[0, bad], [0, 1], [0, 1]])
+        bipartition_witness(lift, [[0, bad], [0, 1], [0, 1]])
