@@ -5,9 +5,10 @@ Householder reduction and implicit-shift QL, its sweeps on Python floats,
 serve only the dense path's pick of an end on a repeated extreme modulus
 (``spectra._theta``), which takes their bits. Iterative path: thick-restart
 Lanczos in a fixed basis of 48 vectors, driven by a caller-supplied matvec,
-with full reorthogonalization that takes a second Gram-Schmidt pass only
-when the DGKS test asks for it; the Ritz pairs of the small projected
-matrix come from LAPACK (``numpy.linalg.eigh``).
+with partial reorthogonalization: an estimate of the basis's loss of
+orthogonality decides when a step runs the full Gram-Schmidt pass, which
+takes a second pass only when the DGKS test asks for it; the Ritz pairs of
+the small projected matrix come from LAPACK (``numpy.linalg.eigh``).
 """
 
 from __future__ import annotations
@@ -18,11 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConvergedError
+from .graphs import _is_int, _is_real
 
 _EPS = np.finfo(np.float64).eps
 # Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30, 1976): a second Gram-Schmidt
 # pass is needed only when the first left less than this fraction of the norm.
 _DGKS = 1.0 / math.sqrt(2.0)
+# Lanczos runs the full pass once an estimated inner product passes this level.
+# At Simon's sqrt(eps), the coefficients a full pass drops from the Lanczos
+# relation (omega * beta) spoiled Ritz vectors next to a closing Krylov space.
+_OMEGA_MAX = _EPS ** 0.75
 
 
 def householder_tridiagonalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +124,7 @@ def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Thick-restart Lanczos with full reorthogonalization
+# Thick-restart Lanczos with partial reorthogonalization
 
 
 @dataclass
@@ -129,6 +135,7 @@ class IterativeResult:
     residual: float
     converged: bool
     restarts: int
+    full_passes: int
 
 
 def _ritz_pairs(t: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -156,37 +163,51 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
     taken in such a subspace restricts the whole computation to it.
 
     Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22(2),
-    2000) in a basis of m = ``max_basis`` vectors. Each step takes one
-    classical Gram-Schmidt pass against the basis, and a second only when
-    the first left less than 1/sqrt(2) of the vector's norm (the DGKS test).
-    A full basis keeps its m // 3 Ritz vectors nearest the wanted end and
-    continues from the last Lanczos vector, so the projected matrix is
-    diagonal on the kept block, with an arrowhead row coupling it to that
-    vector, then tridiagonal. Every 8 steps LAPACK gives its Ritz pair,
-    converged once the implicit residual beta*|s_last| drops below tol
-    times the scale max|alpha| + max beta over all steps. After
-    ``max_iter`` steps the current Ritz pair is returned, unconverged.
+    2000) in a basis of m = ``max_basis`` vectors, with partial
+    reorthogonalization (Simon, Math. Comp. 42, 1984): each step updates the
+    estimate omega of its new vector's inner products with the basis,
+    beta_k omega_{k+1,j} = sum_i t_ij omega_ki - t_ik omega_ij over the
+    projected matrix t, plus a rounding term eps sqrt(dim) scale of omega's
+    sign. The full classical Gram-Schmidt pass (with a second only when the
+    first left less than 1/sqrt(2) of the norm: the DGKS test) runs when an
+    estimate passes eps**0.75, on the step after, and on a nearly closed
+    Krylov space; ``full_passes`` counts those steps. A full basis keeps its
+    m // 3 Ritz vectors nearest the wanted end, mapping their estimates as
+    their vectors, and continues from the last Lanczos vector, so the
+    projected matrix is diagonal on the kept block, with an arrowhead row
+    coupling it to that vector, then tridiagonal. Every 8 steps LAPACK
+    gives its Ritz pair, converged once the implicit residual
+    beta*|s_last| drops below tol times the scale max|alpha| + max beta over
+    all steps. After ``max_iter`` steps the current Ritz pair is returned,
+    unconverged.
     """
     if which not in ("max", "min", "abs"):
         raise ValueError("which must be max, min, or abs")
-    if max_basis < 2:
-        raise ValueError("max_basis must be at least 2")
+    if not (_is_int(max_basis) and max_basis >= 2):
+        raise ValueError(f"max_basis must be an integer of at least 2, not {max_basis!r}")
+    if not (_is_real(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, not {tol!r}")
     if max_iter is None:
         max_iter = 10 * dim
+    elif not (_is_int(max_iter) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer of at least 1, not {max_iter!r}")
     v = np.array(start, dtype=np.float64).reshape(-1)
     if v.shape != (dim,):
         raise ValueError("start vector has wrong length")
     nv = math.sqrt(float(v @ v))
     if nv == 0.0:
-        return IterativeResult(0.0, v, 0, 0.0, True, 0)
+        return IterativeResult(0.0, v, 0, 0.0, True, 0, 0)
 
     m = min(max_basis, dim)
     keep = max(1, m // 3)
     basis = np.empty((m + 1, dim))
     basis[0] = v / nv
     t = np.zeros((m, m))  # projected matrix basis[:k] A basis[:k]^T
-    k = total_iters = restarts = 0  # k: basis vectors before this step
+    om = np.zeros((m + 1, m + 1))  # Simon's omega: the estimate of basis basis^T - I
+    noise = _EPS * math.sqrt(dim)  # one step's rounding, in units of scale
+    k = total_iters = restarts = full_passes = 0  # k: basis vectors before this step
     amax = bmax = 0.0
+    lost = False  # the last step's estimate passed _OMEGA_MAX
     while True:
         q = basis[k]
         w = matvec(q)
@@ -196,17 +217,28 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
         if k:  # right after a restart, basis[keep] couples to every kept vector
             lo = 0 if restarts and k == keep else k - 1
             w -= t[lo:k, k] @ basis[lo:k]
-        known = basis[: k + 1]
-        before = math.sqrt(float(w @ w))
-        w -= known.T @ (known @ w)
-        b = math.sqrt(float(w @ w))
-        if b < _DGKS * before:  # cancellation: one more Gram-Schmidt pass
-            w -= known.T @ (known @ w)
-            b = math.sqrt(float(w @ w))
-        total_iters += 1
-        k += 1
         amax = max(amax, abs(a))
         scale = max(1.0, amax + bmax)
+        b = math.sqrt(float(w @ w))
+        full, lost = lost or b <= 1e3 * _EPS * scale, False  # pairing; a closing Krylov space
+        om[k + 1, k] = om[k, k + 1] = _EPS
+        if k and not full:  # beta_k omega_{k+1,j} = sum_i t_ij omega_ki - t_ik omega_ij
+            est = om[k, :k + 1] @ t[:k + 1, :k] - t[lo:k + 1, k] @ om[lo:k + 1, :k]
+            est += np.copysign(noise * scale, est)
+            est /= b
+            om[k + 1, :k] = om[:k, k + 1] = est
+            full = lost = float(np.abs(est).max()) > _OMEGA_MAX
+        if full:
+            known = basis[: k + 1]
+            w -= known.T @ (known @ w)
+            before, b = b, math.sqrt(float(w @ w))
+            if b < _DGKS * before:  # cancellation: one more Gram-Schmidt pass
+                w -= known.T @ (known @ w)
+                b = math.sqrt(float(w @ w))
+            om[k + 1, :k] = om[:k, k + 1] = _EPS
+            full_passes += 1
+        total_iters += 1
+        k += 1
         exact = b <= 1e3 * _EPS * scale  # the Krylov space is invariant
         if not exact:
             bmax = max(bmax, b)
@@ -218,15 +250,18 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
             resid = 0.0 if exact else b * abs(float(vecs[-1, i]))
             if resid <= tol * scale or total_iters >= max_iter:
                 x = basis[:k].T @ vecs[:, i]
-                return IterativeResult(float(vals[i]), x / math.sqrt(float(x @ x)),
-                                       total_iters, resid, resid <= tol * scale, restarts)
+                return IterativeResult(float(vals[i]), x / math.sqrt(float(x @ x)), total_iters,
+                                       resid, resid <= tol * scale, restarts, full_passes)
             if k == m:  # thick restart: keep the Ritz vectors nearest the wanted end
                 near = np.abs(vals) if which == "abs" else vals if which == "max" else -vals
                 kept = np.argsort(near, kind="stable")[-keep:]
-                basis[:keep] = vecs[:, kept].T @ basis[:m]
+                s = vecs[:, kept]
+                basis[:keep] = s.T @ basis[:m]
                 basis[keep] = basis[m]
+                om[:keep, :keep] = s.T @ om[:m, :m] @ s
+                om[keep, :keep] = om[:keep, keep] = om[m, :m] @ s
                 t.fill(0.0)
                 t[:keep, :keep] = np.diag(vals[kept])
-                t[keep, :keep] = t[:keep, keep] = b * vecs[-1, kept]
+                t[keep, :keep] = t[:keep, keep] = b * s[-1]
                 k = keep
                 restarts += 1

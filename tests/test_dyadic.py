@@ -521,13 +521,15 @@ def test_roundings_pass_the_checks_and_every_candidate_is_exact(kind, h, n, seed
 
 
 # the six all-stage sweep kinds of the benchmark pool, seeded as run_cell seeds them;
-# the digests were recorded before the search stopped re-checking its candidates
+# the digests were recorded before the search stopped re-checking its candidates,
+# and re-pinned when partial reorthogonalization moved the last bits of the
+# witness, and with it of each target (every other field kept its bits)
 @pytest.mark.parametrize("name, n, digest", [
-    ("k4", 150, "76f1c7ebd3c6aa48b6f688b2a1d99cc32a562fdfca4bc2b0a0122cb1f95f5c76"),
-    ("k5", 120, "37f688f929ea3eb826bb25a9777892414809c132b0df03eff9be947549411659"),
-    ("c6", 100, "3df4ffe09aaca92b0ccd029ac5e058e24a9578f6d9d8746f4e70c84531288771"),
-    ("petersen", 60, "245b43ccc00396d0ef16ba56f67ad8abe821dc43a8a7baf331b94ec0c4cd01d1"),
-    ("k4", 1000, "05e9cd293a34dcd015f86aaaa382bdef2fd2a26cf232bc13f393d39d0ee78192"),
+    ("k4", 150, "ac2b57d103ab46a162ac2d1a52c3fb62a421c8516eee1aaafff48d66d1c47d45"),
+    ("k5", 120, "a33943dc415d3c94641c03e6c8c70162d51c91ff921a393a0f78b7aa28076efb"),
+    ("c6", 100, "450a7578cd3ac30c5cbd605dc6eb78a723070d7f2b34aa7a32c16ed428a0302f"),
+    ("petersen", 60, "e00dc72bb00e604cb755bedd8bc38a721a6982f0c7528e670ddb827a212bf650"),
+    ("k4", 1000, "ccfc1e97b79b42d325691e6e563fe45d54ad5aec549e499221d203a9f8f629a0"),
     ("petersen", 500, "b0ea1631c64fcb425f28ebc6208f33d04a492e40f3e9919abf6d9a6f9778b2b7"),
 ])
 def test_certificate_bits_of_the_sweep_pool_are_pinned(name, n, digest):

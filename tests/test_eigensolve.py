@@ -309,7 +309,100 @@ def test_lanczos_dgks_second_pass_runs_as_the_krylov_space_closes(monkeypatch):
         fired.clear()
         out = lanczos_extreme(lambda x: m @ x, 24, start, which=which, tol=1e-15)
         assert any(fired), "the second pass never ran"
-        assert len(fired) == out.iterations
+        # every step that ran the full pass evaluated the DGKS test, and only those
+        assert len(fired) == out.full_passes
         assert out.converged
         assert out.value == pytest.approx(want, abs=1e-12)
         assert np.linalg.norm(m @ out.vector - out.value * out.vector) < 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": float("nan")}, {"tol": -1.0}, {"max_iter": 0},
+                                    {"max_iter": -5}, {"max_basis": 3.5}],
+                         ids=["tol-nan", "tol-negative", "max-iter-zero", "max-iter-negative",
+                              "max-basis-float"])
+def test_lanczos_reads_its_arguments_by_one_rule(kwargs):
+    # a nan or negative tol once stepped on past the closed Krylov space into a
+    # row of the basis it never wrote; max_iter <= 0 ran one step
+    m = np.diag(np.arange(10.0))
+    with pytest.raises(ValueError):
+        lanczos_extreme(lambda x: m @ x, 10, np.ones(10), **kwargs)
+
+
+def _recorded_cycles(run, basis=48):
+    # the vectors matvec receives, split into the cycles between thick restarts
+    # (the first holds the whole basis, each later one basis - basis // 3)
+    seen = []
+    out = run(lambda matvec: lambda x: seen.append(x.copy()) or matvec(x))
+    cycles, size = [], basis
+    while seen:
+        cycles.append(np.array(seen[:size]))
+        del seen[:size]
+        size = basis - basis // 3
+    return out, cycles
+
+
+def _orthogonality(cycle):
+    return np.abs(cycle @ cycle.T - np.eye(len(cycle))).max()
+
+
+def test_lanczos_basis_stays_semi_orthogonal_without_a_restart():
+    vals = np.concatenate([[3.0, 2.5], np.random.default_rng(2).normal(size=1998)])
+    start = np.random.default_rng(3).normal(size=2000)
+    out, cycles = _recorded_cycles(lambda wrap: lanczos_extreme(
+        wrap(lambda x: vals * x), 2000, start, which="max", tol=1e-300, max_iter=48))
+    assert out.iterations == 48 and out.restarts == 0 and len(cycles) == 1
+    assert 0 < out.full_passes < out.iterations
+    assert _orthogonality(cycles[0]) <= math.sqrt(np.finfo(float).eps)
+
+
+def test_lanczos_basis_stays_semi_orthogonal_across_thick_restarts(monkeypatch):
+    real = spectra.lanczos_extreme
+
+    def run(wrap):
+        got = []
+        monkeypatch.setattr(spectra, "lanczos_extreme", lambda matvec, *a, **kw: got.append(
+            real(wrap(matvec), *a, **kw)) or got[-1])
+        lambda_star(sample_lift(complete_graph(4), 500, SeededRng(1)), rng=SeededRng(1, 101))
+        return got[0]
+
+    out, cycles = _recorded_cycles(run)
+    assert out.converged and out.restarts >= 4 and len(cycles) == out.restarts + 1
+    assert max(map(_orthogonality, cycles)) <= math.sqrt(np.finfo(float).eps)
+
+
+def test_lanczos_takes_a_separated_top_value_once_through_many_restarts():
+    # once the top pair converges, a basis that lost orthogonality grows ghost
+    # copies of it; the tolerance is out of reach, so only the cap stops it.
+    # With no reorthogonalization at all the true residual here is 8e-13
+    m = _with_spectrum(np.concatenate([[2.0, 1.6], np.linspace(-1.0, 1.0, 298)]), 5)
+    out = lanczos_extreme(lambda x: m @ x, 300, np.random.default_rng(23).normal(size=300),
+                          which="max", tol=1e-300, max_iter=600)
+    assert out.iterations == 600 and out.restarts >= 15
+    assert abs(out.value - 2.0) <= 1e-10
+    assert np.linalg.norm(m @ out.vector - out.value * out.vector) <= 1e-13
+
+
+def test_lanczos_keeps_ritz_vectors_exact_between_two_tight_clusters():
+    # every cycle nearly closes the Krylov space (beta ~ 1e-6); at the level
+    # sqrt(eps) the full passes dropped enough of the Lanczos relation to leave
+    # true residuals of 1e-10 here, against 1e-14 with a full pass every step
+    rng = np.random.default_rng(3)
+    m = _with_spectrum(np.repeat([1.0, -3.0], 60) + 1e-6 * rng.normal(size=120), 4)
+    ref = np.linalg.eigvalsh(m)
+    start = rng.normal(size=120)
+    for which, want in (("max", ref[-1]), ("min", ref[0])):
+        out = lanczos_extreme(lambda x: m @ x, 120, start, which=which, tol=1e-15, max_basis=24)
+        assert out.converged and out.restarts > 0
+        assert abs(out.value - want) <= 1e-12
+        assert np.linalg.norm(m @ out.vector - out.value * out.vector) <= 1e-13
+
+
+def test_partial_reorthogonalization_skips_most_full_passes(monkeypatch):
+    # the sweep's spectrum-only cell: without the omega estimate every step
+    # would run the full Gram-Schmidt pass over up to 49 x 15000 doubles
+    real, got = spectra.lanczos_extreme, []
+    monkeypatch.setattr(spectra, "lanczos_extreme",
+                        lambda *a, **kw: got.append(real(*a, **kw)) or got[-1])
+    assert lambda_star(sample_lift(complete_graph(5), 3000, SeededRng(1)),
+                       rng=SeededRng(1, 101)).converged
+    assert 0 < got[0].full_passes <= got[0].iterations // 4
