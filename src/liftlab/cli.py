@@ -63,7 +63,7 @@ def cmd_gen(args) -> int:
 
 def cmd_spectrum(args) -> int:
     lift = _load_lift(args.lift)
-    rep, spectrum = _lambda_star(lift, args.tol, None, args.method)
+    rep, spectrum = _lambda_star(lift, args.tol, args.method)
     count = args.list or (10 if args.method == "dense" else 0)
     if count and spectrum is None:
         spectrum = new_spectrum(lift)

@@ -241,9 +241,10 @@ def dyadic_round(x: LiftVector, rng) -> LiftVector:
 
 
 def _check_norm(x: LiftVector) -> None:
-    """Raise NormTooLargeError unless |x|^2 <= nh(1 + 1e-9), the rounding's input bound."""
+    """Raise NormTooLargeError unless |x|^2 <= nh(1 + 1e-9), the rounding's input bound;
+    a NaN norm fails it too."""
     nh = x.h * x.n
-    if x.norm_sq > nh * (1.0 + 1e-9):
+    if not x.norm_sq <= nh * (1.0 + 1e-9):
         raise NormTooLargeError(f"squared norm {x.norm_sq:.6g} exceeds {nh}")
 
 
@@ -478,7 +479,7 @@ def band_certificate(lift: Lift, trials: int = 40, rng: SeededRng = SeededRng(0)
     """Run the whole chain and report the comparable-region form achieved by
     the resulting band vector against the target lambda*/96 - 5*sqrt(d)."""
     _check_count(trials, "trials")
-    rep = spectral or lambda_star(lift, rng=rng).require_converged()
+    rep = spectral or lambda_star(lift).require_converged()
     scale = DyadicScale.of(lift)
     target = rep.lambda_star / 96.0 - 5.0 * math.sqrt(lift.d)
     cert = None

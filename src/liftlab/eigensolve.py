@@ -8,7 +8,8 @@ Lanczos in a fixed basis of 48 vectors, driven by a caller-supplied matvec,
 with partial reorthogonalization: an estimate of the basis's loss of
 orthogonality decides when a step runs the full Gram-Schmidt pass, which
 takes a second pass only when the DGKS test asks for it; the Ritz pairs of
-the small projected matrix come from LAPACK (``numpy.linalg.eigh``).
+the small projected matrix come from LAPACK (``numpy.linalg.eigh``), and the
+returned Ritz vector is signed by its start, <x, start> >= 0.
 """
 
 from __future__ import annotations
@@ -139,17 +140,11 @@ class IterativeResult:
 
 
 def _ritz_pairs(t: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Eigenpairs of the projected matrix and the index of the selected one.
-
-    The selected eigenvector is signed to sum to at most zero, which keeps
-    the Ritz vector, and every witness rounded from it, stable.
-    """
+    """Eigenpairs of the projected matrix, as LAPACK signs them, and the index of
+    the selected one."""
     vals, vecs = np.linalg.eigh(t)
     top = which == "max" or (which == "abs" and abs(vals[-1]) >= abs(vals[0]))
-    i = vals.size - 1 if top else 0
-    if vecs[:, i].sum() > 0.0:
-        vecs[:, i] = -vecs[:, i]
-    return vals, vecs, i
+    return vals, vecs, vals.size - 1 if top else 0
 
 
 def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
@@ -179,7 +174,8 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
     gives its Ritz pair, converged once the implicit residual
     beta*|s_last| drops below tol times the scale max|alpha| + max beta over
     all steps. After ``max_iter`` steps the current Ritz pair is returned,
-    unconverged.
+    unconverged. The returned vector lies on the start's side, <x, start> >= 0,
+    so one start gives one vector: from -start the same steps return -x.
     """
     if which not in ("max", "min", "abs"):
         raise ValueError("which must be max, min, or abs")
@@ -250,7 +246,8 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
             resid = 0.0 if exact else b * abs(float(vecs[-1, i]))
             if resid <= tol * scale or total_iters >= max_iter:
                 x = basis[:k].T @ vecs[:, i]
-                return IterativeResult(float(vals[i]), x / math.sqrt(float(x @ x)), total_iters,
+                x /= math.copysign(math.sqrt(float(x @ x)), float(x @ v))  # the start's side
+                return IterativeResult(float(vals[i]), x, total_iters,
                                        resid, resid <= tol * scale, restarts, full_passes)
             if k == m:  # thick restart: keep the Ritz vectors nearest the wanted end
                 near = np.abs(vals) if which == "abs" else vals if which == "max" else -vals

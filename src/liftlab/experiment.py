@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -105,6 +106,10 @@ class ExperimentConfig:
     trials: int = 40
 
     def __post_init__(self):
+        if not isinstance(self.base, BaseGraph):
+            raise ConfigError(f"base must be a BaseGraph, not {self.base!r}")
+        if not (self.out_csv is None or isinstance(self.out_csv, (str, os.PathLike))):
+            raise ConfigError(f"out_csv must be a path or None, not {self.out_csv!r}")
         if not (self.n_values and self.seeds):
             raise ConfigError("need at least one n and one seed")
         for n in self.n_values:
@@ -116,17 +121,9 @@ class ExperimentConfig:
         _check_count(self.trials, "trials")
 
 
-def _json_str(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-# optional config key -> (ExperimentConfig field, parser); ExperimentConfig checks the
-# tolerance, the stages and the trials
-_CONFIG_OPTIONS = {"tolerance": ("tolerance", lambda v: v), "out": ("out_csv", _json_str),
-                   "stages": ("stages", lambda v: v), "trials": ("trials", lambda v: v)}
-_CONFIG_KEYS = {"base", "base_file", "n", "seeds", *_CONFIG_OPTIONS}
+# optional config key -> the ExperimentConfig field that checks its value
+_CONFIG_FIELDS = {"tolerance": "tolerance", "out": "out_csv", "stages": "stages", "trials": "trials"}
+_CONFIG_KEYS = {"base", "base_file", "n", "seeds", *_CONFIG_FIELDS}
 
 
 def config_from_json(text: str) -> ExperimentConfig:
@@ -152,8 +149,9 @@ def config_from_json(text: str) -> ExperimentConfig:
         n_raw = doc.get("n", [])
         n_values = tuple(n_raw if isinstance(n_raw, list) else [n_raw])
         seeds = tuple(doc.get("seeds", []))
-        kwargs = {name: parse(doc[key])
-                  for key, (name, parse) in _CONFIG_OPTIONS.items() if key in doc}
+        kwargs = {name: doc[key] for key, name in _CONFIG_FIELDS.items() if key in doc}
+        if None in kwargs.values():
+            raise ConfigError("config values cannot be null")
     except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     return ExperimentConfig(base, n_values, seeds, **kwargs)
@@ -172,7 +170,7 @@ def run_cell(base: BaseGraph, n: int, seed: int,
     lift = sample_lift(base, n, SeededRng(seed))
     row = ResultRow(seed=seed, h=base.h, d=base.d, n=n)
 
-    rep = lambda_star(lift, tol=tolerance, rng=SeededRng(seed, 101)).require_converged()
+    rep = lambda_star(lift, tol=tolerance).require_converged()
     if "spectrum" in stages:
         ramanujan = (rep.lambda_star / (2.0 * math.sqrt(base.d - 1))
                      if base.d >= 2 else float("nan"))
@@ -286,7 +284,7 @@ def explain_pipeline(lift: Lift, level: float = EXPLAIN_LEVEL,
     _check_level(level)
     _check_count(trials, "trials")
     rng = rng if rng is not None else SeededRng(0)
-    rep = lambda_star(lift, rng=rng).require_converged()
+    rep = lambda_star(lift).require_converged()
     d = lift.d
     threshold = EXPLAIN_SPECTRAL_FACTOR * math.sqrt(d)
     star_value = math.sqrt(d)

@@ -6,7 +6,8 @@ and vectors balanced on every fibre. The centered operator is zero on the
 first and the adjacency on the second, so ``new_spectrum`` (the balanced
 part) is its spectrum without h kernel zeros. ``lambda_star`` takes its
 extreme modulus and witness from one thick-restart Lanczos solve on the
-centered operator, at the end that the exact spectrum picks on the dense path.
+centered operator, from one start per lift, at the end that the exact spectrum
+picks on the dense path.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .graphs import (
     balance,
     dense_operator,
 )
-from .sampling import SeededRng
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ def _theta(lift: Lift, vals: np.ndarray) -> float:
     return float(vals[np.argmax(np.abs(vals))])
 
 
-def lambda_star(lift: Lift, tol: float = 1e-8, rng: SeededRng | None = None,
-                method: str = "auto") -> SpectralReport:
+def lambda_star(lift: Lift, tol: float = 1e-8, method: str = "auto") -> SpectralReport:
     """Largest-modulus eigenvalue of the centered operator on balanced vectors.
 
     The returned value is the honestly recomputed Rayleigh quotient of the
@@ -112,12 +111,14 @@ def lambda_star(lift: Lift, tol: float = 1e-8, rng: SeededRng | None = None,
     nh within the dense guard). The iteration stops after 10nh steps.
 
     Both methods take the witness from one Lanczos solve, whose steps, implicit
-    residual and convergence under tol the report carries. "dense" aims at the
-    end of theta, the extreme of ``new_spectrum``, from a balanced
-    ``default_rng(7)`` start, and returns that start's projection onto theta's
-    eigenspace (Parlett, 1980); "iterative" aims at the larger modulus.
+    residual and convergence under tol the report carries, started from one
+    vector per lift: a balanced ``default_rng(7)`` draw. "dense" aims at the end
+    of theta, the extreme of ``new_spectrum``; "iterative" aims at the larger
+    modulus. The witness is that start's projection onto the eigenspace of the
+    value found (Parlett, 1980), on the start's side: <witness, start> >= 0. So
+    on a simple extreme both methods return one witness.
     """
-    return _lambda_star(lift, tol, rng, method)[0]
+    return _lambda_star(lift, tol, method)[0]
 
 
 def _check_tol(tol) -> None:
@@ -126,8 +127,7 @@ def _check_tol(tol) -> None:
         raise ConfigError(f"tol must be positive and finite, not {tol!r}")
 
 
-def _lambda_star(lift: Lift, tol: float, rng: SeededRng | None,
-                 method: str) -> tuple[SpectralReport, np.ndarray | None]:
+def _lambda_star(lift: Lift, tol: float, method: str) -> tuple[SpectralReport, np.ndarray | None]:
     """``lambda_star``'s report, and the balanced spectrum when the dense path computed it."""
     _check_tol(tol)
     if method not in ("auto", "dense", "iterative"):
@@ -140,11 +140,11 @@ def _lambda_star(lift: Lift, tol: float, rng: SeededRng | None,
 
     if method == "dense" or (method == "auto" and n * h <= 600):
         vals = new_spectrum(lift)
-        which, gen = "max" if _theta(lift, vals) > 0 else "min", np.random.default_rng(7)
+        which = "max" if _theta(lift, vals) > 0 else "min"
     else:
-        vals, which, gen = None, "abs", (rng or SeededRng(0, 991)).generator(17)
+        vals, which = None, "abs"
     # C is zero on fibre-constant vectors: rounding drift off a balanced start never grows
-    start = balance(LiftVector(gen.normal(size=(h, n))))
+    start = balance(LiftVector(np.random.default_rng(7).normal(size=(h, n))))
     out = lanczos_extreme(lambda flat: _centered_raw(lift, flat.reshape(h, n)).reshape(-1),
                           h * n, start.flat(), which=which, tol=tol)
     witness = LiftVector(out.vector.reshape(h, n))

@@ -84,7 +84,7 @@ def test_criterion_03_near_ramanujan_sweep():
         for n in (200, 1000):
             for seed in range(20):
                 lift = sample_lift(base, n, SeededRng(seed, 3000 + d))
-                rep = lambda_star(lift, tol=1e-7, rng=SeededRng(seed, 31))
+                rep = lambda_star(lift, tol=1e-7)
                 assert rep.lambda_star < cap
                 collected.append(rep.lambda_star / (2.0 * math.sqrt(d - 1)))
         ratios[d] = sum(collected) / len(collected)

@@ -35,7 +35,7 @@ from liftlab.errors import (
 )
 from liftlab.graphs import LiftVector, balance, base_from_name, complete_graph, cycle_graph, identity_lift, lifted_eigenvector, petersen_graph
 from liftlab.sampling import SeededRng, plant_clique, sample_lift
-from liftlab.spectra import lambda_star
+from liftlab.spectra import SpectralReport, lambda_star
 
 from _support import (int_norm_sq, is_rounded_vector, oracle_adjacency, oracle_centered,
                       oracle_expected, random_lift, two_pass_comparable_mask)
@@ -378,6 +378,31 @@ def test_certificate_norm_guard():
         dyadic_certificate(lift, LiftVector(np.full((3, 2), 10.0)))
 
 
+def _non_finite(kind, lift):
+    values = np.full((lift.h, lift.n), 0.1)
+    values[0, 0] = np.inf if kind == "inf" else np.nan
+    if kind == "all-nan":
+        values[:] = np.nan
+    return LiftVector(values)
+
+
+@pytest.mark.parametrize("kind", ["all-nan", "part-nan", "inf"])
+@pytest.mark.parametrize("function", ["dyadic_round", "dyadic_certificate", "band_certificate"])
+def test_a_non_finite_vector_fails_the_norm_check(function, kind):
+    # a NaN squared norm compares false with every bound: the check must not pass it
+    lift = sample_lift(complete_graph(4), 5, SeededRng(1))
+    x = _non_finite(kind, lift)
+    with pytest.raises(NormTooLargeError, match="squared norm"):
+        if function == "dyadic_round":
+            dyadic_round(x, SeededRng(1))
+        elif function == "dyadic_certificate":
+            dyadic_certificate(lift, x, trials=2)
+        else:  # scaled to norm sqrt(nh), an inf entry becomes inf * 0 = NaN
+            with np.errstate(invalid="ignore"):
+                band_certificate(lift, trials=2,
+                                 spectral=SpectralReport(3.0, float("nan"), "dense", 0, 0.0, x))
+
+
 def test_certificate_top_eigenvector_k4():
     lift = random_lift(complete_graph(4), 30, SeededRng(77).generator())
     rep = lambda_star(lift, tol=1e-10)
@@ -417,7 +442,7 @@ def per_vector_certificate(lift, x, trials, rng):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_certificate_equals_the_per_vector_path_bit_for_bit(name, n, seed):
     lift = sample_lift(base_from_name(name), n, SeededRng(seed))
-    witness = lambda_star(lift, rng=SeededRng(seed, 101)).witness
+    witness = lambda_star(lift).witness
     x = witness.scaled(math.sqrt(lift.num_vertices / witness.norm_sq) * (1.0 - 1e-12))
     rep = dyadic_certificate(lift, x, trials=40, rng=SeededRng(seed, 202))
     vector, value, target, met, best_trial = per_vector_certificate(lift, x, 40, SeededRng(seed, 202))
@@ -522,21 +547,22 @@ def test_roundings_pass_the_checks_and_every_candidate_is_exact(kind, h, n, seed
 
 # the six all-stage sweep kinds of the benchmark pool, seeded as run_cell seeds them;
 # the digests were recorded before the search stopped re-checking its candidates,
-# and re-pinned when partial reorthogonalization moved the last bits of the
-# witness, and with it of each target (every other field kept its bits)
+# and re-pinned when partial reorthogonalization, and later the one start per lift
+# with its start-side sign, moved the last bits of the witness, and with it of each
+# target (every other field kept its bits)
 @pytest.mark.parametrize("name, n, digest", [
     ("k4", 150, "ac2b57d103ab46a162ac2d1a52c3fb62a421c8516eee1aaafff48d66d1c47d45"),
-    ("k5", 120, "a33943dc415d3c94641c03e6c8c70162d51c91ff921a393a0f78b7aa28076efb"),
-    ("c6", 100, "450a7578cd3ac30c5cbd605dc6eb78a723070d7f2b34aa7a32c16ed428a0302f"),
+    ("k5", 120, "794d91af1e40ab54b3c22444f8b3051298f33bad7c656e368f030db7bfa51db1"),
+    ("c6", 100, "e9c74e0f39d8cbba987102f1948af8463ea82ae91371591854dc2b56a2a8201d"),
     ("petersen", 60, "e00dc72bb00e604cb755bedd8bc38a721a6982f0c7528e670ddb827a212bf650"),
-    ("k4", 1000, "ccfc1e97b79b42d325691e6e563fe45d54ad5aec549e499221d203a9f8f629a0"),
-    ("petersen", 500, "b0ea1631c64fcb425f28ebc6208f33d04a492e40f3e9919abf6d9a6f9778b2b7"),
+    ("k4", 1000, "1088bbcdd51faea4ade4639c4ba5e7b05210e7e119795d5f0411379f8dd40f41"),
+    ("petersen", 500, "69e313a2258075baffbd0f3434ffb617b13c4500c56de732529542c447643cc6"),
 ])
 def test_certificate_bits_of_the_sweep_pool_are_pinned(name, n, digest):
     h = hashlib.sha256()
     for seed in (1, 2):
         lift = sample_lift(base_from_name(name), n, SeededRng(seed))
-        rep = lambda_star(lift, rng=SeededRng(seed, 101)).require_converged()
+        rep = lambda_star(lift).require_converged()
         band = band_certificate(lift, rng=SeededRng(seed, 202), spectral=rep)
         cert = band.certificate
         h.update(repr((cert.value, cert.target, cert.met, cert.best_trial,

@@ -194,15 +194,21 @@ def test_lanczos_restarts_with_a_small_basis():
 
 
 def test_lanczos_ritz_vector_sign_convention():
-    # a positive matrix has a positive Perron vector; starting from all-ones,
-    # the Ritz vector is returned with its entries summing to at most zero
+    # the Ritz vector is returned on its start's side, <x, start> >= 0: a positive
+    # matrix's Perron vector from all-ones is positive, and with the start negated
+    # the same solve returns the same vector negated, bit for bit
     rng = np.random.default_rng(9)
     a = rng.uniform(size=(70, 70))
     m = (a + a.T) / 2
     out = lanczos_extreme(lambda x: m @ x, 70, np.ones(70), which="max", tol=1e-10)
     assert out.converged
-    assert out.vector.sum() <= 0.0
-    assert np.all(out.vector < 0.0)
+    assert np.all(out.vector > 0.0)
+    for start in (rng.normal(size=70), -rng.normal(size=70)):
+        for which in ("max", "min", "abs"):
+            x = lanczos_extreme(lambda v: m @ v, 70, start, which=which, tol=1e-10).vector
+            assert float(x @ start) >= 0.0
+            assert np.array_equal(lanczos_extreme(lambda v: m @ v, 70, -start, which=which,
+                                                  tol=1e-10).vector, -x)
 
 
 def test_lanczos_iteration_count_is_pinned():
@@ -210,22 +216,22 @@ def test_lanczos_iteration_count_is_pinned():
     # checked every 8 steps) on one sweep cell, not a correctness bound:
     # a change to the scheme re-pins it on a before/after comparison
     lift = sample_lift(complete_graph(4), 1000, SeededRng(1))
-    rep = lambda_star(lift, rng=SeededRng(1, 101))
+    rep = lambda_star(lift)
     assert rep.method == "iterative"
     assert rep.converged
-    assert rep.iterations == 272
+    assert rep.iterations == 320
 
 
 @pytest.mark.parametrize("name,n,seed,iterations", [
-    *[("k4", 1000, seed, its) for seed, its in zip(range(2, 9), (272, 288, 280, 336, 256, 264, 280))],
+    *[("k4", 1000, seed, its) for seed, its in zip(range(2, 9), (240, 280, 256, 360, 264, 272, 232))],
     *[("petersen", 500, seed, its)
-      for seed, its in zip(range(1, 9), (280, 256, 256, 320, 240, 256, 296, 336))],
-    ("k5", 3000, 1, 296)])
+      for seed, its in zip(range(1, 9), (248, 264, 256, 328, 224, 280, 264, 312))],
+    ("k5", 3000, 1, 272)])
 def test_lanczos_iteration_counts_of_the_sweep_pool_are_pinned(name, n, seed, iterations):
     # the sweep pool's other 16 Lanczos cells, seeded as run_cell seeds them;
     # pinned like k4 n=1000 seed 1 above
     lift = sample_lift(base_from_name(name), n, SeededRng(seed))
-    rep = lambda_star(lift, rng=SeededRng(seed, 101))
+    rep = lambda_star(lift)
     assert rep.method == "iterative"
     assert rep.converged
     assert rep.iterations == iterations
@@ -242,7 +248,7 @@ def test_dense_iteration_counts_of_the_sweep_pool_are_pinned(name, n, seed, iter
     # the sweep pool's 32 dense cells take their witness from Lanczos aimed at
     # the exact spectrum's extreme end; pinned like the Lanczos cells above
     lift = sample_lift(base_from_name(name), n, SeededRng(seed))
-    rep = lambda_star(lift, rng=SeededRng(seed, 101))
+    rep = lambda_star(lift)
     assert rep.method == "dense"
     assert rep.converged
     assert rep.iterations == iterations
@@ -362,7 +368,7 @@ def test_lanczos_basis_stays_semi_orthogonal_across_thick_restarts(monkeypatch):
         got = []
         monkeypatch.setattr(spectra, "lanczos_extreme", lambda matvec, *a, **kw: got.append(
             real(wrap(matvec), *a, **kw)) or got[-1])
-        lambda_star(sample_lift(complete_graph(4), 500, SeededRng(1)), rng=SeededRng(1, 101))
+        lambda_star(sample_lift(complete_graph(4), 500, SeededRng(1)))
         return got[0]
 
     out, cycles = _recorded_cycles(run)
@@ -403,6 +409,5 @@ def test_partial_reorthogonalization_skips_most_full_passes(monkeypatch):
     real, got = spectra.lanczos_extreme, []
     monkeypatch.setattr(spectra, "lanczos_extreme",
                         lambda *a, **kw: got.append(real(*a, **kw)) or got[-1])
-    assert lambda_star(sample_lift(complete_graph(5), 3000, SeededRng(1)),
-                       rng=SeededRng(1, 101)).converged
+    assert lambda_star(sample_lift(complete_graph(5), 3000, SeededRng(1))).converged
     assert 0 < got[0].full_passes <= got[0].iterations // 4

@@ -71,10 +71,13 @@ def test_config_validation():
     pytest.param({"trials": 2.5}, id="trials-half"),
     pytest.param({"trials": True}, id="trials-bool"),
     pytest.param({"tolerance": "tight"}, id="tolerance-string"),
+    pytest.param({"base": "k4"}, id="base-name"),
+    pytest.param({"out_csv": 5}, id="out-number"),
 ])
 def test_config_reads_each_scalar_by_the_library_rule(monkeypatch, fields):
-    # n = 2.5 once failed every cell, and a half seed or trial count escaped
-    # run_experiment as a bare TypeError; now the config refuses them and no cell runs
+    # n = 2.5 once failed every cell, a half seed or trial count escaped
+    # run_experiment as a bare TypeError, a base name died in the first cell and a
+    # numeric CSV path after the last; now the config refuses them and no cell runs
     monkeypatch.setattr(exp, "run_cell", lambda *args, **kwargs: pytest.fail("a cell ran"))
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig(**{"base": K4, "n_values": (5,), "seeds": (1,), **fields}))
@@ -138,7 +141,9 @@ def test_config_from_json_raises_config_errors_for_bad_values(tmp_path):
                 '{"base": "k4", "n": [10], "seeds": [1], "tolerance": "1e-8"}',
                 '{"base": "k4", "n": [10], "seeds": [1], "tolerance": true}',
                 '{"base": "k4", "n": [10], "seeds": [1], "out": 5}',
-                '{"base": "k4", "n": [10], "seeds": [1], "out": null}'):
+                '{"base": "k4", "n": [10], "seeds": [1], "out": null}',
+                '{"base": "k4", "n": [10], "seeds": [1], "out": ["x.csv"]}',
+                '{"base": "k4", "n": [10], "seeds": [1], "tolerance": null}'):
         with pytest.raises(ConfigError):
             config_from_json(doc)
 

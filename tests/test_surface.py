@@ -11,6 +11,10 @@ imported module: ``np.zeros`` does not use a library method ``zeros``.
 A use is found by name alone, so a method name that two library classes define
 passes for both on a use of either. Each such name is listed below with a reason
 for each class that defines it.
+
+Randomness has two homes: ``SeededRng.generator``, which derives every seeded
+stream, and the spectral start in ``spectra._lambda_star``. No other library code
+calls into ``numpy.random``, so the same seeds give the same rows.
 """
 
 import ast
@@ -39,6 +43,10 @@ SHARED = {
         "BaseGraph": "the expectation kernel and the census class graph gather through it",
         "Lift": "the adjacency kernel, the weight grids and induced subgraphs gather through it"},
 }
+
+
+# the only functions that call into numpy.random, as module.qualified_name
+RANDOM_HOMES = {"sampling.SeededRng.generator", "spectra._lambda_star"}
 
 
 def _modules(root=PACKAGE):
@@ -147,3 +155,38 @@ def test_no_module_imports_a_name_it_does_not_use():
                 if bound not in rest and bound not in exported:
                     unused.append(f"{name}: {bound}")
     assert unused == []
+
+
+def _numpy_random_calls(stem, tree):
+    """module.qualified_name of the function around each call through numpy.random,
+    and of the module itself for each import from it."""
+    numpy = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names if alias.name.split(".")[0] == "numpy"}
+    sites = set()
+
+    def through_random(func):
+        chain = []
+        while isinstance(func, ast.Attribute):
+            chain.append(func.attr)
+            func = func.value
+        return isinstance(func, ast.Name) and func.id in numpy and "random" in chain
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and through_random(child.func):
+                sites.add(".".join((stem,) + scope))
+            elif isinstance(child, ast.ImportFrom) and "numpy.random" in (
+                    child.module, *(f"{child.module}.{alias.name}" for alias in child.names)):
+                sites.add(stem)
+            visit(child, inner)
+
+    visit(tree, ())
+    return sites
+
+
+def test_numpy_randomness_is_called_only_from_its_two_homes():
+    sites = set().union(*(_numpy_random_calls(stem, tree) for stem, tree in _modules().items()))
+    assert sites == RANDOM_HOMES
