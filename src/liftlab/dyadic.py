@@ -482,9 +482,11 @@ def band_certificate(lift: Lift, trials: int = 40, rng: SeededRng = SeededRng(0)
     rep = spectral or lambda_star(lift).require_converged()
     scale = DyadicScale.of(lift)
     target = rep.lambda_star / 96.0 - 5.0 * math.sqrt(lift.d)
-    cert = None
-    if rep.witness.norm_sq != 0.0:
-        x = rep.witness.scaled(math.sqrt(scale.size / rep.witness.norm_sq) * (1.0 - 1e-12))
+    cert, norm_sq = None, rep.witness.norm_sq
+    if not math.isfinite(norm_sq):  # scaling would turn an inf entry into inf * 0 = NaN
+        raise NormTooLargeError(f"witness squared norm {norm_sq:.6g} is not finite")
+    if norm_sq != 0.0:
+        x = rep.witness.scaled(math.sqrt(scale.size / norm_sq) * (1.0 - 1e-12))
         cert = dyadic_certificate(lift, x, trials=trials, rng=rng)
     if cert is None or not cert.vector.values.any():
         zero = DyadicBandVector.zero(scale)

@@ -13,6 +13,8 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from .dyadic import band_certificate
@@ -157,6 +159,27 @@ def config_from_json(text: str) -> ExperimentConfig:
     return ExperimentConfig(base, n_values, seeds, **kwargs)
 
 
+def _witness_chain(lift: Lift, rep: SpectralReport, trials: int, rng: SeededRng, reduce):
+    """Certify -> census -> reduce -> bound, one step per ``next``: the band certificate,
+    then ``(pattern, reduce(pattern))`` for the census, then the witness bounds of the
+    kept classes, or of the whole census when none is kept. Raises LiftlabError if
+    lambda* falls below the spectrum bound."""
+    cert = band_certificate(lift, trials=trials, rng=rng, spectral=rep)
+    yield cert
+    pattern, found = extract_pattern(cert.vector, lift)
+    reduction = reduce(pattern)
+    yield pattern, reduction
+    # at desk scale the reduction usually empties out; the whole census then
+    # still shows where the extreme lives
+    surfaced = pattern.restricted(reduction.kept) if reduction.kept else pattern
+    bounds = pattern_witness_bound(
+        lift, surfaced, {v: found[v] for v in found if v in surfaced.profile.counts})
+    if rep.lambda_star < bounds.spectrum_bound - 1e-6:
+        raise LiftlabError("witness bound exceeds the computed extreme: "
+                           f"{bounds.spectrum_bound:.6g} vs {rep.lambda_star:.6g}")
+    yield bounds
+
+
 def run_cell(base: BaseGraph, n: int, seed: int,
              stages=STAGES, tolerance: float = 1e-8,
              trials: int = 40) -> ResultRow:
@@ -181,30 +204,15 @@ def run_cell(base: BaseGraph, n: int, seed: int,
                       paper_ratio=rep.lambda_star / (HEADLINE_SPECTRAL_FACTOR
                                                      * math.sqrt(base.d)))
 
-    later = {"certificate", "reduction", "witnesses"}
-    if later & set(stages):
-        cert = band_certificate(lift, trials=trials, rng=SeededRng(seed, 202),
-                                spectral=rep)
-        if "certificate" in stages:
-            row = replace(row, dyprop_met=cert.dyadic_met, z_value=cert.achieved)
-        if {"reduction", "witnesses"} & set(stages):
-            pattern, found = extract_pattern(cert.vector, lift)
-            reduction = reduce_pattern(pattern)
-            if "reduction" in stages:
-                row = replace(row,
-                              reduce_branch=reduction.branch,
-                              reduce_kept=len(reduction.kept),
-                              retention_slack=(reduction.potency_after
-                                               - reduction.retention_floor))
-            if "witnesses" in stages:
-                kept = set(reduction.kept)
-                bounds = pattern_witness_bound(
-                    lift, pattern.restricted(kept),
-                    {v: found[v] for v in found if v in kept})
-                if rep.lambda_star < bounds.spectrum_bound - 1e-6:
-                    raise LiftlabError(
-                        "witness bound exceeds the computed extreme: "
-                        f"{bounds.spectrum_bound:.6g} vs {rep.lambda_star:.6g}")
+    # stage i of STAGES needs the chain's first i steps
+    steps = list(islice(_witness_chain(lift, rep, trials, SeededRng(seed, 202), reduce_pattern),
+                        max(map(STAGES.index, stages))))
+    if "certificate" in stages:
+        row = replace(row, dyprop_met=steps[0].dyadic_met, z_value=steps[0].achieved)
+    if "reduction" in stages:
+        _, reduction = steps[1]
+        row = replace(row, reduce_branch=reduction.branch, reduce_kept=len(reduction.kept),
+                      retention_slack=reduction.potency_after - reduction.retention_floor)
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return replace(row, wall_ms=wall_ms)
@@ -290,33 +298,17 @@ def explain_pipeline(lift: Lift, level: float = EXPLAIN_LEVEL,
     star_value = math.sqrt(d)
     above = rep.lambda_star >= threshold
 
-    reduction = None
-    bounds = None
+    reduction = bounds = inspected = None
     members: tuple[tuple[int, int], ...] = ()
-    alpha = 0
-    inspected = None
-    survived = False
     if above or force_witness:
-        cert = band_certificate(lift, trials=trials, rng=rng, spectral=rep)
-        pattern, found = extract_pattern(cert.vector, lift)
-        reduction = reduce_general(pattern, level=level)
-        kept = set(reduction.kept)
-        survived = bool(kept)
-        # at desk scale the reduction usually empties out; fall back to the
-        # whole census so the report still shows where the extreme lives
-        surfaced = pattern.restricted(kept) if survived else pattern
-        bounds = pattern_witness_bound(
-            lift, surfaced,
-            {v: found[v] for v in found if v in surfaced.profile.counts})
+        _, (_, reduction), bounds = _witness_chain(lift, rep, trials, rng,
+                                                   partial(reduce_general, level=level))
         members = bounds.members
-        alpha = surfaced.profile.total
-        if members:
-            eigs = symmetric_eigenvalues(induced_adjacency(lift, list(members)))
-            inspected = max(float(eigs[0]), 0.0)
-        else:
-            inspected = 0.0
+        eigs = symmetric_eigenvalues(induced_adjacency(lift, list(members)))
+        inspected = max(float(eigs[0]), 0.0) if members else 0.0
+    alpha = len(members)
 
-    if above and survived and alpha <= lift.h * d and members:
+    if above and alpha <= lift.h * d:
         ok = rep.lambda_star <= (EXPLAIN_SPECTRAL_FACTOR * inspected
                                  * (1.0 + 1e-12) + 1e-9)
         return ExplainReport("witness", rep.lambda_star, threshold, members,

@@ -134,11 +134,12 @@ def _lambda_star(lift: Lift, tol: float, method: str) -> tuple[SpectralReport, n
         raise ConfigError(f"method must be auto, dense or iterative, not {method!r}")
     n, h = lift.n, lift.h
     lam_top = float(lift.d)  # the Rayleigh quotient of all-ones on a d-regular lift
+    label = "dense" if method == "dense" or (method == "auto" and n * h <= 600) else "iterative"
     if n == 1:
-        return SpectralReport(lam_top, 0.0, "iterative", 0, 0.0,
+        return SpectralReport(lam_top, 0.0, label, 0, 0.0,
                               LiftVector(np.zeros((h, 1))), True), None
 
-    if method == "dense" or (method == "auto" and n * h <= 600):
+    if label == "dense":
         vals = new_spectrum(lift)
         which = "max" if _theta(lift, vals) > 0 else "min"
     else:
@@ -149,5 +150,5 @@ def _lambda_star(lift: Lift, tol: float, method: str) -> tuple[SpectralReport, n
                           h * n, start.flat(), which=which, tol=tol)
     witness = LiftVector(out.vector.reshape(h, n))
     ray = centered_rayleigh(lift, witness)
-    return SpectralReport(lam_top, abs(ray), "iterative" if vals is None else "dense",
-                          out.iterations, out.residual, witness, out.converged), vals
+    return SpectralReport(lam_top, abs(ray), label, out.iterations, out.residual, witness,
+                          out.converged), vals

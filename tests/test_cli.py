@@ -12,7 +12,7 @@ import liftlab.experiment
 import liftlab.spectra
 from liftlab.cli import build_parser, main
 from liftlab.errors import FibresNotAdjacentError, FibresNotDistinctError, LiftlabError
-from liftlab.graphs import Lift, base_from_name
+from liftlab.graphs import Lift, base_from_name, identity_lift
 from liftlab.matching import MatchingSpec, exact_log_probability
 from liftlab.patterns import pattern_from_text
 from liftlab.sampling import SeededRng, plant_clique, sample_lift
@@ -85,6 +85,15 @@ def test_spectrum_methods_agree(lift_file, capsys):
     assert listing, "dense run should list leading balanced eigenvalues"
     assert abs(listing[0]) <= dense_star + 1e-9
     assert float(grab(dense_out, "lambda_top")) == pytest.approx(3.0, abs=1e-6)
+
+
+def test_a_single_fibre_spectrum_prints_the_method_it_was_asked(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(identity_lift(base_from_name("k4"), 1).to_json())
+    code, out, _ = run(capsys, ["spectrum", "--lift", str(path), "--method", "dense"])
+    assert code == 0
+    assert grab(out, "method") == "dense"
+    assert grab(out, "lambda_star") == "0.0"
 
 
 def test_dense_spectrum_solves_once(lift_file, monkeypatch, capsys):

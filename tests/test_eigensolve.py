@@ -211,47 +211,60 @@ def test_lanczos_ritz_vector_sign_convention():
                                                   tol=1e-10).vector, -x)
 
 
+# Lanczos steps that lambda_star takes on each sweep-pool cell, seeded as run_cell
+# seeds them: (name, n) -> the count for seeds 1, 2, ...; a re-pin edits a value here
+ITERATIONS = {
+    ("k4", 1000): (320, 240, 280, 256, 360, 264, 272, 232),
+    ("petersen", 500): (248, 264, 256, 328, 224, 280, 264, 312),
+    ("k5", 3000): (272,),
+    ("k4", 150): (136, 128, 136, 136, 136, 128, 112, 152),
+    ("k5", 120): (120, 104, 128, 104, 112, 104, 112, 120),
+    ("c6", 100): (336, 328, 344, 336, 336, 312, 344, 304),
+    ("petersen", 60): (136, 128, 136, 112, 152, 144, 136, 136),
+}
+
+
+def _pinned_iterations(name, n, seed, method):
+    rep = lambda_star(sample_lift(base_from_name(name), n, SeededRng(seed)))
+    assert rep.method == method
+    assert rep.converged
+    assert rep.iterations == ITERATIONS[name, n][seed - 1]
+
+
 def test_lanczos_iteration_count_is_pinned():
     # pins the restart scheme (a 48-vector basis keeping 16 Ritz vectors,
     # checked every 8 steps) on one sweep cell, not a correctness bound:
     # a change to the scheme re-pins it on a before/after comparison
-    lift = sample_lift(complete_graph(4), 1000, SeededRng(1))
-    rep = lambda_star(lift)
-    assert rep.method == "iterative"
-    assert rep.converged
-    assert rep.iterations == 320
+    _pinned_iterations("k4", 1000, 1, "iterative")
 
 
-@pytest.mark.parametrize("name,n,seed,iterations", [
-    *[("k4", 1000, seed, its) for seed, its in zip(range(2, 9), (240, 280, 256, 360, 264, 272, 232))],
-    *[("petersen", 500, seed, its)
-      for seed, its in zip(range(1, 9), (248, 264, 256, 328, 224, 280, 264, 312))],
-    ("k5", 3000, 1, 272)])
-def test_lanczos_iteration_counts_of_the_sweep_pool_are_pinned(name, n, seed, iterations):
-    # the sweep pool's other 16 Lanczos cells, seeded as run_cell seeds them;
-    # pinned like k4 n=1000 seed 1 above
-    lift = sample_lift(base_from_name(name), n, SeededRng(seed))
-    rep = lambda_star(lift)
-    assert rep.method == "iterative"
-    assert rep.converged
-    assert rep.iterations == iterations
+@pytest.mark.parametrize("name,n,seed", [
+    *[("k4", 1000, seed) for seed in range(2, 9)],
+    *[("petersen", 500, seed) for seed in range(1, 9)],
+    ("k5", 3000, 1)])
+def test_lanczos_iteration_counts_of_the_sweep_pool_are_pinned(name, n, seed):
+    """The sweep pool's other 16 Lanczos cells, pinned like k4 n=1000 seed 1 above.
+
+    These pin a path, not a result: a solver change that moves no row still moves
+    them. Correctness is stated by the projection test
+    (test_spectra.py::test_dense_witness_is_its_start_projected_onto_the_extreme_eigenspace),
+    the basis-size test (test_experiment.py::test_the_lanczos_basis_size_does_not_move_a_row)
+    and the semi-orthogonality tests below.
+    """
+    _pinned_iterations(name, n, seed, "iterative")
 
 
-@pytest.mark.parametrize("name,n,seed,iterations", [
-    (name, n, seed, its) for name, n, counts in (
-        ("k4", 150, (136, 128, 136, 136, 136, 128, 112, 152)),
-        ("k5", 120, (120, 104, 128, 104, 112, 104, 112, 120)),
-        ("c6", 100, (336, 328, 344, 336, 336, 312, 344, 304)),
-        ("petersen", 60, (136, 128, 136, 112, 152, 144, 136, 136)))
-    for seed, its in zip(range(1, 9), counts)])
-def test_dense_iteration_counts_of_the_sweep_pool_are_pinned(name, n, seed, iterations):
-    # the sweep pool's 32 dense cells take their witness from Lanczos aimed at
-    # the exact spectrum's extreme end; pinned like the Lanczos cells above
-    lift = sample_lift(base_from_name(name), n, SeededRng(seed))
-    rep = lambda_star(lift)
-    assert rep.method == "dense"
-    assert rep.converged
-    assert rep.iterations == iterations
+@pytest.mark.parametrize("name,n,seed", [
+    (name, n, seed) for name, n in (("k4", 150), ("k5", 120), ("c6", 100), ("petersen", 60))
+    for seed in range(1, 9)])
+def test_dense_iteration_counts_of_the_sweep_pool_are_pinned(name, n, seed):
+    """The sweep pool's 32 dense cells, whose witness comes from Lanczos aimed at the
+    exact spectrum's extreme end.
+
+    Path pins like the Lanczos cells above, stated correct by the same projection,
+    basis-size and semi-orthogonality tests.
+    """
+    _pinned_iterations(name, n, seed, "dense")
 
 
 def test_lanczos_abs_finds_a_negative_extreme_across_thick_restarts():

@@ -329,6 +329,41 @@ def test_unconverged_spectrum_stops_explain_and_certificate(monkeypatch):
     assert band_certificate(lift, trials=4, spectral=converged).spectral is converged
 
 
+@pytest.mark.parametrize("caller", ["cell", "explain"])
+def test_a_witness_bound_above_lambda_star_fails_the_chain(monkeypatch, caller):
+    # the bound certifies lambda*, so one above it is a fault, in a sweep cell and in explain
+    real = exp.pattern_witness_bound
+
+    def above(lift, pattern, witnesses):
+        return dataclasses.replace(real(lift, pattern, witnesses),
+                                   spectrum_bound=exp.lambda_star(lift).lambda_star + 1.0)
+
+    monkeypatch.setattr(exp, "pattern_witness_bound", above)
+    if caller == "cell":
+        result = run_experiment(ExperimentConfig(K4, (20,), (1,), trials=4))
+        assert result.rows == (ResultRow(seed=1, h=4, d=3, n=20),)
+        assert len(result.failures) == 1 and "witness bound exceeds" in result.failures[0]
+    else:
+        with pytest.raises(LiftlabError, match="witness bound exceeds"):
+            explain_pipeline(sample_lift(K4, 20, SeededRng(1)), trials=4, force_witness=True)
+
+
+def test_an_emptied_reduction_bounds_the_whole_census(monkeypatch):
+    # a pool cell whose reduction keeps no class: the witnesses stage bounds the census
+    # the certificate gave, as explain does, not an empty pattern
+    seen = {}
+    extract, bound = exp.extract_pattern, exp.pattern_witness_bound
+    monkeypatch.setattr(exp, "extract_pattern",
+                        lambda *args: seen.setdefault("census", extract(*args)))
+    monkeypatch.setattr(exp, "pattern_witness_bound",
+                        lambda *args: seen.setdefault("bounded", args) and bound(*args))
+    row = run_cell(base_from_name("k4"), 150, 1)
+    assert row.reduce_kept == 0
+    census, found = seen["census"]
+    assert census.profile.total > 0
+    assert seen["bounded"][1:] == (census, found)
+
+
 @pytest.mark.parametrize("seed, z_value, branch", [(1, "8.36266666667", "large"),
                                                    (6, "11.456", "small")])
 def test_dense_cells_on_a_bipartite_base_keep_their_recorded_rows(seed, z_value, branch):

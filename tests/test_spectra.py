@@ -139,6 +139,14 @@ def test_lambda_star_n1_is_zero():
     assert rep.lambda_top == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("method, label", [("auto", "dense"), ("dense", "dense"),
+                                           ("iterative", "iterative")])
+def test_a_single_fibre_lift_reports_the_method_it_was_asked(method, label):
+    # n = 1 returns before any solve, with the label the solve would have had
+    rep = lambda_star(identity_lift(complete_graph(5), 1), method=method)
+    assert (rep.method, rep.lambda_star, rep.iterations) == (label, 0.0, 0)
+
+
 def test_lambda_star_disjoint_copies_equals_base_modulus():
     lift = identity_lift(petersen_graph(), 2)
     rep = lambda_star(lift, tol=1e-10)

@@ -157,6 +157,19 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == []
 
 
+def _scoped(tree):
+    """Each node under the tree, with the names of the functions and classes around it."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            yield scope, child
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            yield from visit(child, inner)
+
+    return visit(tree, ())
+
+
 def _numpy_random_calls(stem, tree):
     """module.qualified_name of the function around each call through numpy.random,
     and of the module itself for each import from it."""
@@ -171,22 +184,26 @@ def _numpy_random_calls(stem, tree):
             func = func.value
         return isinstance(func, ast.Name) and func.id in numpy and "random" in chain
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = scope + (child.name,)
-            elif isinstance(child, ast.Call) and through_random(child.func):
-                sites.add(".".join((stem,) + scope))
-            elif isinstance(child, ast.ImportFrom) and "numpy.random" in (
-                    child.module, *(f"{child.module}.{alias.name}" for alias in child.names)):
-                sites.add(stem)
-            visit(child, inner)
-
-    visit(tree, ())
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Call) and through_random(node.func):
+            sites.add(".".join((stem,) + scope))
+        elif isinstance(node, ast.ImportFrom) and "numpy.random" in (
+                node.module, *(f"{node.module}.{alias.name}" for alias in node.names)):
+            sites.add(stem)
     return sites
 
 
 def test_numpy_randomness_is_called_only_from_its_two_homes():
     sites = set().union(*(_numpy_random_calls(stem, tree) for stem, tree in _modules().items()))
     assert sites == RANDOM_HOMES
+
+
+def test_the_witness_chain_steps_are_called_only_from_the_chain():
+    # run_cell and explain_pipeline reach these through experiment._witness_chain, so
+    # the two cannot drift apart again; passing a step as a value is not a call
+    steps = {"band_certificate", "extract_pattern", "reduce_pattern", "reduce_general",
+             "pattern_witness_bound"}
+    sites = {".".join(scope) for scope, node in _scoped(_modules()["experiment"])
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in steps}
+    assert sites == {"_witness_chain"}
