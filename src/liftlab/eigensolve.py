@@ -3,13 +3,16 @@
 Dense path: LAPACK (``numpy.linalg.eigvalsh``) gives the eigenvalues.
 Householder reduction and implicit-shift QL, its sweeps on Python floats,
 serve only the dense path's pick of an end on a repeated extreme modulus
-(``spectra._theta``), which takes their bits. Iterative path: thick-restart
-Lanczos in a fixed basis of 48 vectors, driven by a caller-supplied matvec,
-with partial reorthogonalization: an estimate of the basis's loss of
-orthogonality decides when a step runs the full Gram-Schmidt pass, which
-takes a second pass only when the DGKS test asks for it; the Ritz pairs of
-the small projected matrix come from LAPACK (``numpy.linalg.eigh``), and the
-returned Ritz vector is signed by its start, <x, start> >= 0.
+(``spectra._theta``), which takes their bits. Householder writes each
+updated trailing block contiguously into one of two swapped n * n buffers,
+with the roundings of a strided in-place update of the input with -0.0 made
++0.0. Iterative path: thick-restart Lanczos in a fixed basis of 48 vectors,
+driven by a caller-supplied matvec, with partial reorthogonalization: an
+estimate of the basis's loss of orthogonality decides when a step runs the
+full Gram-Schmidt pass, which takes a second pass only when the DGKS test
+asks for it; the Ritz pairs of the small projected matrix come from LAPACK
+(``numpy.linalg.eigh``), and the returned Ritz vector is signed by its
+start, <x, start> >= 0.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import NotConvergedError
 from .graphs import _is_int, _is_real
 
-_EPS = np.finfo(np.float64).eps
+_EPS = float(np.finfo(np.float64).eps)  # a Python float: QL's scan multiplies by it per entry
 # Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30, 1976): a second Gram-Schmidt
 # pass is needed only when the first left less than this fraction of the norm.
 _DGKS = 1.0 / math.sqrt(2.0)
@@ -37,32 +40,42 @@ def householder_tridiagonalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Returns (diagonal, subdiagonal); the input is not modified. Only the
     eigenvalue-relevant data is kept (reflectors are not accumulated).
+
+    Step k reads the trailing block a[k:, k:], held as a contiguous array,
+    and writes the updated a[k+1:, k+1:] contiguously into a second buffer of
+    n * n floats; the two buffers swap roles each step. Every entry takes the
+    two roundings (s - 2 v_i q_j) - 2 q_i v_j, in that order. ``einsum``
+    writes +0.0 where the product is -0.0, so the private copy of the input
+    starts with every -0.0 made +0.0; no -0.0 arises after that, and the
+    result has the bits of a strided in-place update of ``mat + 0.0``.
     """
-    a = np.array(mat, dtype=np.float64)
-    n = a.shape[0]
-    scratch = np.empty(n * n)  # holds each rank-one update
+    cur = np.array(mat, dtype=np.float64, order="C")
+    cur += 0.0  # -0.0 -> +0.0, the only value that adding 0.0 changes
+    n = cur.shape[0]
+    spare = np.empty(n * n)  # receives each next block
+    d, e = np.empty(n), np.zeros(max(n - 1, 0))
     for k in range(n - 2):
-        x = a[k + 1:, k]
+        d[k] = cur[0, 0]
+        x, sub = cur[1:, 0], cur[1:, 1:]
+        nxt = spare[: sub.size].reshape(sub.shape)
+        spare = cur.reshape(-1)  # free once sub is read
         nx = math.sqrt(float(x @ x))
-        if nx <= _EPS * max(1.0, abs(a[k, k])):
-            a[k + 1:, k] = 0.0
-            a[k, k + 1:] = 0.0
-            continue
-        alpha = -math.copysign(nx, x[0]) if x[0] != 0.0 else -nx
-        v = x.copy()
-        v[0] -= alpha
-        v /= math.sqrt(float(v @ v))  # |v| >= |v[0]| >= nx > 0
-        sub = a[k + 1:, k + 1:]
-        w = sub @ v
-        q = w - v * float(v @ w)
-        # doubling is exact, so (2v) q^T has the bits of 2 (v q^T)
-        t = scratch[: sub.size].reshape(sub.shape)
-        sub -= np.multiply.outer(2.0 * v, q, out=t)
-        sub -= np.multiply.outer(2.0 * q, v, out=t)
-        a[k + 1:, k] = 0.0
-        a[k, k + 1:] = 0.0
-        a[k + 1, k] = a[k, k + 1] = alpha
-    return np.diag(a).copy(), np.diag(a, -1).copy()
+        if nx <= _EPS * max(1.0, abs(d[k])):
+            nxt[...] = sub
+        else:
+            alpha = e[k] = -math.copysign(nx, x[0]) if x[0] != 0.0 else -nx
+            v = x.copy()
+            v[0] -= alpha
+            v /= math.sqrt(float(v @ v))  # |v| >= |v[0]| >= nx > 0
+            w = sub @ v
+            q = w - v * float(v @ w)
+            # doubling is exact, so (2v) q^T has the bits of 2 (v q^T)
+            np.subtract(sub, np.einsum("i,j->ij", 2.0 * v, q, out=nxt), out=nxt)
+            nxt -= np.einsum("i,j->ij", 2.0 * q, v, out=spare[: sub.size].reshape(sub.shape))
+        cur = nxt
+    tail = min(n, 2)
+    d[n - tail:], e[n - tail:] = np.diag(cur), np.diag(cur, -1)
+    return d, e
 
 
 def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

@@ -321,13 +321,14 @@ class Lift:
 
     def neighbour_index(self) -> np.ndarray:
         """(h, d, n) flat indices, cached: entry [u, k, j] is the k-th neighbour
-        of vertex (u, j), each fibre's slots in ``perms`` order."""
+        of vertex (u, j), each fibre's slots in ``perms`` order. A read-only view;
+        its ``base``, writeable, is what the adjacency kernel gathers through."""
         if self._neighbour_index is None:
             slots = [[] for _ in range(self.h)]
             for (u, v), p in self.perms.items():
                 slots[u].append(v * self.n + p)
                 slots[v].append(u * self.n + self.inverse_perm((u, v)))
-            self._neighbour_index = np.array(slots)
+            self._neighbour_index = np.array(slots).view()
             self._neighbour_index.setflags(write=False)
         return self._neighbour_index
 
@@ -428,7 +429,8 @@ def balance(x: LiftVector) -> LiftVector:
 
 def _adjacency_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:
     flat = arr.reshape(*arr.shape[:-2], -1)
-    return np.add.reduce(flat.take(lift.neighbour_index(), axis=-1), axis=-2, initial=0.0)
+    # through the writeable base: numpy's take copies a read-only index on every call
+    return np.add.reduce(flat.take(lift.neighbour_index().base, axis=-1), axis=-2, initial=0.0)
 
 
 def _expected_raw(lift: Lift, arr: np.ndarray) -> np.ndarray:

@@ -259,24 +259,35 @@ def _row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.cumsum(np.where(mask, values, 0.0), axis=-1)[..., -1]
 
 
-def _fsums(values: np.ndarray, rows: np.ndarray | None = None, nrows: int = 1):
-    """math.fsum of the values, or with ``rows`` (each value's row, below ``nrows``)
-    of each row's values, bit for bit: bincount sums each value's top 27 bits and
-    its rest per (row, exponent) bin exactly, and fsum rounds a row's bin sums.
-    Non-finite input, 2^960 or more (fsum may overflow) or 2^26 values go to fsum."""
+def _bin_sums(values: np.ndarray, rows: np.ndarray | None = None, nrows: int = 1):
+    """Each row's values (``rows`` gives each value's row, below ``nrows``; all in
+    row 0 without it) as exact bin sums, an (nrows, bins) array: bincount sums
+    each value's top 27 bits and its rest per exponent exactly, and sums of such
+    bins over at most 2^26 values stay exact. None for non-finite input, 2^960
+    or more (fsum may overflow) or 2^26 values."""
     values = np.ascontiguousarray(values, dtype=float).reshape(-1)
     bits = values.view(np.int64)
     exp = (bits >> 52) & 0x7FF
     if values.size >= 1 << 26 or exp.max(initial=0) >= 1023 + 960:
+        return None
+    column = np.cumsum(np.bincount(exp, minlength=0x800) > 0) - 1  # the exponents present
+    width = int(column[-1]) + 1
+    high = (bits & -(1 << 26)).view(float)
+    bins = column[exp] if rows is None else rows * width + column[exp]
+    return np.concatenate([np.bincount(bins, half, nrows * width).reshape(nrows, width)
+                           for half in (high, values - high)], axis=1)
+
+
+def _fsums(values: np.ndarray, rows: np.ndarray | None = None, nrows: int = 1):
+    """math.fsum of the values, or with ``rows`` (each value's row, below ``nrows``)
+    of each row's values, bit for bit: fsum rounds a row's exact bin sums, or
+    takes the values themselves where ``_bin_sums`` refuses them."""
+    parts = _bin_sums(values, rows, nrows)
+    if parts is None:
+        values = np.asarray(values, dtype=float).reshape(-1)
         groups = [values] if rows is None else [values[rows == r] for r in range(nrows)]
         sums = np.array([math.fsum(group.tolist()) for group in groups])
     else:
-        column = np.cumsum(np.bincount(exp, minlength=0x800) > 0) - 1  # the exponents present
-        width = int(column[-1]) + 1
-        high = (bits & -(1 << 26)).view(float)
-        bins = column[exp] if rows is None else rows * width + column[exp]
-        parts = np.concatenate([np.bincount(bins, half, nrows * width)
-                                .reshape(nrows, width) for half in (high, values - high)], axis=1)
         sums = np.array([math.fsum(part) for part in parts.tolist()])
     return float(sums[0]) if rows is None else sums
 
@@ -326,8 +337,12 @@ def _vertex_sums(pattern: Pattern, table: DeviationTable) -> tuple[np.ndarray, .
     root_d = math.sqrt(scale.d)
     # bincount adds each fibre's masses in vertex order, as a loop from 0.0 does
     fibre_mass = np.bincount(g.fibre, weights=table.square * table.count, minlength=scale.h)
-    mass = _fsums(fibre_mass[g.fibre_neighbours], np.arange(scale.h).repeat(scale.d),
-                  scale.h)[g.fibre]
+    # the fsum of each fibre's neighbours' masses: the h masses split into exact
+    # bins once, whose sums over the neighbours (one 0/1 product, in any order)
+    # stay exact, or the neighbours' masses themselves where no bins hold
+    own = _bin_sums(fibre_mass, np.arange(scale.h), scale.h)
+    near = fibre_mass[g.fibre_neighbours] if own is None else pattern.base.adjacency() @ own
+    mass = np.array([math.fsum(row) for row in near.tolist()])[g.fibre]
     tilt = (table.square[g.nbr] * table.count[g.nbr]
             * (table.weight[g.nbr] / (table.weight * root_d)[:, None]))
     headroom = np.maximum(mass / (table.count * table.square * scale.d),

@@ -453,6 +453,19 @@ def test_adjacency_gather_keeps_the_per_edge_bits(base):
         assert _adjacency_raw(lift, arr).tobytes() != _adjacency_raw(unsorted, arr).tobytes()
 
 
+def test_the_adjacency_gather_copies_no_index():
+    # numpy's take copies a read-only index on every call: one gather on k5
+    # n=3000 held 960 KB, its (h, d, n) values and an index copy of the same
+    # size; through the kernel's writeable index it holds the values and the sum
+    lift = random_lift(complete_graph(5), 3000, np.random.default_rng(5))
+    x = np.random.default_rng(6).normal(size=(lift.h, lift.n))
+    first = _adjacency_raw(lift, x)  # builds the index outside the count
+    out, peak = peak_mb(lambda: _adjacency_raw(lift, x))
+    assert out.tobytes() == first.tobytes() == per_edge_adjacency(lift, x).tobytes()
+    assert peak * 1e6 <= (lift.h * lift.d * lift.n + lift.h * lift.n) * 8 + 4096
+    assert not lift.neighbour_index().flags.writeable
+
+
 def per_edge_expected(lift, arr):
     """The expectation as a loop over the base edges: every fibre adds its
     neighbours' fibre sums to 0.0 in edge order, then spreads them over n."""

@@ -743,6 +743,28 @@ def test_aggregates_match_reference(seed):
             assert values[i] == pytest.approx(ref, rel=1e-9, abs=1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([0, 961]))
+def test_neighbour_mass_is_the_fsum_of_the_neighbour_fibres(seed, shift):
+    """Each class's neighbour mass, bit for bit: math.fsum of the masses of its
+    fibre's base neighbours, each fibre's mass added from 0.0 in class order.
+    From 2^960 up (``shift``) the masses take fsum's own path."""
+    rng = np.random.default_rng(seed)
+    pattern = random_pattern(rng, base=complete_graph(int(rng.integers(2, 30))) if seed % 2 else None)
+    table = DeviationTable(pattern)
+    table.square = table.square * 2.0 ** shift
+    g = table.graph
+    fibre_mass = [0.0] * pattern.base.h
+    for i, fibre in enumerate(g.fibre.tolist()):
+        fibre_mass[fibre] += float(table.square[i] * table.count[i])
+    near = [[v for e in pattern.base.edges if u in e for v in e if v != u]
+            for u in range(pattern.base.h)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = _vertex_sums(pattern, table)[0]
+    want = [math.fsum(fibre_mass[v] for v in near[fibre]) for fibre in g.fibre.tolist()]
+    assert [x.hex() for x in mass.tolist()] == [x.hex() for x in want]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_headroom_bounds(seed):
