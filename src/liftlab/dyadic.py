@@ -21,7 +21,9 @@ deterministically.
 ``dyadic_round`` and ``polarize`` check their inputs and wrap array functions
 that the certificate search calls unchecked (``_polarize`` proves its candidates
 valid): entries 0 or 2^i (i >= 0), squared norm <= 10nh, so fibre sums are
-integers below 2^53, exact in any order.
+integers below 2^53, exact in any order. The search scores a trial's twelve
+candidates exactly, as integer numerators from one gather of six parts of its
+two roundings (``_numerators``), and builds only the winner.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     NotSignCompatibleError,
     TooLargeError,
 )
-from .graphs import (Lift, LiftVector, _centered_raw, _check_count, _int64s, _is_int, _kernel,
+from .graphs import (Lift, LiftVector, _check_count, _int64s, _is_int, _kernel,
                      apply_operator, check_shape)
 from .sampling import SeededRng
 from .spectra import SpectralReport, lambda_star
@@ -249,16 +251,14 @@ def _check_norm(x: LiftVector) -> None:
 
 
 def _round(values: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    # |v| = mant 2^expo with 2^(expo-1) <= |v|: the chance of rounding up, (|v| - lo)/lo,
+    # is 2 mant - 1 exactly, and the two outcomes are 2^expo and 2^(expo-1)
     a = np.abs(values)
-    s = np.sign(values)
     u = gen.random(size=a.shape)
     mant, expo = np.frexp(a)
-    lo = np.ldexp(1.0, expo - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = (a - lo) / lo
-    big = np.where(u < up, np.ldexp(1.0, expo), lo)
-    small = np.where(u < a, 1.0, 0.0)
-    return np.where(a >= 1.0, big, small) * s
+    big = np.ldexp(np.where(u < 2.0 * mant - 1.0, 1.0, 0.5), expo)
+    # times np.sign, not copysign: a -0.0 entry rounds to +0.0
+    return np.where(a >= 1.0, big, u < a) * np.sign(values)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +324,66 @@ def _polarize(yv: np.ndarray, zv: np.ndarray) -> np.ndarray:
 # certificate search
 
 
+# Twice the twelve candidates of ``_polarize`` as combinations of the six parts
+# (y+, y-, z+, z-, |y+ - z+|, |y- - z-|) that ``_parts`` stacks: w1+ = max(y+ - z+, 0)
+# is (|y+ - z+| + y+ - z+)/2, and so on.
+_TWICE_KAPPA = np.array([
+    [2, 0, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0], [0, 0, 0, 2, 0, 0],
+    [2, 0, 0, 2, 0, 0], [0, 2, 2, 0, 0, 0],
+    [1, 0, -1, 0, 1, 0], [-1, 0, 1, 0, 1, 0], [0, 0, 0, 0, 2, 0],
+    [0, 1, 0, -1, 0, 1], [0, -1, 0, 1, 0, 1], [0, 0, 0, 0, 0, 2],
+], dtype=np.int64)
+_TWICE_KAPPA.setflags(write=False)
+
+
+def _parts(yv: np.ndarray, zv: np.ndarray) -> np.ndarray:
+    """The (6, h, n) stack (y+, y-, z+, z-, |y+ - z+|, |y- - z-|) of two roundings;
+    ``_TWICE_KAPPA`` @ parts / 2 is ``_polarize(yv, zv)``."""
+    parts = np.empty((3, 2, *yv.shape))
+    signed = np.stack((yv, zv))
+    np.maximum(signed, 0.0, out=parts[:2, 0])
+    np.maximum(-signed, 0.0, out=parts[:2, 1])
+    np.subtract(parts[0], parts[1], out=parts[2])
+    np.abs(parts[2], out=parts[2])
+    return parts.reshape(6, *yv.shape)
+
+
+def _numerator_type(lift: Lift) -> type:
+    """int64 where ``_numerators`` cannot overflow it, 720 d n^2 h < 2^63; else Python ints.
+    The bound is taken in Python ints: a lift's dimensions may be numpy integers."""
+    return np.int64 if 720 * int(lift.d) * int(lift.n) ** 2 * int(lift.h) < 2 ** 63 else object
+
+
+def _numerators(lift: Lift, parts: np.ndarray, kind: type) -> np.ndarray:
+    """4(n <c, A c> - s(c)^T B s(c)) for the twelve candidates c of the six parts, exactly:
+    n <c, C c> for the centered operator C, times 4, where s(c) are c's fibre sums and B
+    the base adjacency.
+
+    Candidate and part entries are 0 or 2^i (i >= 0) with squared norm <= 10nh (see
+    ``_polarize``), so every term of G = P (A P)^T is a nonnegative integer and their
+    sum is at most 10dnh < 2^53 (else the lift's (h, d, n) index would hold more than
+    2^49 entries): G is exact in floats, in any order, and so are the fibre sums S
+    (<= 10nh) and S B (each adds d fibres' sums). With |G| <= 10dnh and
+    |S B S^T| <= 10dn^2h entrywise, no entry of n G - S B S^T exceeds 20dn^2h, and
+    the combinations through ``_TWICE_KAPPA`` stay within 720dn^2h: ``kind`` is
+    int64 below 2^63 (``_numerator_type``) and object, Python ints, above.
+    """
+    gram = parts.reshape(6, -1) @ _kernel("adjacency")(lift, parts).reshape(6, -1).T
+    sums = parts.sum(axis=-1)
+    near = sums @ lift.base.adjacency()
+    whole = (int(lift.n) * gram.astype(np.int64).astype(kind)
+             - sums.astype(np.int64).astype(kind) @ near.astype(np.int64).astype(kind).T)
+    kappa = _TWICE_KAPPA.astype(kind)
+    return ((kappa @ whole) * kappa).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class CertificateReport:
-    """Best nonnegative dyadic candidate found for a given input vector."""
+    """Best nonnegative dyadic candidate found for a given input vector.
+
+    ``value`` is the candidate's |<c, C c>| under the centered operator, exactly
+    rounded: an integer numerator over n, divided once.
+    """
 
     vector: LiftVector
     value: float
@@ -341,25 +398,32 @@ def dyadic_certificate(lift: Lift, x: LiftVector, trials: int = 40,
     """Search rounded/polarized candidates maximizing |<c, c>| under the
     centered operator; the target is one twelfth of the input's form.
 
-    Failure to reach the target is reported, not raised. Ties between
-    trials resolve to the earliest trial.
+    Each trial rounds x twice and scores the twelve ``polarize`` candidates
+    exactly, from one adjacency gather of six parts (``_numerators``); only
+    the winner is built. Within a trial the first best candidate wins, and
+    ties between trials resolve to the earliest trial. Failure to reach the
+    target is reported, not raised.
     """
     check_shape(lift, x)
     _check_count(trials, "trials")
     _check_norm(x)
     target = abs(quad_form(lift, "centered", x, x)) / 12.0
+    kind = _numerator_type(lift)
     best = np.zeros((lift.h, lift.n))
-    best_val = 0.0
-    best_trial = -1
+    best_num, best_trial = 0, -1
     for t in range(trials):
-        stack = _polarize(_round(x.values, rng.generator(6101, t, 0)),
-                          _round(x.values, rng.generator(6101, t, 1)))
-        for cand, image in zip(stack, _centered_raw(lift, stack)):
-            val = abs(float(np.vdot(cand, image)))
-            if val > best_val:
-                best, best_val, best_trial = cand, val, t
-    met = best_val >= target * (1.0 - 1e-12)
-    return CertificateReport(LiftVector(best), best_val, target, met, trials, best_trial)
+        y = _round(x.values, rng.generator(6101, t, 0))
+        z = _round(x.values, rng.generator(6101, t, 1))
+        nums = np.abs(_numerators(lift, _parts(y, z), kind))
+        i = int(np.argmax(nums))
+        if nums[i] > best_num:
+            best_num, best_trial, winner = nums[i], t, (y, z, i)
+    if best_trial >= 0:
+        y, z, i = winner
+        best = _polarize(y, z)[i]
+    value = int(best_num) / (4 * int(lift.n))  # Python ints divide with one rounding
+    met = value >= target * (1.0 - 1e-12)
+    return CertificateReport(LiftVector(best), value, target, met, trials, best_trial)
 
 
 # ---------------------------------------------------------------------------

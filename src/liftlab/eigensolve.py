@@ -143,6 +143,8 @@ def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
 
 @dataclass
 class IterativeResult:
+    """A Ritz pair and how it was found; ``converged`` is residual <= tol * scale."""
+
     value: float
     vector: np.ndarray
     iterations: int
@@ -150,6 +152,7 @@ class IterativeResult:
     converged: bool
     restarts: int
     full_passes: int
+    scale: float
 
 
 def _ritz_pairs(t: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -186,8 +189,8 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
     coupling it to that vector, then tridiagonal. Every 8 steps LAPACK
     gives its Ritz pair, converged once the implicit residual
     beta*|s_last| drops below tol times the scale max|alpha| + max beta over
-    all steps. After ``max_iter`` steps the current Ritz pair is returned,
-    unconverged. The returned vector lies on the start's side, <x, start> >= 0,
+    all steps (returned as ``scale``). After ``max_iter`` steps the current
+    Ritz pair is returned, unconverged. The returned vector lies on the start's side, <x, start> >= 0,
     so one start gives one vector: from -start the same steps return -x.
     """
     if which not in ("max", "min", "abs"):
@@ -205,7 +208,7 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
         raise ValueError("start vector has wrong length")
     nv = math.sqrt(float(v @ v))
     if nv == 0.0:
-        return IterativeResult(0.0, v, 0, 0.0, True, 0, 0)
+        return IterativeResult(0.0, v, 0, 0.0, True, 0, 0, 1.0)
 
     m = min(max_basis, dim)
     keep = max(1, m // 3)
@@ -261,7 +264,7 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
                 x = basis[:k].T @ vecs[:, i]
                 x /= math.copysign(math.sqrt(float(x @ x)), float(x @ v))  # the start's side
                 return IterativeResult(float(vals[i]), x, total_iters,
-                                       resid, resid <= tol * scale, restarts, full_passes)
+                                       resid, resid <= tol * scale, restarts, full_passes, scale)
             if k == m:  # thick restart: keep the Ritz vectors nearest the wanted end
                 near = np.abs(vals) if which == "abs" else vals if which == "max" else -vals
                 kept = np.argsort(near, kind="stable")[-keep:]

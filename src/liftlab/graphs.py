@@ -173,7 +173,11 @@ class BaseGraph:
         ends, others = np.concatenate((lo, hi)), np.concatenate((hi, lo))
         index = np.ascontiguousarray(others[np.lexsort((others, ends))].reshape(h, -1).T)
         index.setflags(write=False)  # column u lists u's neighbours ascending
+        adjacency = np.zeros((h, h))
+        adjacency[index, np.arange(h)] = 1.0
+        adjacency.setflags(write=False)
         object.__setattr__(self, "_neighbour_index", index)
+        object.__setattr__(self, "_adjacency", adjacency)
 
     @property
     def d(self) -> int:
@@ -184,9 +188,8 @@ class BaseGraph:
         return self._neighbour_index
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.h, self.h))
-        a[self._neighbour_index, np.arange(self.h)] = 1.0
-        return a
+        """The dense (h, h) 0/1 adjacency matrix, built once per graph, read-only."""
+        return self._adjacency
 
     def are_adjacent(self, u: int, v: int) -> bool:
         return 0 <= u < self.h and v in self._neighbour_index[:, u]
@@ -418,7 +421,7 @@ def balance(x: LiftVector) -> LiftVector:
 
 
 # -- raw-array operator kernels: every entry point reaches one through ``_kernel``,
-# and Lanczos and the certificate trials call ``_centered_raw`` itself. Each takes
+# and Lanczos and the witness's residual call ``_centered_raw`` itself. Each takes
 # an (h, n) array or a (k, h, n) stack, and applies to each slice of a stack the
 # operations, in the order, that it applies to a single array. The adjacency
 # gathers each vertex's d neighbours and adds them from 0.0 in ``perms`` order,

@@ -110,13 +110,16 @@ def lambda_star(lift: Lift, tol: float = 1e-8, method: str = "auto") -> Spectral
     extreme. ``method`` is "auto", "iterative", or "dense" (dense requires
     nh within the dense guard). The iteration stops after 10nh steps.
 
-    Both methods take the witness from one Lanczos solve, whose steps, implicit
-    residual and convergence under tol the report carries, started from one
-    vector per lift: a balanced ``default_rng(7)`` draw. "dense" aims at the end
-    of theta, the extreme of ``new_spectrum``; "iterative" aims at the larger
-    modulus. The witness is that start's projection onto the eigenspace of the
-    value found (Parlett, 1980), on the start's side: <witness, start> >= 0. So
-    on a simple extreme both methods return one witness.
+    Both methods take the witness from one Lanczos solve, whose steps the report
+    carries, started from one vector per lift: a balanced ``default_rng(7)``
+    draw. "dense" aims at the end of theta, the extreme of ``new_spectrum``;
+    "iterative" aims at the larger modulus. The witness is that start's
+    projection onto the eigenspace of the value found (Parlett, 1980), on the
+    start's side: <witness, start> >= 0. So on a simple extreme both methods
+    return one witness. The report's residual is the witness's own,
+    |Cx - rho x| / |x| at its Rayleigh quotient rho, from the one matvec that
+    gives rho; ``converged`` needs both it and Lanczos's implicit residual
+    within tol times the solver's scale.
     """
     return _lambda_star(lift, tol, method)[0]
 
@@ -149,6 +152,8 @@ def _lambda_star(lift: Lift, tol: float, method: str) -> tuple[SpectralReport, n
     out = lanczos_extreme(lambda flat: _centered_raw(lift, flat.reshape(h, n)).reshape(-1),
                           h * n, start.flat(), which=which, tol=tol)
     witness = LiftVector(out.vector.reshape(h, n))
-    ray = centered_rayleigh(lift, witness)
-    return SpectralReport(lam_top, abs(ray), label, out.iterations, out.residual, witness,
-                          out.converged), vals
+    image = _centered_raw(lift, witness.values)  # one matvec: the quotient and its residual
+    ray = float(np.vdot(witness.values, image)) / witness.norm_sq  # as centered_rayleigh
+    residual = math.sqrt(LiftVector(image - ray * witness.values).norm_sq / witness.norm_sq)
+    return SpectralReport(lam_top, abs(ray), label, out.iterations, residual, witness,
+                          out.converged and residual <= tol * out.scale), vals

@@ -21,8 +21,12 @@ from liftlab.dyadic import (
     quad_form,
     quad_form_restricted,
     signed_exponents,
+    _TWICE_KAPPA,
     _check_compatible,
     _comparable_mask,
+    _numerator_type,
+    _numerators,
+    _parts,
     _polarize,
     _round,
 )
@@ -253,6 +257,51 @@ def test_round_unbiased_per_entry():
     assert np.all(np.abs(mean - vals) <= 4 * sigma + 1e-12)
 
 
+def _dividing_round(values, gen):
+    """The rounding as it was written before it dropped its power-of-two division: a
+    reference for bits."""
+    a = np.abs(values)
+    s = np.sign(values)
+    u = gen.random(size=a.shape)
+    mant, expo = np.frexp(a)
+    lo = np.ldexp(1.0, expo - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = (a - lo) / lo
+    big = np.where(u < up, np.ldexp(1.0, expo), lo)
+    small = np.where(u < a, 1.0, 0.0)
+    return np.where(a >= 1.0, big, small) * s
+
+
+class _Given:
+    """A stand-in generator that draws the given values, in order."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=float)
+
+    def random(self, size):
+        return self.draws.reshape(size)
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0 ** -1074, 1.0 - 2.0 ** -53]),
+    st.integers(-2**20, 2**20).map(float),
+    st.integers(-60, 60).map(lambda k: math.ldexp(1.0, k)) | st.integers(-60, 60).map(lambda k: -math.ldexp(1.0, k)),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e12, 1e12))
+# the thresholds 2 mant - 1 and |v| of such entries, exactly, and uniform draws
+_DRAWS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ENTRIES, _DRAWS), min_size=1, max_size=24))
+def test_round_has_the_bits_of_the_power_of_two_division(pairs):
+    values, draws = (np.array(column) for column in zip(*pairs))
+    got, want = _round(values, _Given(draws)), _dividing_round(values, _Given(draws))
+    assert got.tobytes() == want.tobytes()
+    seeded = _round(values, np.random.default_rng(len(pairs)))
+    assert seeded.tobytes() == _dividing_round(values, np.random.default_rng(len(pairs))).tobytes()
+
+
 # --- polarize ----------------------------------------------------------------------
 
 
@@ -424,19 +473,32 @@ def test_certificate_deterministic():
     assert np.array_equal(a.vector.values, b.vector.values)
 
 
+def exact_numerator(lift, c):
+    """n <c, C c> for the centered operator C, in integer arithmetic, per base edge from
+    the permutations: each edge (u, v) adds 2 n sum_j c_u[j] c_v[p(j)] - 2 s_u s_v, with
+    fibre sums s."""
+    ints = c.values.astype(np.int64)
+    assert np.array_equal(ints, c.values)
+    sums = [int(row.sum()) for row in ints]
+    return sum(2 * lift.n * int(ints[u] @ ints[v][p]) - 2 * sums[u] * sums[v]
+               for (u, v), p in lift.perms.items())
+
+
 def per_vector_certificate(lift, x, trials, rng):
     """dyadic_certificate built from the public per-vector calls: each trial
-    rounds, polarizes, and takes one form per candidate."""
+    rounds and polarizes, and takes each candidate's exact form; the first
+    strictly larger one wins."""
     target = abs(quad_form(lift, "centered", x, x)) / 12.0
-    best, best_val, best_trial = LiftVector(np.zeros((lift.h, lift.n))), 0.0, -1
+    best, best_num, best_trial = LiftVector(np.zeros((lift.h, lift.n))), 0, -1
     for t in range(trials):
         y = dyadic_round(x, rng.generator(6101, t, 0))
         z = dyadic_round(x, rng.generator(6101, t, 1))
         for cand in polarize(y, z):
-            val = abs(quad_form(lift, "centered", cand, cand))
-            if val > best_val:
-                best, best_val, best_trial = cand, val, t
-    return best, best_val, target, best_val >= target * (1.0 - 1e-12), best_trial
+            num = abs(exact_numerator(lift, cand))
+            if num > best_num:
+                best, best_num, best_trial = cand, num, t
+    value = float(Fraction(best_num, lift.n))
+    return best, value, target, value >= target * (1.0 - 1e-12), best_trial
 
 
 # k5 n=9 has an odd nh, so every other stacked candidate starts off a 16-byte boundary
@@ -451,6 +513,34 @@ def test_certificate_equals_the_per_vector_path_bit_for_bit(name, n, seed):
     assert (rep.value, rep.target, rep.met, rep.best_trial) == (value, target, met, best_trial)
     assert rep.vector.values.tobytes() == vector.values.tobytes()
     assert best_trial >= 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["k4", "c6", "petersen", "k5"]), n=st.integers(1, 30),
+       seed=st.integers(0, 10**6))
+def test_the_twelve_forms_are_the_exact_forms_of_the_candidates(name, n, seed):
+    rng = np.random.default_rng(seed)
+    lift = random_lift(base_from_name(name), n, rng)
+    x = LiftVector(_at_the_norm_bound(rng.normal(size=(lift.h, n)) * np.exp(rng.normal(size=(lift.h, n)))))
+    y, z = dyadic_round(x, SeededRng(seed, 0)), dyadic_round(x, SeededRng(seed, 1))
+    parts = _parts(y.values, z.values)
+    stack = (_TWICE_KAPPA @ parts.reshape(6, -1)).reshape(12, lift.h, n) / 2.0
+    assert np.array_equal(stack, _polarize(y.values, z.values))
+    exact = [exact_numerator(lift, c) for c in polarize(y, z)]
+    assert _numerator_type(lift) is np.int64
+    for kind in (np.int64, object):
+        nums = _numerators(lift, parts, kind)
+        assert [int(k) for k in nums] == [4 * e for e in exact]
+        assert [abs(int(k)) / (4 * n) for k in nums] == [float(Fraction(abs(e), n)) for e in exact]
+
+
+def test_the_numerators_leave_int64_where_they_could_overflow():
+    class Shape:  # a lift's dimensions, all the choice reads
+        h, d = 5, 4
+    for n, kind in ((25_308_337, np.int64), (25_308_338, object)):  # 720 d n^2 h crosses 2^63
+        assert (720 * Shape.d * n * n * Shape.h < 2 ** 63) is (kind is np.int64)
+        for Shape.n in (n, np.int64(n)):  # where numpy's int64 product would wrap
+            assert _numerator_type(Shape) is kind
 
 
 def exact_candidate(arr):
@@ -551,14 +641,15 @@ def test_roundings_pass_the_checks_and_every_candidate_is_exact(kind, h, n, seed
 # recorded before the search stopped re-checking its candidates, and re-pinned when
 # partial reorthogonalization, and later the one start per lift with its start-side
 # sign, moved the last bits of the witness, and with it of each target (every other
-# field kept its bits). A re-pin edits a value here.
+# field kept its bits); re-pinned again when the value became the exactly rounded
+# form, which moved the last bits of cert.value alone. A re-pin edits a value here.
 CERTIFICATE_DIGESTS = {
-    ("k4", 150): "ac2b57d103ab46a162ac2d1a52c3fb62a421c8516eee1aaafff48d66d1c47d45",
-    ("k5", 120): "794d91af1e40ab54b3c22444f8b3051298f33bad7c656e368f030db7bfa51db1",
-    ("c6", 100): "e9c74e0f39d8cbba987102f1948af8463ea82ae91371591854dc2b56a2a8201d",
-    ("petersen", 60): "e00dc72bb00e604cb755bedd8bc38a721a6982f0c7528e670ddb827a212bf650",
-    ("k4", 1000): "1088bbcdd51faea4ade4639c4ba5e7b05210e7e119795d5f0411379f8dd40f41",
-    ("petersen", 500): "69e313a2258075baffbd0f3434ffb617b13c4500c56de732529542c447643cc6",
+    ("k4", 150): "90eb2283754d1b2d099f1439dc7625d7df7b2edce601f7c582a8afcf9879f937",
+    ("k5", 120): "923fe12061eee23cd7abef3776679470898203517aacccb07bf38fc48e7bd939",
+    ("c6", 100): "1327a6557bd8d6ca79adf53e409d26fdcfbf9c922d2fbf25cffec994f1236323",
+    ("petersen", 60): "dc891fdb5ba7b92338b69e4b855fdf51cd53eb786ee6a45c069da4ab1e8a4191",
+    ("k4", 1000): "8d52165f2062eea16205294df7f425b02ad1e83401c45286166ba4ca83c2372b",
+    ("petersen", 500): "8df72e2ed4f0835e590eccb9e1f292d68f447a2c5dff49ac401535555c5b573f",
 }
 
 

@@ -199,6 +199,19 @@ def test_canonical_edges_are_kept_and_others_rebuilt_as_python_ints():
         assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int for e in graph.edges)
 
 
+@pytest.mark.parametrize("name", ("k2", "k5", "c6", "c9p2", "petersen"))
+def test_the_adjacency_is_built_once_and_read_only(name):
+    base = base_from_name(name)
+    fresh = np.zeros((base.h, base.h))
+    for u, v in base.edges:
+        fresh[u, v] = fresh[v, u] = 1.0
+    adjacency = base.adjacency()
+    assert adjacency.tobytes() == fresh.tobytes() and adjacency.shape == fresh.shape
+    assert base.adjacency() is adjacency and not adjacency.flags.writeable
+    with pytest.raises(ValueError):
+        adjacency[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("name", ("k5", "c6", "c9p2", "petersen"))
 def test_are_adjacent_reads_the_adjacency(name):
     base = base_from_name(name)

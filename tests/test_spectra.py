@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liftlab.spectra as spectra
-from liftlab.errors import ConfigError, TooLargeError
+from liftlab.errors import ConfigError, NotConvergedError, TooLargeError
+from liftlab.experiment import run_cell
 from liftlab.graphs import (
     LiftVector,
     apply_adjacency,
@@ -201,6 +203,40 @@ def test_lambda_star_witness_rayleigh_consistency():
     ray = abs(centered_rayleigh(lift, rep.witness))
     assert rep.lambda_star - 10 * tol <= ray <= rep.lambda_star + 1e-12
     assert is_balanced(rep.witness, tol=1e-8)
+
+
+@pytest.mark.parametrize("name, n, method", [("k4", 150, "dense"), ("c6", 100, "dense"),
+                                             ("petersen", 60, "iterative"), ("k5", 400, "auto")])
+def test_the_reported_residual_is_the_witnesses_own(name, n, method):
+    lift = sample_lift(base_from_name(name), n, SeededRng(3))
+    rep = lambda_star(lift, method=method)
+    x = rep.witness.flat()
+    image = oracle_centered(lift) @ x
+    rho = float(x @ image) / float(x @ x)
+    assert rep.converged and abs(rho) == pytest.approx(rep.lambda_star, rel=1e-12)
+    want = np.linalg.norm(image - rho * x) / np.linalg.norm(x)
+    assert rep.residual == pytest.approx(want, rel=1e-6, abs=1e-14)
+
+
+def test_a_witness_off_its_implicit_residual_is_not_converged(monkeypatch):
+    """A solver whose vector moved after its implicit residual was taken: the report's
+    own residual catches it, and the cell fails."""
+    real = spectra.lanczos_extreme
+
+    def drifted(matvec, dim, start, **kwargs):
+        out = real(matvec, dim, start, **kwargs)
+        noise = balance(LiftVector(np.random.default_rng(5).normal(size=(4, dim // 4)))).flat()
+        vector = out.vector + 1e-4 * noise / np.linalg.norm(noise)
+        return dataclasses.replace(out, vector=vector / np.linalg.norm(vector))
+
+    lift = sample_lift(complete_graph(4), 150, SeededRng(1))
+    honest = lambda_star(lift)
+    monkeypatch.setattr(spectra, "lanczos_extreme", drifted)
+    rep = lambda_star(lift)
+    assert honest.converged and not rep.converged
+    assert rep.iterations == honest.iterations and rep.residual > 100 * honest.residual
+    with pytest.raises(NotConvergedError, match="did not converge"):
+        run_cell(complete_graph(4), 150, 1, stages=("spectrum",))
 
 
 def test_lambda_star_planted_clique_lower_bound():
