@@ -239,7 +239,7 @@ def dyadic_round(x: LiftVector, rng) -> LiftVector:
     """
     _check_norm(x)
     gen = rng.generator() if isinstance(rng, SeededRng) else rng
-    return LiftVector(_round(x.values, gen))
+    return LiftVector(_rounding(x.values)(gen))
 
 
 def _check_norm(x: LiftVector) -> None:
@@ -250,15 +250,19 @@ def _check_norm(x: LiftVector) -> None:
         raise NormTooLargeError(f"squared norm {x.norm_sq:.6g} exceeds {nh}")
 
 
-def _round(values: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+def _rounding(values: np.ndarray):
+    """The rounding of ``values`` as a function of its generator, which only draws and selects."""
     # |v| = mant 2^expo with 2^(expo-1) <= |v|: the chance of rounding up, (|v| - lo)/lo,
-    # is 2 mant - 1 exactly, and the two outcomes are 2^expo and 2^(expo-1)
+    # is 2 mant - 1 exactly, and the two outcomes are 2^expo and 2^(expo-1); below 1 the
+    # chance is |v| and the outcomes 1 and 0
     a = np.abs(values)
-    u = gen.random(size=a.shape)
     mant, expo = np.frexp(a)
-    big = np.ldexp(np.where(u < 2.0 * mant - 1.0, 1.0, 0.5), expo)
-    # times np.sign, not copysign: a -0.0 entry rounds to +0.0
-    return np.where(a >= 1.0, big, u < a) * np.sign(values)
+    big = a >= 1.0
+    sign = np.sign(values)  # not copysign: a -0.0 entry rounds to +0.0
+    chance = np.where(big, 2.0 * mant - 1.0, a)
+    up = np.where(big, np.ldexp(1.0, expo), 1.0) * sign
+    down = np.where(big, np.ldexp(0.5, expo), 0.0) * sign
+    return lambda gen: np.where(gen.random(size=a.shape) < chance, up, down)
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +402,11 @@ def dyadic_certificate(lift: Lift, x: LiftVector, trials: int = 40,
     """Search rounded/polarized candidates maximizing |<c, c>| under the
     centered operator; the target is one twelfth of the input's form.
 
-    Each trial rounds x twice and scores the twelve ``polarize`` candidates
-    exactly, from one adjacency gather of six parts (``_numerators``); only
-    the winner is built. Within a trial the first best candidate wins, and
-    ties between trials resolve to the earliest trial. Failure to reach the
-    target is reported, not raised.
+    Each trial rounds x twice, by one ``_rounding`` of x, and scores the
+    twelve ``polarize`` candidates exactly, from one adjacency gather of six
+    parts (``_numerators``); only the winner is built. Within a trial the
+    first best candidate wins, and ties between trials resolve to the
+    earliest trial. Failure to reach the target is reported, not raised.
     """
     check_shape(lift, x)
     _check_count(trials, "trials")
@@ -411,9 +415,9 @@ def dyadic_certificate(lift: Lift, x: LiftVector, trials: int = 40,
     kind = _numerator_type(lift)
     best = np.zeros((lift.h, lift.n))
     best_num, best_trial = 0, -1
+    rounding = _rounding(x.values)
     for t in range(trials):
-        y = _round(x.values, rng.generator(6101, t, 0))
-        z = _round(x.values, rng.generator(6101, t, 1))
+        y, z = rounding(rng.generator(6101, t, 0)), rounding(rng.generator(6101, t, 1))
         nums = np.abs(_numerators(lift, _parts(y, z), kind))
         i = int(np.argmax(nums))
         if nums[i] > best_num:

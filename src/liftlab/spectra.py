@@ -6,8 +6,8 @@ and vectors balanced on every fibre. The centered operator is zero on the
 first and the adjacency on the second, so ``new_spectrum`` (the balanced
 part) is its spectrum without h kernel zeros. ``lambda_star`` takes its
 extreme modulus and witness from one thick-restart Lanczos solve on the
-centered operator, from one start per lift, at the end that the exact spectrum
-picks on the dense path.
+centered operator, from one start per lift, at the larger modulus or at the end
+that the exact spectrum picks, on the dense path ("auto": bipartite bases alone).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .eigensolve import (householder_tridiagonalize, lanczos_extreme, symmetric_
                          tridiagonal_eigenvalues)
 from .errors import ConfigError, NotConvergedError
 from .graphs import (
+    BaseGraph,
     Lift,
     LiftVector,
     _centered_raw,
@@ -85,20 +86,40 @@ def new_spectrum(lift: Lift) -> np.ndarray:
     return np.delete(vals, np.argsort(np.abs(vals), kind="stable")[:lift.h])
 
 
-def _theta(lift: Lift, vals: np.ndarray) -> float:
+def _theta(lift: Lift, vals: np.ndarray | None) -> float:
     """The extreme of the new spectrum ``vals`` that the dense path aims Lanczos at.
 
-    On a repeated extreme modulus (within 1e-9, relative), such as a bipartite
-    base's +-theta tie, the recorded rows hang on the end that Householder + QL
-    pick on the adjacency restricted to a per-fibre orthonormal balanced basis.
+    On a repeated extreme modulus (within 1e-9, relative), or a tie known without
+    ``vals`` (None on a bipartite base), the recorded rows hang on the end that
+    Householder + QL pick on the adjacency restricted to a per-fibre orthonormal
+    balanced basis.
     """
-    top = np.abs(vals).max(initial=0.0)
-    if np.count_nonzero(np.abs(vals) >= top - 1e-9 * max(1.0, top)) > 1:
-        n, h, w = lift.n, lift.h, balanced_basis(lift.n)
-        blocks = dense_operator(lift, "adjacency").reshape(h, n, h, n)
-        restricted = np.einsum("ajbk,jp,kq->apbq", blocks, w, w, optimize=True).reshape(h * (n - 1), -1)
-        vals = tridiagonal_eigenvalues(*householder_tridiagonalize((restricted + restricted.T) / 2.0))
+    if vals is not None:
+        top = np.abs(vals).max(initial=0.0)
+        if np.count_nonzero(np.abs(vals) >= top - 1e-9 * max(1.0, top)) <= 1:
+            return float(vals[np.argmax(np.abs(vals))])
+    n, h, w = lift.n, lift.h, balanced_basis(lift.n)
+    blocks = dense_operator(lift, "adjacency").reshape(h, n, h, n)
+    restricted = np.einsum("ajbk,jp,kq->apbq", blocks, w, w, optimize=True).reshape(h * (n - 1), -1)
+    vals = tridiagonal_eigenvalues(*householder_tridiagonalize((restricted + restricted.T) / 2.0))
     return float(vals[np.argmax(np.abs(vals))])
+
+
+def _bipartite(base: BaseGraph) -> bool:
+    """Whether the base 2-colours, by breadth-first search. Then D, +-1 on each fibre by
+    its colour, keeps the balanced vectors and DCD = -C: every new spectrum is symmetric."""
+    neighbours, colour = base.neighbour_index().T.tolist(), [-1] * base.h
+    for root in range(base.h):
+        if colour[root] < 0:
+            colour[root], queue = 0, [root]
+            for u in queue:  # grows as it is read
+                for v in neighbours[u]:
+                    if colour[v] == colour[u]:
+                        return False
+                    if colour[v] < 0:
+                        colour[v] = 1 - colour[u]
+                        queue.append(v)
+    return True
 
 
 def lambda_star(lift: Lift, tol: float = 1e-8, method: str = "auto") -> SpectralReport:
@@ -108,18 +129,19 @@ def lambda_star(lift: Lift, tol: float = 1e-8, method: str = "auto") -> Spectral
     witness, so it is always a certified lower bound; convergence of the
     iteration makes it accurate to roughly tol as an estimate of the true
     extreme. ``method`` is "auto", "iterative", or "dense" (dense requires
-    nh within the dense guard). The iteration stops after 10nh steps.
+    nh within the dense guard); "auto" is "dense" up to nh 600 on a bipartite
+    base alone. The iteration stops after 10nh steps.
 
     Both methods take the witness from one Lanczos solve, whose steps the report
     carries, started from one vector per lift: a balanced ``default_rng(7)``
-    draw. "dense" aims at the end of theta, the extreme of ``new_spectrum``;
-    "iterative" aims at the larger modulus. The witness is that start's
-    projection onto the eigenspace of the value found (Parlett, 1980), on the
-    start's side: <witness, start> >= 0. So on a simple extreme both methods
-    return one witness. The report's residual is the witness's own,
-    |Cx - rho x| / |x| at its Rayleigh quotient rho, from the one matvec that
-    gives rho; ``converged`` needs both it and Lanczos's implicit residual
-    within tol times the solver's scale.
+    draw. "dense" aims at the end of theta, the extreme of ``new_spectrum``
+    (on a bipartite base, QL's pick of the tie alone); "iterative" aims at the
+    larger modulus. The witness is that start's projection onto the eigenspace
+    of the value found (Parlett, 1980), on the start's side: <witness, start>
+    >= 0. So on a simple extreme both methods return one witness. The report's
+    residual is the witness's own, |Cx - rho x| / |x| at its Rayleigh quotient
+    rho, from the one matvec that gives rho; ``converged`` needs both it and
+    Lanczos's implicit residual within tol times the solver's scale.
     """
     return _lambda_star(lift, tol, method)[0]
 
@@ -137,13 +159,15 @@ def _lambda_star(lift: Lift, tol: float, method: str) -> tuple[SpectralReport, n
         raise ConfigError(f"method must be auto, dense or iterative, not {method!r}")
     n, h = lift.n, lift.h
     lam_top = float(lift.d)  # the Rayleigh quotient of all-ones on a d-regular lift
-    label = "dense" if method == "dense" or (method == "auto" and n * h <= 600) else "iterative"
+    # "auto" is dense only where a +-theta tie is certain, on a bipartite base
+    bipartite = (method == "dense" or method == "auto" and n * h <= 600) and _bipartite(lift.base)
+    label = "dense" if method == "dense" or bipartite else "iterative"
     if n == 1:
         return SpectralReport(lam_top, 0.0, label, 0, 0.0,
                               LiftVector(np.zeros((h, 1))), True), None
 
     if label == "dense":
-        vals = new_spectrum(lift)
+        vals = None if bipartite else new_spectrum(lift)
         which = "max" if _theta(lift, vals) > 0 else "min"
     else:
         vals, which = None, "abs"

@@ -212,23 +212,28 @@ def test_lanczos_ritz_vector_sign_convention():
 
 
 # Lanczos steps that lambda_star takes on each sweep-pool cell, seeded as run_cell
-# seeds them: (name, n) -> the count for seeds 1, 2, ...; a re-pin edits a value here
+# seeds them: (name, n, method) -> the count for seeds 1, 2, ...; "iterative" is what
+# "auto" takes there, "dense" is asked for; a re-pin edits a value here
 ITERATIONS = {
-    ("k4", 1000): (320, 240, 280, 256, 360, 264, 272, 232),
-    ("petersen", 500): (248, 264, 256, 328, 224, 280, 264, 312),
-    ("k5", 3000): (272,),
-    ("k4", 150): (136, 128, 136, 136, 136, 128, 112, 152),
-    ("k5", 120): (120, 104, 128, 104, 112, 104, 112, 120),
-    ("c6", 100): (336, 328, 344, 336, 336, 312, 344, 304),
-    ("petersen", 60): (136, 128, 136, 112, 152, 144, 136, 136),
+    ("k4", 1000, "iterative"): (320, 240, 280, 256, 360, 264, 272, 232),
+    ("petersen", 500, "iterative"): (248, 264, 256, 328, 224, 280, 264, 312),
+    ("k5", 3000, "iterative"): (272,),
+    ("k4", 150, "iterative"): (136, 136, 144, 136, 136, 128, 112, 152),
+    ("k5", 120, "iterative"): (120, 104, 128, 104, 112, 104, 112, 120),
+    ("petersen", 60, "iterative"): (136, 128, 136, 112, 152, 144, 136, 136),
+    ("k4", 150, "dense"): (136, 128, 136, 136, 136, 128, 112, 152),
+    ("k5", 120, "dense"): (120, 104, 128, 104, 112, 104, 112, 120),
+    ("c6", 100, "dense"): (336, 328, 344, 336, 336, 312, 344, 304),
+    ("petersen", 60, "dense"): (136, 128, 136, 112, 152, 144, 136, 136),
 }
 
 
 def _pinned_iterations(name, n, seed, method):
-    rep = lambda_star(sample_lift(base_from_name(name), n, SeededRng(seed)))
+    lift = sample_lift(base_from_name(name), n, SeededRng(seed))
+    rep = lambda_star(lift, method="dense" if method == "dense" else "auto")
     assert rep.method == method
     assert rep.converged
-    assert rep.iterations == ITERATIONS[name, n][seed - 1]
+    assert rep.iterations == ITERATIONS[name, n, method][seed - 1]
 
 
 def test_lanczos_iteration_count_is_pinned():
@@ -241,9 +246,13 @@ def test_lanczos_iteration_count_is_pinned():
 @pytest.mark.parametrize("name,n,seed", [
     *[("k4", 1000, seed) for seed in range(2, 9)],
     *[("petersen", 500, seed) for seed in range(1, 9)],
-    ("k5", 3000, 1)])
+    ("k5", 3000, 1),
+    *[(name, n, seed) for name, n in (("k4", 150), ("k5", 120), ("petersen", 60))
+      for seed in range(1, 9)]])
 def test_lanczos_iteration_counts_of_the_sweep_pool_are_pinned(name, n, seed):
-    """The sweep pool's other 16 Lanczos cells, pinned like k4 n=1000 seed 1 above.
+    """The sweep pool's other 40 cells that "auto" solves by Lanczos aimed at the
+    larger modulus, pinned like k4 n=1000 seed 1 above: every cell of a base that
+    is not bipartite.
 
     These pin a path, not a result: a solver change that moves no row still moves
     them. Correctness is stated by the projection test
@@ -258,8 +267,9 @@ def test_lanczos_iteration_counts_of_the_sweep_pool_are_pinned(name, n, seed):
     (name, n, seed) for name, n in (("k4", 150), ("k5", 120), ("c6", 100), ("petersen", 60))
     for seed in range(1, 9)])
 def test_dense_iteration_counts_of_the_sweep_pool_are_pinned(name, n, seed):
-    """The sweep pool's 32 dense cells, whose witness comes from Lanczos aimed at the
-    exact spectrum's extreme end.
+    """The sweep pool's 32 nh = 600 cells under method "dense", whose witness comes
+    from Lanczos aimed at the exact spectrum's extreme end; "auto" takes this path
+    on the c6 cells alone.
 
     Path pins like the Lanczos cells above, stated correct by the same projection,
     basis-size and semi-orthogonality tests.

@@ -10,12 +10,16 @@ import liftlab.spectra as spectra
 from liftlab.errors import ConfigError, NotConvergedError, TooLargeError
 from liftlab.experiment import run_cell
 from liftlab.graphs import (
+    BaseGraph,
+    Lift,
     LiftVector,
     apply_adjacency,
     apply_centered,
     balance,
     base_from_name,
+    base_from_text,
     complete_graph,
+    cycle_graph,
     identity_lift,
     lifted_eigenvector,
     petersen_graph,
@@ -141,11 +145,13 @@ def test_lambda_star_n1_is_zero():
     assert rep.lambda_top == pytest.approx(4.0)
 
 
-@pytest.mark.parametrize("method, label", [("auto", "dense"), ("dense", "dense"),
-                                           ("iterative", "iterative")])
-def test_a_single_fibre_lift_reports_the_method_it_was_asked(method, label):
-    # n = 1 returns before any solve, with the label the solve would have had
-    rep = lambda_star(identity_lift(complete_graph(5), 1), method=method)
+@pytest.mark.parametrize("name, method, label", [("k5", "auto", "iterative"), ("c6", "auto", "dense"),
+                                                 ("k5", "dense", "dense"),
+                                                 ("k5", "iterative", "iterative")])
+def test_a_single_fibre_lift_reports_the_method_it_was_asked(name, method, label):
+    # n = 1 returns before any solve, with the label the solve would have had:
+    # "auto" is dense on a bipartite base alone
+    rep = lambda_star(identity_lift(base_from_name(name), 1), method=method)
     assert (rep.method, rep.lambda_star, rep.iterations) == (label, 0.0, 0)
 
 
@@ -328,3 +334,77 @@ def test_dense_witness_is_its_start_projected_onto_the_extreme_eigenspace(
     x = rep.witness.flat()
     assert x @ projection >= (1.0 - 1e-12) * np.linalg.norm(x) * np.linalg.norm(projection)
     assert abs(centered_rayleigh(lift, rep.witness) - theta) <= 1e-12
+
+
+# --- the dense path on bipartite bases alone ------------------------------------------
+
+
+BIPARTITE_BASES = {"c6": base_from_name("c6"), "c4": cycle_graph(4), "c8": cycle_graph(8),
+                   "k33": base_from_text("6 9\n" + "\n".join(f"{u} {v}" for u in range(3)
+                                                             for v in range(3, 6)))}
+
+
+def test_bipartite_reads_an_exact_two_colouring_of_the_base():
+    assert all(spectra._bipartite(base) for base in BIPARTITE_BASES.values())
+    for name in ("k2", "k3", "k4", "k5", "c5", "c7", "c9p2", "petersen"):
+        assert spectra._bipartite(base_from_name(name)) == (name == "k2")
+    two_squares = BaseGraph(8, ((0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)))
+    square_and_triangles = BaseGraph(10, ((0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6),
+                                          (7, 8), (8, 9), (7, 9)))
+    assert spectra._bipartite(two_squares) and not spectra._bipartite(square_and_triangles)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(BIPARTITE_BASES)), n=st.integers(2, 60),
+       seed=st.integers(0, 10**6))
+def test_the_new_spectrum_of_a_bipartite_base_is_symmetric(name, n, seed):
+    # D, +-1 on each fibre by its colour class, keeps the balanced vectors and
+    # DCD = -C: the fact that makes the +-theta tie certain and the dense path's
+    # LAPACK spectrum needless there
+    base = BIPARTITE_BASES[name]
+    vals = new_spectrum(sample_lift(base, n, SeededRng(seed)))
+    assert np.abs(np.sort(vals) - np.sort(-vals)).max() <= 1e-12 * base.d
+
+
+def test_a_bipartite_lift_of_a_base_that_is_not_has_no_symmetric_new_spectrum():
+    # the triangle's 2-lift with one crossed matching is the hexagon, bipartite,
+    # yet its new spectrum is {1, 1, -2}: the rule reads the base, not the lift
+    triangle = complete_graph(3)
+    swap = np.array([1, 0])
+    lift = Lift(triangle, 2, {(0, 1): np.arange(2), (0, 2): np.arange(2), (1, 2): swap})
+    hexagon = BaseGraph(6, tuple((u * 2 + j, v * 2 + int(p[j]))
+                                 for (u, v), p in lift.perms.items() for j in range(2)))
+    assert spectra._bipartite(hexagon) and not spectra._bipartite(triangle)
+    assert np.allclose(new_spectrum(lift), [1.0, 1.0, -2.0], atol=1e-12)
+    assert lambda_star(lift).method == "iterative"
+
+
+def _calls(monkeypatch, name):
+    calls = []
+    real = getattr(spectra, name)
+    monkeypatch.setattr(spectra, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name, n, method, householder, lapack", [
+    ("c6", 100, "auto", 1, 0), ("c6", 100, "dense", 1, 0),
+    ("k4", 150, "auto", 0, 0), ("k4", 150, "dense", 0, 1)])
+def test_the_dense_path_runs_lapack_only_where_a_tie_is_not_certain(
+        name, n, method, householder, lapack, monkeypatch):
+    calls = [_calls(monkeypatch, f) for f in ("householder_tridiagonalize", "symmetric_eigenvalues")]
+    rep = lambda_star(sample_lift(base_from_name(name), n, SeededRng(1)), method=method)
+    assert rep.method == ("dense" if method == "dense" or name == "c6" else "iterative")
+    assert [len(c) for c in calls] == [householder, lapack]
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+@pytest.mark.parametrize("name, n", [("k4", 150), ("k5", 120), ("petersen", 60)])
+def test_auto_on_a_small_lift_of_a_base_that_is_not_bipartite_matches_eigvalsh(name, n, seed):
+    # the benchmark's cross-check on every nh = 600 cell that "auto" solves by
+    # Lanczos: the extreme modulus of eigvalsh of the entry-by-entry centered
+    # operator, whose h kernel zeros never reach it
+    lift = sample_lift(base_from_name(name), n, SeededRng(seed))
+    rep = lambda_star(lift)
+    assert rep.method == "iterative" and rep.converged
+    want = float(np.abs(np.linalg.eigvalsh(oracle_centered(lift))).max())
+    assert rep.lambda_star == pytest.approx(want, rel=1e-9, abs=0.0)
