@@ -312,16 +312,7 @@ def _polarize(yv: np.ndarray, zv: np.ndarray) -> np.ndarray:
     ``signed_exponents``, ``within_cap``) before anything derived from it reaches
     a CSV row or stdout.
     """
-    yp = np.maximum(yv, 0.0)
-    ym = np.maximum(-yv, 0.0)
-    zp = np.maximum(zv, 0.0)
-    zm = np.maximum(-zv, 0.0)
-    w1p = np.maximum(yp - zp, 0.0)
-    w1m = np.maximum(zp - yp, 0.0)
-    w2p = np.maximum(ym - zm, 0.0)
-    w2m = np.maximum(zm - ym, 0.0)
-    return np.stack([yp, ym, zp, zm, yp + zm, ym + zp,
-                     w1p, w1m, w1p + w1m, w2p, w2m, w2p + w2m])
+    return (_TWICE_KAPPA @ _parts(yv, zv).reshape(6, -1)).reshape(12, *yv.shape) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +332,8 @@ _TWICE_KAPPA.setflags(write=False)
 
 
 def _parts(yv: np.ndarray, zv: np.ndarray) -> np.ndarray:
-    """The (6, h, n) stack (y+, y-, z+, z-, |y+ - z+|, |y- - z-|) of two roundings;
-    ``_TWICE_KAPPA`` @ parts / 2 is ``_polarize(yv, zv)``."""
+    """The (6, h, n) stack (y+, y-, z+, z-, |y+ - z+|, |y- - z-|) of two roundings,
+    which ``_polarize`` combines through ``_TWICE_KAPPA``."""
     parts = np.empty((3, 2, *yv.shape))
     signed = np.stack((yv, zv))
     np.maximum(signed, 0.0, out=parts[:2, 0])

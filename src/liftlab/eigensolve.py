@@ -2,8 +2,8 @@
 
 Dense path: LAPACK (``numpy.linalg.eigvalsh``) gives the eigenvalues.
 Householder reduction and implicit-shift QL, its sweeps on Python floats,
-serve only the dense path's pick of an end on a repeated extreme modulus
-(``spectra._theta``), which takes their bits. Householder writes each
+serve only the pick of an end on a bipartite base's certain +-theta tie
+(``spectra._tie_end``), which takes their bits. Householder writes each
 updated trailing block contiguously into one of two swapped n * n buffers,
 with the roundings of a strided in-place update of the input with -0.0 made
 +0.0. Iterative path: thick-restart Lanczos in a fixed basis of 48 vectors,
@@ -11,8 +11,8 @@ driven by a caller-supplied matvec, with partial reorthogonalization: an
 estimate of the basis's loss of orthogonality decides when a step runs the
 full Gram-Schmidt pass, which takes a second pass only when the DGKS test
 asks for it; the Ritz pairs of the small projected matrix come from LAPACK
-(``numpy.linalg.eigh``), and the returned Ritz vector is signed by its
-start, <x, start> >= 0.
+(``numpy.linalg.eigh``), "abs" takes ``_top_end`` of them, and the
+returned Ritz vector is signed by its start, <x, start> >= 0.
 """
 
 from __future__ import annotations
@@ -155,12 +155,18 @@ class IterativeResult:
     scale: float
 
 
+def _top_end(lo: float, hi: float) -> str:
+    """The end, "max" or "min", of a spectrum from lo to hi of extreme modulus: the
+    top end, unless -lo exceeds hi by more than 1e-9 max(|hi|, |lo|, 1)."""
+    return "min" if -lo > hi + 1e-9 * max(abs(hi), abs(lo), 1.0) else "max"
+
+
 def _ritz_pairs(t: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Eigenpairs of the projected matrix, as LAPACK signs them, and the index of
-    the selected one."""
+    the selected one; "abs" selects ``_top_end`` of the Ritz values."""
     vals, vecs = np.linalg.eigh(t)
-    top = which == "max" or (which == "abs" and abs(vals[-1]) >= abs(vals[0]))
-    return vals, vecs, vals.size - 1 if top else 0
+    end = _top_end(vals[0], vals[-1]) if which == "abs" else which
+    return vals, vecs, vals.size - 1 if end == "max" else 0
 
 
 def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
@@ -168,8 +174,8 @@ def lanczos_extreme(matvec, dim: int, start: np.ndarray, which: str = "abs",
                     max_basis: int = 48) -> IterativeResult:
     """Extreme eigenpair of a symmetric operator given only matvec.
 
-    ``which`` selects "max" (most positive), "min" (most negative), or
-    "abs" (largest modulus). The Krylov space stays in any invariant
+    ``which`` selects "max" (most positive), "min" (most negative), or "abs"
+    (largest modulus, by ``_top_end``). The Krylov space stays in any invariant
     subspace of the operator that holds the start vector, so a start vector
     taken in such a subspace restricts the whole computation to it.
 

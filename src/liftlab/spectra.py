@@ -6,8 +6,9 @@ and vectors balanced on every fibre. The centered operator is zero on the
 first and the adjacency on the second, so ``new_spectrum`` (the balanced
 part) is its spectrum without h kernel zeros. ``lambda_star`` takes its
 extreme modulus and witness from one thick-restart Lanczos solve on the
-centered operator, from one start per lift, at the larger modulus or at the end
-that the exact spectrum picks, on the dense path ("auto": bipartite bases alone).
+centered operator, from one start per lift, aimed at the end of extreme modulus,
+the top end on a +-theta tie; only the dense path ("auto": bipartite bases alone)
+on a bipartite base, whose tie is certain, takes the end that QL picks.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import (householder_tridiagonalize, lanczos_extreme, symmetric_eigenvalues,
-                         tridiagonal_eigenvalues)
+from .eigensolve import (_top_end, householder_tridiagonalize, lanczos_extreme,
+                         symmetric_eigenvalues, tridiagonal_eigenvalues)
 from .errors import ConfigError, NotConvergedError
 from .graphs import (
     BaseGraph,
@@ -86,23 +87,16 @@ def new_spectrum(lift: Lift) -> np.ndarray:
     return np.delete(vals, np.argsort(np.abs(vals), kind="stable")[:lift.h])
 
 
-def _theta(lift: Lift, vals: np.ndarray | None) -> float:
-    """The extreme of the new spectrum ``vals`` that the dense path aims Lanczos at.
-
-    On a repeated extreme modulus (within 1e-9, relative), or a tie known without
-    ``vals`` (None on a bipartite base), the recorded rows hang on the end that
-    Householder + QL pick on the adjacency restricted to a per-fibre orthonormal
-    balanced basis.
-    """
-    if vals is not None:
-        top = np.abs(vals).max(initial=0.0)
-        if np.count_nonzero(np.abs(vals) >= top - 1e-9 * max(1.0, top)) <= 1:
-            return float(vals[np.argmax(np.abs(vals))])
+def _tie_end(lift: Lift) -> str:
+    """The end, "max" or "min", that the dense path aims Lanczos at on a bipartite base,
+    whose new spectrum has a certain +-theta tie: the recorded c6 rows hang on the end
+    that Householder + QL pick on the adjacency restricted to a per-fibre orthonormal
+    balanced basis."""
     n, h, w = lift.n, lift.h, balanced_basis(lift.n)
     blocks = dense_operator(lift, "adjacency").reshape(h, n, h, n)
     restricted = np.einsum("ajbk,jp,kq->apbq", blocks, w, w, optimize=True).reshape(h * (n - 1), -1)
     vals = tridiagonal_eigenvalues(*householder_tridiagonalize((restricted + restricted.T) / 2.0))
-    return float(vals[np.argmax(np.abs(vals))])
+    return "max" if vals[np.argmax(np.abs(vals))] > 0 else "min"
 
 
 def _bipartite(base: BaseGraph) -> bool:
@@ -134,14 +128,15 @@ def lambda_star(lift: Lift, tol: float = 1e-8, method: str = "auto") -> Spectral
 
     Both methods take the witness from one Lanczos solve, whose steps the report
     carries, started from one vector per lift: a balanced ``default_rng(7)``
-    draw. "dense" aims at the end of theta, the extreme of ``new_spectrum``
-    (on a bipartite base, QL's pick of the tie alone); "iterative" aims at the
-    larger modulus. The witness is that start's projection onto the eigenspace
-    of the value found (Parlett, 1980), on the start's side: <witness, start>
-    >= 0. So on a simple extreme both methods return one witness. The report's
-    residual is the witness's own, |Cx - rho x| / |x| at its Rayleigh quotient
-    rho, from the one matvec that gives rho; ``converged`` needs both it and
-    Lanczos's implicit residual within tol times the solver's scale.
+    draw. "dense" aims at ``eigensolve._top_end`` of ``new_spectrum``'s LAPACK
+    values, "iterative" at that of its Ritz values; on a bipartite base, whose
+    +-theta tie is certain, "dense" takes QL's end and no LAPACK spectrum. The
+    witness is that start's projection onto the eigenspace of the value found
+    (Parlett, 1980), on the start's side: <witness, start> >= 0. So on a simple
+    extreme both methods return one witness. The report's residual is the
+    witness's own, |Cx - rho x| / |x| at its Rayleigh quotient rho, from the one
+    matvec that gives rho; ``converged`` needs both it and Lanczos's implicit
+    residual within tol times the solver's scale.
     """
     return _lambda_star(lift, tol, method)[0]
 
@@ -166,11 +161,12 @@ def _lambda_star(lift: Lift, tol: float, method: str) -> tuple[SpectralReport, n
         return SpectralReport(lam_top, 0.0, label, 0, 0.0,
                               LiftVector(np.zeros((h, 1))), True), None
 
-    if label == "dense":
-        vals = None if bipartite else new_spectrum(lift)
-        which = "max" if _theta(lift, vals) > 0 else "min"
-    else:
-        vals, which = None, "abs"
+    vals, which = None, "abs"
+    if bipartite:
+        which = _tie_end(lift)
+    elif label == "dense":
+        vals = new_spectrum(lift)
+        which = _top_end(vals[-1], vals[0])
     # C is zero on fibre-constant vectors: rounding drift off a balanced start never grows
     start = balance(LiftVector(np.random.default_rng(7).normal(size=(h, n))))
     out = lanczos_extreme(lambda flat: _centered_raw(lift, flat.reshape(h, n)).reshape(-1),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import liftlab.eigensolve as eigensolve
 import liftlab.spectra as spectra
-from liftlab.eigensolve import lanczos_extreme, symmetric_eigenvalues
+from liftlab.eigensolve import _top_end, lanczos_extreme, symmetric_eigenvalues
 from liftlab.graphs import base_from_name, complete_graph
 from liftlab.sampling import SeededRng, sample_lift
 from liftlab.spectra import lambda_star
@@ -94,6 +94,23 @@ def test_symmetric_eigenvalues_are_lapacks(m, monkeypatch):
     calls = _count_householder(monkeypatch)
     assert np.array_equal(symmetric_eigenvalues(m), np.linalg.eigvalsh(m)[::-1])
     assert calls == []
+
+
+# --- the top-end rule -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo, hi, end", [
+    (-3.0, 3.0, "max"),  # an exact tie
+    (-3.0 * (1 + 1e-10), 3.0, "max"),  # within 1e-9, relative
+    (-3.0 * (1 + 1e-8), 3.0, "min"),  # beyond it
+    (-4.0, 3.999, "min"),  # the negative end is larger
+    (-1e-10, 0.0, "max"),  # the scale is at least 1
+    (-2e-9, 0.0, "min"),
+    (1.0, 5.0, "max"), (-5.0, -1.0, "min"),  # one sign
+], ids=["exact-tie", "within-1e-9", "beyond-1e-9", "negative-larger", "floor-within",
+        "floor-beyond", "positive", "negative"])
+def test_the_top_end_rule(lo, hi, end):
+    assert _top_end(lo, hi) == end
 
 
 # --- Lanczos -----------------------------------------------------------------

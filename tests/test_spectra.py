@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liftlab.spectra as spectra
+from liftlab.eigensolve import _top_end
 from liftlab.errors import ConfigError, NotConvergedError, TooLargeError
 from liftlab.experiment import run_cell
 from liftlab.graphs import (
@@ -34,6 +36,7 @@ from liftlab.spectra import (
 )
 
 from _support import is_balanced, oracle_adjacency, oracle_centered, random_lift
+from test_eigensolve import REPEATED_EXTREMES, REPEATED_IDS, SIMPLE_EXTREMES
 
 
 def multiset_close(a, b, tol=1e-8):
@@ -303,11 +306,13 @@ def test_witness_from_a_balanced_start_stays_balanced(name, n, method):
 
 
 def _theta_and_projection(lift):
-    """theta, the tie pick's extreme of the new spectrum, and the projection of
-    the balanced default_rng(7) start onto theta's eigenspace, by eigh of the
-    dense centered operator."""
-    theta = spectra._theta(lift, new_spectrum(lift))
+    """theta, the extreme of the new spectrum at the dense path's end, and the
+    projection of the balanced default_rng(7) start onto theta's eigenspace, by
+    eigh of the dense centered operator: QL's end of a bipartite base's tie, and
+    the top-end rule on eigh's values elsewhere."""
     w, v = np.linalg.eigh(oracle_centered(lift))
+    end = spectra._tie_end(lift) if spectra._bipartite(lift.base) else _top_end(w[0], w[-1])
+    theta = w[-1] if end == "max" else w[0]
     space = v[:, np.abs(w - theta) <= 1e-9 * max(1.0, abs(theta))]
     start = balance(LiftVector(np.random.default_rng(7).normal(size=(lift.h, lift.n)))).flat()
     return theta, space @ (space.T @ start), space.shape[1]
@@ -408,3 +413,57 @@ def test_auto_on_a_small_lift_of_a_base_that_is_not_bipartite_matches_eigvalsh(n
     assert rep.method == "iterative" and rep.converged
     want = float(np.abs(np.linalg.eigvalsh(oracle_centered(lift))).max())
     assert rep.lambda_star == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+# --- an accidental tie takes the top end ---------------------------------------------
+
+
+@pytest.mark.parametrize("perm", [[1, 0, 3, 2], [1, 0, 3, 2, 5, 4]], ids=["two-cubes", "three-cubes"])
+@pytest.mark.parametrize("method", ["auto", "dense", "iterative"])
+def test_an_accidental_tie_takes_the_top_end_by_every_method(perm, method, monkeypatch):
+    # one involution on every edge of K4 splits the lift into cubes, K4's bipartite
+    # double cover: the new spectrum holds both +3 and -3, on a base that is not
+    # bipartite, and every method takes +3 without Householder
+    base = complete_graph(4)
+    lift = Lift(base, len(perm), {edge: np.array(perm) for edge in base.edges})
+    vals = new_spectrum(lift)
+    assert np.isclose(vals[0], 3.0) and np.isclose(vals[-1], -3.0)
+    calls = _calls(monkeypatch, "householder_tridiagonalize")
+    rep = lambda_star(lift, method=method)
+    assert rep.method == ("dense" if method == "dense" else "iterative")
+    assert centered_rayleigh(lift, rep.witness) == pytest.approx(3.0, rel=1e-9)
+    assert calls == []
+
+
+def _dense_on(m, monkeypatch):
+    """``_lambda_star(method="dense")`` on a stand-in 2-lift of the triangle, which is
+    not bipartite, whose centered operator is m on the balanced vectors: the report,
+    the values it returned, the end it aimed Lanczos at, and the operator."""
+    w = balanced_basis(2)
+    op = np.kron(m, w @ w.T)
+    monkeypatch.setattr(spectra, "dense_operator", lambda lift, kind: op)
+    monkeypatch.setattr(spectra, "_centered_raw",
+                        lambda lift, x: (op @ x.reshape(-1)).reshape(x.shape))
+    ends, real = [], spectra.lanczos_extreme
+    monkeypatch.setattr(spectra, "lanczos_extreme",
+                        lambda *args, which, **kw: ends.append(which) or real(*args, which=which, **kw))
+    lift = SimpleNamespace(n=2, h=len(m), d=1, base=complete_graph(3))
+    rep, vals = spectra._lambda_star(lift, 1e-10, "dense")
+    return rep, vals, ends, op
+
+
+@pytest.mark.parametrize("m, end", list(zip(SIMPLE_EXTREMES + REPEATED_EXTREMES,
+                                            ["max", "max", "min", "max", "max", "max", "max"])),
+                         ids=["random", "near-tie-1e-6", "negative-extreme", *REPEATED_IDS])
+def test_the_dense_path_takes_the_top_end_of_lapacks_values(m, end, monkeypatch):
+    # off a bipartite base the dense path aims at _top_end of LAPACK's balanced
+    # spectrum, the rule "abs" Lanczos applies to its Ritz values: a repeated
+    # extreme modulus (fourfold: LAPACK's -2 is the larger) takes the top end
+    calls = _calls(monkeypatch, "householder_tridiagonalize")
+    rep, vals, ends, op = _dense_on(m, monkeypatch)
+    assert np.allclose(vals, np.linalg.eigvalsh(m)[::-1], atol=1e-12)
+    assert ends == [_top_end(vals[-1], vals[0])] == [end]
+    assert rep.method == "dense" and rep.converged and calls == []
+    x = rep.witness.flat()
+    assert float(x @ op @ x) / float(x @ x) == pytest.approx(vals[0] if end == "max" else vals[-1],
+                                                            rel=1e-9)

@@ -14,7 +14,8 @@ for each class that defines it.
 
 Randomness has two homes: ``SeededRng.generator``, which derives every seeded
 stream, and the spectral start in ``spectra._lambda_star``. No other library code
-calls into ``numpy.random``, so the same seeds give the same rows.
+calls into ``numpy.random``, so the same seeds give the same rows. Householder
+and QL have one caller, ``spectra._tie_end``.
 """
 
 import ast
@@ -207,3 +208,13 @@ def test_the_witness_chain_steps_are_called_only_from_the_chain():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) in steps}
     assert sites == {"_witness_chain"}
+
+
+def test_householder_and_ql_are_called_only_from_the_tie_pick():
+    # every extreme but a bipartite base's certain +-theta tie takes the top-end
+    # rule, so the QL half of eigensolve serves spectra._tie_end alone
+    steps = {"householder_tridiagonalize", "tridiagonal_eigenvalues"}
+    sites = {".".join((stem,) + scope) for stem, tree in _modules().items()
+             for scope, node in _scoped(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in steps}
+    assert sites == {"spectra._tie_end"}

@@ -1,15 +1,14 @@
 """Householder + QL, and the dense path's tie pick, the one place they serve.
 
-On a repeated extreme modulus of the new spectrum, such as the +-theta tie of
-a bipartite base like c6, ``spectra._theta`` takes the end that Householder +
-QL pick on the balanced restriction, because the recorded c6 rows were made
-with that pick. Everywhere else the values are LAPACK's. Deleting QL deletes
-this file; the Lanczos and LAPACK tests stay in ``test_eigensolve.py``.
+On the certain +-theta tie of a bipartite base like c6, ``spectra._tie_end``
+takes the end that Householder + QL pick on the balanced restriction, because
+the recorded c6 rows were made with that pick. Every other extreme takes the
+top-end rule, tested in ``test_spectra.py``. Deleting QL deletes this file;
+the Lanczos and LAPACK tests stay in ``test_eigensolve.py``.
 """
 
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,18 +23,14 @@ from liftlab.sampling import SeededRng, sample_lift
 from liftlab.spectra import centered_rayleigh, lambda_star, new_spectrum
 
 from _support import peak_mb
-from test_eigensolve import REPEATED_EXTREMES, REPEATED_IDS, SIMPLE_EXTREMES, _count_householder
-
-
-def _extreme(vals):
-    return vals[np.argmax(np.abs(vals))]
+from test_eigensolve import _count_householder
 
 
 def _restriction(base, n, seed, monkeypatch):
     """The balanced restriction that the tie pick hands Householder on a sweep
-    cell; a stand-in tie makes the pick restrict a lift whose extreme is simple."""
+    cell, also on a lift whose base is not bipartite, which the library never hands it."""
     calls = _count_householder(monkeypatch)
-    spectra._theta(sample_lift(base_from_name(base), n, SeededRng(seed)), np.array([1.0, -1.0]))
+    spectra._tie_end(sample_lift(base_from_name(base), n, SeededRng(seed)))
     return calls[0]
 
 
@@ -116,35 +111,6 @@ def test_householder_holds_two_blocks_at_most(monkeypatch):
     assert peak * 1e6 <= 2 * n * n * 8 + 32 * n * 8
 
 
-def _theta_of(m, monkeypatch):
-    """The tie pick's theta on a stand-in 2-lift whose balanced restriction is m up
-    to rounding, and the new spectrum it was handed."""
-    w = spectra.balanced_basis(2)
-    monkeypatch.setattr(spectra, "dense_operator", lambda lift, kind: np.kron(m, w @ w.T))
-    lift = SimpleNamespace(n=2, h=len(m))
-    vals = new_spectrum(lift)
-    return spectra._theta(lift, vals), vals
-
-
-@pytest.mark.parametrize("m", SIMPLE_EXTREMES, ids=["random", "near-tie-1e-6", "negative-extreme"])
-def test_simple_extreme_takes_the_lapack_values(m, monkeypatch):
-    calls = _count_householder(monkeypatch)
-    theta, vals = _theta_of(m, monkeypatch)
-    assert theta == _extreme(vals)
-    assert np.allclose(vals, np.linalg.eigvalsh(m)[::-1], atol=1e-12)
-    assert calls == []
-
-
-@pytest.mark.parametrize("m", REPEATED_EXTREMES, ids=REPEATED_IDS)
-def test_repeated_extreme_modulus_takes_the_ql_values(m, monkeypatch):
-    # the dense witness's eigenspace hangs on the bits of theta, which the
-    # recorded rows took from Householder + QL
-    calls = _count_householder(monkeypatch)
-    theta, _ = _theta_of(m, monkeypatch)
-    assert len(calls) == 1
-    assert theta == _extreme(tridiagonal_eigenvalues(*householder_tridiagonalize(calls[0])))
-
-
 def test_a_simple_extreme_dense_cell_never_tridiagonalizes(monkeypatch):
     def refuse(mat):
         raise AssertionError("Householder ran on a simple extreme")
@@ -173,10 +139,10 @@ def test_tridiagonal_matches_numpy(n, seed):
 
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_dense_witness_takes_the_sign_of_theta_on_a_bipartite_tie(seed):
-    # on c6 both +-theta are extreme; the tie pick's theta picks the end
+    # on c6 both +-theta are extreme; the tie pick picks the end
     lift = sample_lift(base_from_name("c6"), 100, SeededRng(seed))
     vals = new_spectrum(lift)
-    theta = spectra._theta(lift, vals)
+    theta = vals[0] if spectra._tie_end(lift) == "max" else vals[-1]
     assert np.min(np.abs(vals + theta)) <= 1e-9
     rep = lambda_star(lift)
     assert rep.method == "dense"
