@@ -257,72 +257,45 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class ExplainReport:
-    """Outcome of explaining a lift's centered extreme.
+    """Outcome of explaining a lift's centered extreme spectral.lambda_star.
 
-    branch is always "star": the single-star subgraph with top eigenvalue sqrt(d)
-    certifies the claimed inequality below the threshold, and lambda*, a Rayleigh
-    quotient of the centered operator, is at most d, which reaches the threshold
-    EXPLAIN_SPECTRAL_FACTOR * sqrt(d) only from d = 1.4e12: a base whose h x h
-    adjacency no memory holds. The witness chain runs on request alone.
+    witness_bounds.members spans the witness subgraph G' that the chain surfaced,
+    and subgraph_value is lambda(G'), the top eigenvalue of the subgraph they
+    induce (clipped at 0, and 0 when there are no members).
     """
 
-    branch: str
-    lambda_star: float
-    threshold: float
-    subgraph_vertices: tuple[tuple[int, int], ...]
-    alpha: int
-    subgraph_value: float
-    bound_ok: bool
     spectral: SpectralReport
-    reduction: ReductionReport | None = None
-    witness_bounds: PatternWitnessBounds | None = None
-    inspected_value: float | None = None
+    reduction: ReductionReport
+    witness_bounds: PatternWitnessBounds
+    subgraph_value: float
 
 
 def explain_pipeline(lift: Lift, level: float = EXPLAIN_LEVEL,
-                     trials: int = 40, rng: SeededRng | None = None,
-                     force_witness: bool = False) -> ExplainReport:
-    """Certify -> census -> reduce -> witness subgraph, then check the
-    explanation inequality.
-
-    The star fallback always applies (see ``ExplainReport``), and the chain is
-    skipped unless force_witness asks for the subgraph anyway (useful for
-    inspecting where the extreme lives even when the bound is trivially met).
+                     trials: int = 40, rng: SeededRng | None = None) -> ExplainReport:
+    """lambda*, then the sweep's witness chain (certify -> census -> reduce at
+    ``level`` -> bound), then the top eigenvalue of the subgraph induced on the
+    chain's members. A failed chain raises LiftlabError.
     """
     _check_level(level)
     _check_count(trials, "trials")
     rng = rng if rng is not None else SeededRng(0)
     rep = lambda_star(lift).require_converged()
-    star_value = math.sqrt(lift.d)
-    threshold = EXPLAIN_SPECTRAL_FACTOR * star_value
-
-    reduction = bounds = inspected = None
-    members: tuple[tuple[int, int], ...] = ()
-    if force_witness:
-        _, (_, reduction), bounds = _witness_chain(lift, rep, trials, rng,
-                                                   partial(reduce_general, level=level))
-        members = bounds.members
-        eigs = symmetric_eigenvalues(induced_adjacency(lift, list(members)))
-        inspected = max(float(eigs[0]), 0.0) if members else 0.0
-    # a degree-d star is a subgraph of every lift, so below the threshold the
-    # inequality holds with room to spare
-    ok = rep.lambda_star <= EXPLAIN_SPECTRAL_FACTOR * star_value + 1e-9
-    return ExplainReport("star", rep.lambda_star, threshold, members, len(members),
-                         star_value, ok, rep, reduction, bounds, inspected)
+    _, (_, reduction), bounds = _witness_chain(lift, rep, trials, rng,
+                                               partial(reduce_general, level=level))
+    members = list(bounds.members)
+    value = (max(float(symmetric_eigenvalues(induced_adjacency(lift, members))[0]), 0.0)
+             if members else 0.0)
+    return ExplainReport(rep, reduction, bounds, value)
 
 
 def explain_to_text(report: ExplainReport) -> str:
+    members = report.witness_bounds.members
     lines = ["explanation",
-             f"branch {report.branch}",
-             f"extreme {report.lambda_star!r}",
-             f"threshold {report.threshold!r}",
-             f"alpha {report.alpha}",
+             f"extreme {report.spectral.lambda_star!r}",
+             f"alpha {len(members)}",
              f"subgraph-value {report.subgraph_value!r}",
-             f"bound-ok {int(report.bound_ok)}"]
-    if report.reduction is not None:
-        lines.append(f"reduction-branch {report.reduction.branch}")
-        lines.append(f"reduction-kept {len(report.reduction.kept)}")
-    if report.subgraph_vertices:
-        verts = " ".join(f"{i}:{j}" for i, j in report.subgraph_vertices)
-        lines.append(f"subgraph {verts}")
+             f"reduction-branch {report.reduction.branch}",
+             f"reduction-kept {len(report.reduction.kept)}"]
+    if members:
+        lines.append("subgraph " + " ".join(f"{i}:{j}" for i, j in members))
     return "\n".join(lines) + "\n"

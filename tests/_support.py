@@ -72,6 +72,36 @@ def oracle_induced(lift: Lift, vertices) -> np.ndarray:
     return oracle_adjacency(lift)[np.ix_(flat, flat)]
 
 
+def oracle_cycle_new_spectrum(lift: Lift) -> np.ndarray:
+    """The exact new spectrum of a lift of the cycle C_h, sorted descending, from
+    cosines alone.
+
+    The holonomy sigma composes the h matchings around 0 -> 1 -> ... -> h-1 -> 0.
+    The lift is a disjoint union of cycles, one of length h*L for each cycle of
+    length L of sigma, and C_m has the eigenvalues 2cos(2 pi j/m), j < m. The
+    base's own 2cos(2 pi k/h) are those of one cycle at j = k*L: dropping them once
+    leaves the spectrum on balanced vectors.
+    """
+    h, n = lift.h, lift.n
+    sigma = np.arange(n)
+    for i in range(h - 1):
+        sigma = lift.perms[(i, i + 1)][sigma]
+    sigma = np.argsort(lift.perms[(0, h - 1)])[sigma]  # back along the closing edge
+    seen = np.zeros(n, bool)
+    parts = []
+    for start in range(n):
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j], j, length = True, sigma[j], length + 1
+        if length:
+            js = np.arange(h * length)
+            if not parts:
+                js = js[js % length != 0]
+            parts.append(2.0 * np.cos(2.0 * np.pi * js / (h * length)))
+    return np.sort(np.concatenate(parts))[::-1]
+
+
 def oracle_expected(lift: Lift) -> np.ndarray:
     """Expected adjacency: 1/n wherever the two fibres are adjacent in the base."""
     n, h = lift.n, lift.h

@@ -237,7 +237,7 @@ def _huge_witness(spread: bool) -> None:
 CASES = {
     "certify-k2": lambda: _k2_command("certify"),
     "reduce-k2": lambda: _k2_command("reduce"),
-    "explain-k2": lambda: _k2_command("explain", "--force-witness"),
+    "explain-k2": lambda: _k2_command("explain"),
     "cell-k2": _k2_cell,
     "band-vector-exponent": lambda: _huge_band_vector(spread=False),
     "band-vector-spread": lambda: _huge_band_vector(spread=True),
@@ -250,7 +250,7 @@ def test_degree_one_lifts_certify_and_reduce():
     # band selection once looked for the largest m with 1^m <= 4^e
     assert "band-met 1" in _run_in_child("certify-k2")
     assert "kept 0" in _run_in_child("reduce-k2")
-    assert "bound-ok 1" in _run_in_child("explain-k2")
+    assert "reduction-branch general\nreduction-kept 0\n" in _run_in_child("explain-k2")
     # every stage ran: the certificate was met and the reduction kept nothing
     assert _run_in_child("cell-k2").split(",")[8:12] == ["1", "0", "large", "0"]
 

@@ -5,6 +5,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import liftlab.dyadic
@@ -19,7 +20,7 @@ from liftlab.sampling import SeededRng, plant_clique, sample_lift
 from liftlab.spectra import new_spectrum
 from liftlab.witnesses import clique_witness
 
-from _support import lift_key, matching_spec_to_text, neighbours
+from _support import lift_key, matching_spec_to_text, neighbours, oracle_induced
 
 
 def run(capsys, argv):
@@ -177,30 +178,37 @@ def test_experiment_out_flag_overrides_config(tmp_path, capsys):
     assert override.exists()
 
 
-def test_explain_star_branch(lift_file, capsys):
-    code, out, _ = run(capsys, ["explain", "--lift", lift_file])
-    assert code == 0
-    assert grab(out, "branch") == "star"
-    assert grab(out, "bound-ok") == "1"
+def test_explain_prints_the_witness_chain(lift_file, capsys):
+    code, out, err = run(capsys, ["explain", "--lift", lift_file])
+    assert (code, err) == (0, "")
+    keys = [line.split(" ")[0] for line in out.splitlines()]
+    assert keys == ["explanation", "extreme", "alpha", "subgraph-value",
+                    "reduction-branch", "reduction-kept", "subgraph"]
+    assert int(grab(out, "alpha")) == len(grab(out, "subgraph").split())
 
 
-def test_explain_forced_witness_lists_support(tmp_path, capsys):
+def test_explain_lists_the_planted_support_and_its_top_eigenvalue(tmp_path, capsys):
     path = tmp_path / "planted.json"
     assert main(["gen", "--base", "k6", "--n", "60", "--seed", "0",
                  "--plant", "0,1,2,3,4,5", "--out", str(path)]) == 0
-    code, out, _ = run(capsys, ["explain", "--lift", str(path),
-                                "--force-witness"])
+    code, out, _ = run(capsys, ["explain", "--lift", str(path)])
     assert code == 0
-    support = set(grab(out, "subgraph").split())
-    assert {f"{i}:0" for i in range(6)} <= support
+    support = grab(out, "subgraph").split()
+    assert {f"{i}:0" for i in range(6)} <= set(support)
+    # subgraph-value is lambda(G') of the printed members, not the star's sqrt(d)
+    lift = Lift.from_json(path.read_text())
+    members = [tuple(map(int, v.split(":"))) for v in support]
+    top = np.linalg.eigvalsh(oracle_induced(lift, members))[-1]
+    assert float(grab(out, "subgraph-value")) == max(float(top), 0.0)
+    assert float(grab(out, "subgraph-value")) == pytest.approx(5.0, abs=1e-9)
 
 
-def test_explain_forced_witness_on_a_large_bipartite_subgraph(tmp_path, capsys):
+def test_explain_on_a_large_bipartite_subgraph(tmp_path, capsys):
     # the k4 n=2000 seed-1 witness subgraph has 1,235 vertices and a bipartite
     # spectrum (+-theta extremes); its top eigenvalue comes from LAPACK, not QL
     path = tmp_path / "k4.json"
     assert main(["gen", "--base", "k4", "--n", "2000", "--seed", "1", "--out", str(path)]) == 0
-    code, out, err = run(capsys, ["explain", "--lift", str(path), "--force-witness"])
+    code, out, err = run(capsys, ["explain", "--lift", str(path)])
     assert (code, err) == (0, "")
     assert len(grab(out, "subgraph").split()) == 1235
     assert float(grab(out, "subgraph-value")) > 0.0
@@ -211,6 +219,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+    code, _, err = run(capsys, ["explain", "--lift", "x.json", "--force-witness"])
+    assert code == 2 and "unrecognized arguments: --force-witness" in err  # the flag is gone
     assert main(["spectrum", "--lift", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
     bad = tmp_path / "bad.json"

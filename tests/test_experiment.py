@@ -322,7 +322,7 @@ def test_unconverged_spectrum_stops_explain_and_certificate(monkeypatch):
     monkeypatch.setattr(exp, "lambda_star", stalled)
     monkeypatch.setattr(liftlab.dyadic, "lambda_star", stalled)
     with pytest.raises(NotConvergedError):
-        explain_pipeline(lift, trials=4, force_witness=True)
+        explain_pipeline(lift, trials=4)
     with pytest.raises(NotConvergedError):
         band_certificate(lift, trials=4)
     # a report the caller passes in is the caller's to check
@@ -345,7 +345,7 @@ def test_a_witness_bound_above_lambda_star_fails_the_chain(monkeypatch, caller):
         assert len(result.failures) == 1 and "witness bound exceeds" in result.failures[0]
     else:
         with pytest.raises(LiftlabError, match="witness bound exceeds"):
-            explain_pipeline(sample_lift(K4, 20, SeededRng(1)), trials=4, force_witness=True)
+            explain_pipeline(sample_lift(K4, 20, SeededRng(1)), trials=4)
 
 
 def test_an_emptied_reduction_bounds_the_whole_census(monkeypatch):
@@ -439,61 +439,57 @@ def test_the_lanczos_basis_size_does_not_move_a_row(monkeypatch, name, n):
                 assert got == want, (size, field.name)
 
 
-def test_explain_star_branch_on_plain_lift():
+def test_explain_runs_the_witness_chain_on_a_plain_lift():
     lift = sample_lift(K4, 40, SeededRng(5))
     report = explain_pipeline(lift, trials=4)
-    assert report.branch == "star"
-    assert report.threshold == pytest.approx(EXPLAIN_SPECTRAL_FACTOR * math.sqrt(3))
-    assert report.lambda_star < report.threshold
-    assert report.subgraph_value == pytest.approx(math.sqrt(3))
-    assert report.bound_ok
-    assert report.subgraph_vertices == ()
-    assert report.reduction is None
-    assert report.inspected_value is None
+    assert report.spectral.lambda_star == exp.lambda_star(lift).lambda_star
+    assert report.reduction.branch == "general"
+    assert report.witness_bounds.spectrum_bound <= report.spectral.lambda_star + 1e-6
+    members = list(report.witness_bounds.members)
+    assert members
+    # lambda(G') of a subgraph of a 3-regular lift lies in [0, 3]
+    assert 0.0 <= report.subgraph_value <= 3.0 + 1e-9
+    top = symmetric_eigenvalues(oracle_induced(lift, members))[0]
+    assert report.subgraph_value == max(float(top), 0.0)
 
 
 def test_explain_single_fibre_lift_is_trivial():
     report = explain_pipeline(identity_lift(K4, 1))
-    assert report.branch == "star"
-    assert report.lambda_star == 0.0
-    assert report.bound_ok
+    assert report.spectral.lambda_star == 0.0
+    assert report.reduction.kept == ()
+    assert report.witness_bounds.members == ()
+    assert report.subgraph_value == 0.0
 
 
-def test_explain_forced_witness_surfaces_planted_clique():
+def test_explain_surfaces_planted_clique():
     base = base_from_name("k6")
     lift = plant_clique(sample_lift(base, 60, SeededRng(0)), [0, 1, 2, 3, 4, 5])
-    report = explain_pipeline(lift, force_witness=True, trials=20,
-                              rng=SeededRng(0, 5))
-    assert report.branch == "star"
+    report = explain_pipeline(lift, trials=20, rng=SeededRng(0, 5))
+    members = report.witness_bounds.members
     planted = {(i, 0) for i in range(6)}
-    assert planted <= set(report.subgraph_vertices)
-    # the planted clique dominates the spectrum, so the inspected subgraph
+    assert planted <= set(members)
+    # the planted clique dominates the spectrum, so the witness subgraph
     # carries the full eigenvalue h - 1 = 5
-    assert report.lambda_star == pytest.approx(5.0, abs=1e-6)
-    assert report.inspected_value >= 5.0 - 1e-6
-    assert report.alpha == len(report.subgraph_vertices)
-    assert report.reduction is not None
-    assert report.witness_bounds is not None
-    assert report.bound_ok
+    assert report.spectral.lambda_star == pytest.approx(5.0, abs=1e-6)
+    assert report.subgraph_value >= 5.0 - 1e-6
     # the gathered induced adjacency gives the entry-by-entry oracle's eigenvalue
-    eigs = symmetric_eigenvalues(oracle_induced(lift, list(report.subgraph_vertices)))
-    assert report.inspected_value == max(float(eigs[0]), 0.0)
+    eigs = symmetric_eigenvalues(oracle_induced(lift, list(members)))
+    assert report.subgraph_value == max(float(eigs[0]), 0.0)
 
 
 def test_explain_rejects_weak_reduction_levels():
     lift = sample_lift(K4, 20, SeededRng(1))
-    for level, force in ((10.0, True), (10.0, False), (math.nan, False), (math.inf, True)):
+    for level in (10.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
-            explain_pipeline(lift, level=level, force_witness=force, trials=4)
+            explain_pipeline(lift, level=level, trials=4)
 
 
-@pytest.mark.parametrize("force", [False, True], ids=["star", "witness"])
 @pytest.mark.parametrize("trials", [0, 2.5, True])
-def test_explain_checks_trials_before_the_spectrum(monkeypatch, trials, force):
+def test_explain_checks_trials_before_the_spectrum(monkeypatch, trials):
     lift = sample_lift(K4, 20, SeededRng(1))
     monkeypatch.setattr(exp, "lambda_star", lambda *args, **kwargs: pytest.fail("solved"))
     with pytest.raises(ConfigError, match="trials"):
-        explain_pipeline(lift, trials=trials, force_witness=force)
+        explain_pipeline(lift, trials=trials)
 
 
 @pytest.mark.parametrize("level", ["30", None, True])
@@ -505,12 +501,18 @@ def test_explain_refuses_a_level_that_is_not_a_number(level):
 
 def test_explain_report_text_layout():
     lift = sample_lift(K4, 25, SeededRng(9))
-    report = explain_pipeline(lift, force_witness=True, trials=6)
-    text = explain_to_text(report)
-    lines = text.splitlines()
-    assert lines[0] == "explanation"
-    assert lines[1] == "branch star"
-    assert any(ln.startswith("alpha ") for ln in lines)
-    assert any(ln.startswith("bound-ok ") for ln in lines)
-    if report.subgraph_vertices:
-        assert any(ln.startswith("subgraph ") for ln in lines)
+    report = explain_pipeline(lift, trials=6)
+    members = report.witness_bounds.members
+    assert members
+    assert explain_to_text(report).splitlines() == [
+        "explanation",
+        f"extreme {report.spectral.lambda_star!r}",
+        f"alpha {len(members)}",
+        f"subgraph-value {report.subgraph_value!r}",
+        f"reduction-branch {report.reduction.branch}",
+        f"reduction-kept {len(report.reduction.kept)}",
+        "subgraph " + " ".join(f"{i}:{j}" for i, j in members)]
+    # no members, no subgraph line
+    empty = explain_to_text(explain_pipeline(identity_lift(K4, 1)))
+    assert empty.splitlines()[1:] == ["extreme 0.0", "alpha 0", "subgraph-value 0.0",
+                                      "reduction-branch general", "reduction-kept 0"]

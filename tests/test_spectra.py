@@ -35,7 +35,8 @@ from liftlab.spectra import (
     new_spectrum,
 )
 
-from _support import is_balanced, oracle_adjacency, oracle_centered, random_lift
+from _support import (is_balanced, oracle_adjacency, oracle_centered, oracle_cycle_new_spectrum,
+                      random_lift)
 from test_eigensolve import REPEATED_EXTREMES, REPEATED_IDS, SIMPLE_EXTREMES
 
 
@@ -467,3 +468,52 @@ def test_the_dense_path_takes_the_top_end_of_lapacks_values(m, end, monkeypatch)
     x = rep.witness.flat()
     assert float(x @ op @ x) / float(x @ x) == pytest.approx(vals[0] if end == "max" else vals[-1],
                                                             rel=1e-9)
+
+
+def _one_cycle_lift(h: int, n: int) -> Lift:
+    """The lift of C_h whose holonomy is one n-cycle: the cycle C_hn itself."""
+    base = cycle_graph(h)
+    perms = {e: np.arange(n) for e in base.edges}
+    perms[(0, h - 1)] = np.roll(np.arange(n), 1)
+    return Lift(base, n, perms)
+
+
+@pytest.mark.parametrize("lift", [
+    sample_lift(cycle_graph(5), 12, SeededRng(4)),
+    sample_lift(cycle_graph(4), 9, SeededRng(2)),
+    _one_cycle_lift(5, 8),
+    identity_lift(cycle_graph(6), 3),
+], ids=["c5-12-4", "c4-9-2", "one-cycle-c5-8", "identity-c6-3"])
+def test_the_cycle_oracle_is_the_entry_by_entry_spectrum_less_the_base(lift):
+    # two routes to one multiset: cosines from the holonomy's cycle type, and
+    # eigvalsh of the adjacency built entry by entry, less the base's spectrum
+    base = 2.0 * np.cos(2.0 * np.pi * np.arange(lift.h) / lift.h)
+    union = np.sort(np.concatenate([oracle_cycle_new_spectrum(lift), base]))
+    assert np.allclose(union, np.linalg.eigvalsh(oracle_adjacency(lift)), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, n, seed", [("c6", 100, 1), ("c6", 100, 7), ("c5", 50, 3),
+                                           ("c5", 120, 2)])
+def test_new_spectrum_of_a_cycle_lift_is_the_exact_cosines(name, n, seed):
+    lift = sample_lift(base_from_name(name), n, SeededRng(seed))
+    assert np.allclose(new_spectrum(lift), oracle_cycle_new_spectrum(lift), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("lift", [
+    sample_lift(cycle_graph(5), 240, SeededRng(1)),
+    sample_lift(cycle_graph(6), 200, SeededRng(1)),
+    sample_lift(cycle_graph(7), 300, SeededRng(1)),
+    sample_lift(cycle_graph(5), 400, SeededRng(1)),
+    _one_cycle_lift(5, 300),
+    _one_cycle_lift(5, 301),
+    _one_cycle_lift(6, 200),
+], ids=["c5-240-1", "c6-200-1", "c7-300-1", "c5-400-1", "one-cycle-c5-300",
+        "one-cycle-c5-301", "one-cycle-c6-200"])
+def test_lambda_star_of_a_cycle_lift_beyond_the_dense_guard_is_exact(lift):
+    # an exact value that needs no LAPACK: 2 once the holonomy has two cycles; on
+    # one cycle (the lift is C_hn) below 2, unless hn is even and h odd: then -2 is new
+    assert lift.n * lift.h > 600
+    rep = lambda_star(lift)
+    assert rep.converged
+    assert rep.lambda_star == pytest.approx(np.abs(oracle_cycle_new_spectrum(lift)).max(),
+                                            rel=0.0, abs=1e-12)
