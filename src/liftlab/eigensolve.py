@@ -2,9 +2,9 @@
 
 Dense path: LAPACK (``numpy.linalg.eigvalsh``) gives the eigenvalues.
 Householder reduction and implicit-shift QL, its sweeps on Python floats,
-serve only the pick of an end on a bipartite base's certain +-theta tie
-(``spectra._tie_end``), which takes their bits. Householder writes each
-updated trailing block contiguously into one of two swapped n * n buffers,
+serve only "auto"'s pick of an end on a bipartite base's certain +-theta
+tie at nh <= 600 (``spectra._tie_end``), which takes their bits. Householder
+writes each updated trailing block contiguously into one of two swapped n * n buffers,
 with the roundings of a strided in-place update of the input with -0.0 made
 +0.0. Iterative path: thick-restart Lanczos in a fixed basis of 48 vectors,
 driven by a caller-supplied matvec, with partial reorthogonalization: an

@@ -7,8 +7,8 @@ first and the adjacency on the second, so ``new_spectrum`` (the balanced
 part) is its spectrum without h kernel zeros. ``lambda_star`` takes its
 extreme modulus and witness from one thick-restart Lanczos solve on the
 centered operator, from one start per lift, aimed at the end of extreme modulus,
-the top end on a +-theta tie; only the dense path ("auto": bipartite bases alone)
-on a bipartite base, whose tie is certain, takes the end that QL picks.
+the top end on a +-theta tie; only "auto" on a bipartite base with nh <= 600,
+whose tie is certain, takes the end that QL picks.
 """
 
 from __future__ import annotations
@@ -88,10 +88,10 @@ def new_spectrum(lift: Lift) -> np.ndarray:
 
 
 def _tie_end(lift: Lift) -> str:
-    """The end, "max" or "min", that the dense path aims Lanczos at on a bipartite base,
-    whose new spectrum has a certain +-theta tie: the recorded c6 rows hang on the end
-    that Householder + QL pick on the adjacency restricted to a per-fibre orthonormal
-    balanced basis."""
+    """The end, "max" or "min", that "auto" aims Lanczos at on a bipartite base with
+    nh <= 600, whose new spectrum has a certain +-theta tie: the recorded c6 rows hang
+    on the end that Householder + QL pick on the adjacency restricted to a per-fibre
+    orthonormal balanced basis."""
     n, h, w = lift.n, lift.h, balanced_basis(lift.n)
     blocks = dense_operator(lift, "adjacency").reshape(h, n, h, n)
     restricted = np.einsum("ajbk,jp,kq->apbq", blocks, w, w, optimize=True).reshape(h * (n - 1), -1)
@@ -123,14 +123,14 @@ def lambda_star(lift: Lift, tol: float = 1e-8, method: str = "auto") -> Spectral
     witness, so it is always a certified lower bound; convergence of the
     iteration makes it accurate to roughly tol as an estimate of the true
     extreme. ``method`` is "auto", "iterative", or "dense" (dense requires
-    nh within the dense guard); "auto" is "dense" up to nh 600 on a bipartite
-    base alone. The iteration stops after 10nh steps.
+    nh within the dense guard). The iteration stops after 10nh steps.
 
-    Both methods take the witness from one Lanczos solve, whose steps the report
+    Every method takes the witness from one Lanczos solve, whose steps the report
     carries, started from one vector per lift: a balanced ``default_rng(7)``
     draw. "dense" aims at ``eigensolve._top_end`` of ``new_spectrum``'s LAPACK
-    values, "iterative" at that of its Ritz values; on a bipartite base, whose
-    +-theta tie is certain, "dense" takes QL's end and no LAPACK spectrum. The
+    values, "iterative" at that of its Ritz values. "auto" is "iterative" but on
+    a bipartite base with nh <= 600, whose +-theta tie is certain: there it is
+    labelled "dense" and takes QL's end, with no LAPACK spectrum. The
     witness is that start's projection onto the eigenspace of the value found
     (Parlett, 1980), on the start's side: <witness, start> >= 0. So on a simple
     extreme both methods return one witness. The report's residual is the
@@ -155,16 +155,16 @@ def _lambda_star(lift: Lift, tol: float, method: str) -> tuple[SpectralReport, n
     n, h = lift.n, lift.h
     lam_top = float(lift.d)  # the Rayleigh quotient of all-ones on a d-regular lift
     # "auto" is dense only where a +-theta tie is certain, on a bipartite base
-    bipartite = (method == "dense" or method == "auto" and n * h <= 600) and _bipartite(lift.base)
-    label = "dense" if method == "dense" or bipartite else "iterative"
+    tie = method == "auto" and n * h <= 600 and _bipartite(lift.base)
+    label = "dense" if method == "dense" or tie else "iterative"
     if n == 1:
         return SpectralReport(lam_top, 0.0, label, 0, 0.0,
                               LiftVector(np.zeros((h, 1))), True), None
 
     vals, which = None, "abs"
-    if bipartite:
+    if tie:
         which = _tie_end(lift)
-    elif label == "dense":
+    elif method == "dense":
         vals = new_spectrum(lift)
         which = _top_end(vals[-1], vals[0])
     # C is zero on fibre-constant vectors: rounding drift off a balanced start never grows

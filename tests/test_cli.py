@@ -97,15 +97,25 @@ def test_a_single_fibre_spectrum_prints_the_method_it_was_asked(tmp_path, capsys
     assert grab(out, "lambda_star") == "0.0"
 
 
-def test_dense_spectrum_solves_once(lift_file, monkeypatch, capsys):
+def test_dense_spectrum_solves_once(lift_file, tmp_path, monkeypatch, capsys):
+    # one LAPACK solve lists the spectrum and aims Lanczos, also on c6's certain
+    # tie, where "dense" takes no Householder + QL
+    def refuse(mat):
+        raise AssertionError("Householder ran under --method dense")
+
     real, shapes = liftlab.spectra.symmetric_eigenvalues, []
     monkeypatch.setattr(liftlab.spectra, "symmetric_eigenvalues",
                         lambda mat: shapes.append(mat.shape) or real(mat))
-    code, out, _ = run(capsys, ["spectrum", "--lift", lift_file, "--method", "dense"])
-    assert code == 0 and len(shapes) == 1
-    values = new_spectrum(Lift.from_json(open(lift_file).read()))[:10]
-    assert [ln for ln in out.splitlines() if ln.startswith("eigenvalue ")] == [
-        f"eigenvalue {float(v)!r}" for v in values]
+    monkeypatch.setattr(liftlab.spectra, "householder_tridiagonalize", refuse)
+    c6_file = tmp_path / "c6.json"
+    c6_file.write_text(sample_lift(base_from_name("c6"), 100, SeededRng(7)).to_json())
+    for path in (lift_file, str(c6_file)):
+        shapes.clear()
+        code, out, _ = run(capsys, ["spectrum", "--lift", path, "--method", "dense"])
+        assert code == 0 and len(shapes) == 1
+        values = new_spectrum(Lift.from_json(open(path).read()))[:10]
+        assert [ln for ln in out.splitlines() if ln.startswith("eigenvalue ")] == [
+            f"eigenvalue {float(v)!r}" for v in values]
 
 
 def test_certify_reports_targets(lift_file, capsys):

@@ -1452,6 +1452,12 @@ def test_enumerate_patterns_with_explicit_base():
     assert explicit == enumerate_patterns(8, 3, 2, 2)
 
 
+def test_enumerate_patterns_defaults_to_the_cycle_when_d_is_two():
+    # h = 4, d = 2 is no complete graph: the default base is C_4
+    explicit = enumerate_patterns(8, 4, 2, 2, base=cycle_graph(4))
+    assert explicit == enumerate_patterns(8, 4, 2, 2)
+
+
 # --- text formats ------------------------------------------------------------------------
 
 

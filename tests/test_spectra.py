@@ -266,6 +266,11 @@ def test_lambda_star_planted_clique_lower_bound():
     assert rep.lambda_star >= s - 1 - 1e-6
 
 
+def test_centered_rayleigh_of_the_zero_vector_is_zero():
+    lift = sample_lift(base_from_name("k4"), 10, SeededRng(1))
+    assert centered_rayleigh(lift, LiftVector(np.zeros((lift.h, lift.n)))) == 0.0
+
+
 def test_lambda_top_is_degree():
     lift = random_lift(complete_graph(6), 15, np.random.default_rng(10))
     rep = lambda_star(lift, tol=1e-6)
@@ -307,31 +312,30 @@ def test_witness_from_a_balanced_start_stays_balanced(name, n, method):
 
 
 def _theta_and_projection(lift):
-    """theta, the extreme of the new spectrum at the dense path's end, and the
-    projection of the balanced default_rng(7) start onto theta's eigenspace, by
-    eigh of the dense centered operator: QL's end of a bipartite base's tie, and
-    the top-end rule on eigh's values elsewhere."""
+    """theta, the extreme of the new spectrum at the top-end rule's end of eigh's
+    values of the dense centered operator, and the projection of the balanced
+    default_rng(7) start onto theta's eigenspace."""
     w, v = np.linalg.eigh(oracle_centered(lift))
-    end = spectra._tie_end(lift) if spectra._bipartite(lift.base) else _top_end(w[0], w[-1])
+    end = _top_end(w[0], w[-1])
     theta = w[-1] if end == "max" else w[0]
     space = v[:, np.abs(w - theta) <= 1e-9 * max(1.0, abs(theta))]
     start = balance(LiftVector(np.random.default_rng(7).normal(size=(lift.h, lift.n)))).flat()
     return theta, space @ (space.T @ start), space.shape[1]
 
 
-# c6 is dense only: on its +-theta tie "abs" need not take the end that QL picks
 @pytest.mark.parametrize("name,n,seed,multiplicity,method", [
-    (name, n, seed, multiplicity, method) for name, n, multiplicities, methods in (
-        ("c6", 100, (4, 3, 2, 3, 3, 6, 5, 6), ("dense",)),
-        ("k4", 150, (1,) * 8, ("dense", "iterative")),
-        ("k5", 120, (1,) * 8, ("dense", "iterative")),
-        ("petersen", 60, (1,) * 8, ("dense", "iterative")))
-    for seed, multiplicity in zip(range(1, 9), multiplicities) for method in methods])
+    (name, n, seed, multiplicity, method) for name, n, multiplicities in (
+        ("c6", 100, (4, 3, 2, 3, 3, 6, 5, 6)),
+        ("k4", 150, (1,) * 8),
+        ("k5", 120, (1,) * 8),
+        ("petersen", 60, (1,) * 8))
+    for seed, multiplicity in zip(range(1, 9), multiplicities) for method in ("dense", "iterative")])
 def test_dense_witness_is_its_start_projected_onto_the_extreme_eigenspace(
         name, n, seed, multiplicity, method):
     # a Krylov space holds, within each eigenspace, only the start's projection
     # onto it, so Lanczos aimed at theta's end returns that projection, on the
-    # start's side; every nh = 600 cell of the sweep pool, by both methods
+    # start's side; every nh = 600 cell of the sweep pool, by both methods, which
+    # take +theta on c6's certain tie (QL's end, under "auto", is -theta on seed 7)
     lift = sample_lift(base_from_name(name), n, SeededRng(seed))
     theta, projection, found = _theta_and_projection(lift)
     assert found == multiplicity
@@ -393,14 +397,31 @@ def _calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, n, method, householder, lapack", [
-    ("c6", 100, "auto", 1, 0), ("c6", 100, "dense", 1, 0),
+    ("c6", 100, "auto", 1, 0), ("c6", 100, "dense", 0, 1),
     ("k4", 150, "auto", 0, 0), ("k4", 150, "dense", 0, 1)])
 def test_the_dense_path_runs_lapack_only_where_a_tie_is_not_certain(
         name, n, method, householder, lapack, monkeypatch):
+    # "auto"'s c6 tie takes QL's end and no LAPACK spectrum; "dense" takes
+    # LAPACK's top end on every base
     calls = [_calls(monkeypatch, f) for f in ("householder_tridiagonalize", "symmetric_eigenvalues")]
     rep = lambda_star(sample_lift(base_from_name(name), n, SeededRng(1)), method=method)
     assert rep.method == ("dense" if method == "dense" or name == "c6" else "iterative")
     assert [len(c) for c in calls] == [householder, lapack]
+
+
+@pytest.mark.parametrize("name, n", [("c4", 150), ("c6", 100), ("c8", 75), ("k33", 100),
+                                     ("c6", 200)])
+def test_dense_runs_one_lapack_solve_and_no_ql_on_a_bipartite_base(name, n, monkeypatch):
+    # "dense" aims Lanczos at _top_end of LAPACK's values also where the tie is
+    # certain, at any nh within the dense guard
+    calls = [_calls(monkeypatch, f) for f in ("householder_tridiagonalize", "tridiagonal_eigenvalues",
+                                              "symmetric_eigenvalues")]
+    lift = sample_lift(BIPARTITE_BASES[name], n, SeededRng(1))
+    rep = lambda_star(lift, method="dense")
+    assert rep.method == "dense" and rep.converged
+    assert [len(c) for c in calls] == [0, 0, 1]
+    want = float(np.abs(np.linalg.eigvalsh(oracle_centered(lift))).max())
+    assert rep.lambda_star == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
